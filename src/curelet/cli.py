@@ -31,7 +31,6 @@ from .pipeline import (
 )
 
 PGM_MAXVAL = 65535
-SPIN_COUNTS = {"haar-cs1": 1, "haar-cs16": 16}
 
 
 class ConfigError(Exception):
@@ -140,7 +139,6 @@ class JobConfig:
     sigma: float | str | None = None
     lam: float = 0.5
     levels: int = 3
-    spins: int | None = None
     seed: int = 0
     lambda1: float | None = None
     lambda2: float | None = None
@@ -174,18 +172,6 @@ def _check_common(config: JobConfig) -> None:
         raise ConfigError("--seed must be nonnegative")
 
 
-def _check_spins(config: JobConfig) -> None:
-    # spin counts live in the method names; the flag only cross-checks
-    if config.spins is None:
-        return
-    expected = SPIN_COUNTS.get(config.method)
-    if expected is None:
-        raise ConfigError("--spins only applies to the haar-cs methods")
-    if config.spins != expected:
-        raise ConfigError(
-            f"--spins {config.spins} conflicts with method {config.method}")
-
-
 def _print_config(config: JobConfig, keys: tuple[str, ...]) -> None:
     parts = [f"command={config.command}"]
     parts += [f"{key}={getattr(config, key)}" for key in keys]
@@ -196,7 +182,6 @@ def cmd_denoise(config: JobConfig) -> int:
     _require(config.input_path, "--in")
     _require(config.output_path, "--out")
     _check_common(config)
-    _check_spins(config)
     lambdas = config.lambdas()
     if config.sigma == "auto" and not config.mask_path:
         raise ConfigError("--sigma auto requires --mask to locate background")
@@ -359,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="negative-estimate blend: 0 clips, 1 reflects")
     dn.add_argument("--levels", type=int, default=3,
                     help="decomposition depth")
-    dn.add_argument("--spins", type=int, choices=(1, 16),
-                    help="cross-check against the haar-cs method name")
     dn.add_argument("--lambda1", type=float, help="first atom shape override")
     dn.add_argument("--lambda2", type=float, help="second atom shape override")
     dn.add_argument("--dump-x", dest="dump_path", metavar="RAW",

@@ -273,26 +273,29 @@ class DenoiseResult:
         return np.asarray(self.estimate, dtype=dtype)
 
 
-def _run_method(y: np.ndarray, K: float, method: str, J: int, lambdas=None):
+def _run_method(y: np.ndarray, K: float, method: str, J: int,
+                lambdas=None) -> tuple[np.ndarray, float]:
+    """(x-domain estimate, its cure); haar-cs16 reports the mean spin risk."""
+    kw = {"J": J}
+    if lambdas is not None:
+        kw["lambdas"] = lambdas
     if method == "haar-cs1":
-        kw = {} if lambdas is None else {"lambdas": lambdas}
-        return haar_curelet_denoise(y, K, J=J, **kw)
+        est, rep = haar_curelet_denoise(y, K, **kw)
+        return est, rep.cure
     if method == "haar-cs16":
         cures = []
-        kw = {} if lambdas is None else {"lambdas": lambdas}
 
         def spin_once(ys, Ks):
-            est, rep = haar_curelet_denoise(ys, Ks, J=J, **kw)
+            est, rep = haar_curelet_denoise(ys, Ks, **kw)
             cures.append(rep.cure)
             return est
 
         est = cycle_spin(y, K, spin_once, 16)
         return est, float(np.mean(cures))
-    kw = {} if lambdas is None else {"lambdas": lambdas}
-    if method == "uwt":
-        return uwt_curelet_denoise(y, K, transform="haar-uwt", J=J, **kw)
-    if method == "uwt-bdct":
-        return uwt_curelet_denoise(y, K, transform="mixed", J=J, **kw)
+    if method in ("uwt", "uwt-bdct"):
+        transform = "haar-uwt" if method == "uwt" else "mixed"
+        est, rep = uwt_curelet_denoise(y, K, transform=transform, **kw)
+        return est, rep.cure
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -324,9 +327,7 @@ def denoise_mr(m, sigma="auto", method: str = "uwt-bdct", lam: float = 0.5,
     start = time.perf_counter()
     noisy = rescale_squared(m, sigma)
     y = noisy.samples.reshape(m.shape)
-    out = _run_method(y, noisy.dof, method, J, lambdas)
-    xhat, rep = out
-    cure = rep if isinstance(rep, float) else rep.cure
+    xhat, cure = _run_method(y, noisy.dof, method, J, lambdas)
     estimate = reconstruct_magnitude(xhat, sigma, lam)
     return DenoiseResult(estimate=estimate, xhat=np.asarray(xhat),
                          sigma=sigma, method=method, cure=float(cure),

@@ -1,18 +1,24 @@
 """Unbiased risk estimates under noncentral chi-square noise.
 
-Three evaluators, one per estimator family:
+Every estimate is (|f - t|^2 + 8 div - 4 sum(v - K/2)) / N: a data fit to
+the unbiased target t (y - K, or a Haar detail w), the estimator's
+divergence, and a constant from the variance channel v (y, or the scaling
+field s with K_j). One band's divergence is written once, in
+band_divergence_scalars, as its partials dotted with five correlation
+fields: band_divergence_fields correlates y with a filterbank band's
+tap-product kernels (no operator matrices are formed), and a Haar DWT
+subband, whose s doubles as the variance channel, uses (s - K_j/2, w, w,
+w, s). From these per-atom scalars the LET denoisers in shrinkage fit
+their weights and risk in one solve. The evaluators score a given
+estimate and are the references the tests trust:
 
 * cure_image: image-domain risk of any smooth estimator of the
   noncentrality field, from the estimate and its diagonal derivatives.
-* cure_filterbank_divergence: the same risk for estimators built as
-  band-wise processing inside an undecimated filterbank, with the
-  divergence terms reduced to per-band correlations against tap-product
-  kernels (no operator matrices are ever formed).
-* cure_subband: per-subband risk in the unnormalized Haar DWT, where the
-  scaling field s doubles as the variance channel. Valid for any subband
-  whose coefficient is a +-1 combination of a disjoint block of input
-  samples summing to s (which covers the 2-D LH/HL/HH bands with
-  K_j = 4^j K).
+* cure_filterbank_divergence: the same risk for band-wise processing
+  inside an undecimated filterbank.
+* cure_subband: per-subband risk in the unnormalized Haar DWT, valid for
+  any subband whose coefficient is a +-1 combination of a disjoint block
+  of input samples summing to s (the 2-D LH/HL/HH bands, K_j = 4^j K).
 
 Each evaluator's expectation equals the corresponding mean squared error;
 the Monte Carlo tests pin this down to standard-error tolerances.
@@ -216,15 +222,6 @@ def band_divergence_scalars(fields: BandDivergenceFields, ev: SubbandEvaluation)
         + 2.0 * float((fields.z12 * ev.d12).sum())
     )
     return first, second
-
-
-def band_divergence_field(fields: BandDivergenceFields, ev: SubbandEvaluation) -> np.ndarray:
-    """Per-coefficient field whose sum is first - second of the scalars."""
-    return (
-        fields.z1 * ev.d1 + fields.z2 * ev.d2
-        - fields.z11 * ev.d11 - fields.z22 * ev.d22
-        - 2.0 * fields.z12 * ev.d12
-    )
 
 
 def cure_filterbank_divergence(y, K: float, evs, bank: FilterBank,

@@ -3,8 +3,10 @@
 Estimators are linear expansions of fixed nonlinear atoms. Each atom is a
 smooth function of a coefficient and its variance channel (or scaling
 companion), with every diagonal partial derivative available in closed
-form so the unbiased risk estimate is exact. Minimizing the risk over the
-expansion weights is then ordinary least squares on a tiny normal system.
+form so the unbiased risk estimate is exact. The risk of an expansion is
+a quadratic in its weights, so one fit (_fit_expansion) minimizes it by
+least squares on a tiny normal system and returns the risk at the
+minimizer; both expansion denoisers go through it.
 
 Three denoisers:
 
@@ -25,6 +27,7 @@ import numpy as np
 from scipy import ndimage
 
 from .risk import (
+    BandDivergenceFields,
     RiskReport,
     SubbandEvaluation,
     band_divergence_fields,
@@ -43,7 +46,6 @@ from .transforms import (
 
 __all__ = [
     "LetFamily",
-    "NormalSystem",
     "smooth_pos",
     "let_atom_pointwise",
     "solve_weights",
@@ -125,25 +127,6 @@ def let_atom_pointwise(w, wbar, lam: float, beta: float = DEFAULT_BETA,
 # --------------------------------------------------------- weight solving
 
 
-@dataclass(frozen=True)
-class NormalSystem:
-    """Least-squares system M a = c for the expansion weights."""
-
-    M: np.ndarray
-    c: np.ndarray
-    solution: np.ndarray | None = None
-
-    def __post_init__(self):
-        M = np.asarray(self.M, dtype=np.float64)
-        c = np.asarray(self.c, dtype=np.float64)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "c", c)
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != c.size:
-            raise ValueError("system shapes inconsistent")
-        if not np.allclose(M, M.T, rtol=1e-8, atol=1e-8 * (abs(M).max() + 1)):
-            raise ValueError("M must be symmetric")
-
-
 def solve_weights(M, c, cond_limit: float = 1e12, ridge: float = 1e-9,
                   rcond: float = 1e-4) -> np.ndarray:
     """Minimal-norm pseudo-inverse solve of the normal system Ma = c.
@@ -177,22 +160,51 @@ def solve_weights(M, c, cond_limit: float = 1e12, ridge: float = 1e-9,
     return a
 
 
+def _live_atoms(energies: np.ndarray, data_energy: float) -> np.ndarray:
+    """Mask of atoms whose field energy is non-negligible.
+
+    A numerically dead atom contributes nothing to the estimate, yet its
+    divergence entry still lands in c; keeping it would pair a zero Gram
+    row with a nonzero right-hand side and the risk would have no minimum
+    along that direction. Dead atoms are solved out with weight zero.
+    """
+    scale = max(float(energies.max()), float(data_energy))
+    if scale <= 0.0:
+        return np.zeros(energies.size, dtype=bool)
+    return energies > 1e-12 * scale
+
+
+def _fit_expansion(rows: np.ndarray, target: np.ndarray, div: np.ndarray,
+                   bias: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Risk-optimal weights of a linear expansion and the risk at them.
+
+    The risk of a @ rows is (|a @ rows - target|^2 + 8 a'div + bias) / n,
+    minimized by (rows rows') a = rows target - 4 div over the live atoms
+    (dead ones get weight zero). The data fit comes from the residual
+    itself, so no large terms cancel. Returns (a, estimate, cure).
+    """
+    a = np.zeros(rows.shape[0])
+    live = _live_atoms((rows ** 2).sum(axis=1), float(target @ target))
+    if live.any():
+        kept = rows[live]
+        a[live] = solve_weights(kept @ kept.T, kept @ target - 4.0 * div[live])
+    estimate = a @ rows
+    resid = estimate - target
+    cure = (float(resid @ resid) + 8.0 * float(a @ div) + bias) / target.size
+    return a, estimate, cure
+
+
 # ------------------------------------------------- filterbank LET denoiser
 
 
 @dataclass
 class LetFamily:
-    """Atoms of one linear expansion plus solve metadata.
-
-    band_index maps each atom to its filterbank band; weights stay None
-    until a system has been solved.
-    """
+    """Atoms of one linear expansion; band_index maps each to its band."""
 
     atoms: list
     band_index: list
     labels: list
     beta: float
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         if not (len(self.atoms) == len(self.band_index) == len(self.labels)):
@@ -256,67 +268,31 @@ def _bank_parts(y: np.ndarray, K: float, transform: str, J: int, lambdas, beta):
     return parts
 
 
-def _live_atoms(energies: np.ndarray, data_energy: float) -> np.ndarray:
-    """Mask of atoms whose field energy is non-negligible.
-
-    A numerically dead atom contributes nothing to the estimate, yet its
-    divergence entry still lands in c; keeping it would pair a zero Gram
-    row with a nonzero right-hand side and the risk would have no minimum
-    along that direction. Dead atoms are solved out with weight zero.
-    """
-    scale = max(float(energies.max()), float(data_energy))
-    if scale <= 0.0:
-        return np.zeros(energies.size, dtype=bool)
-    return energies > 1e-12 * scale
-
-
 def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
                         lambdas=POINTWISE_LAMBDAS, beta: float = DEFAULT_BETA):
     """Risk-optimal linear expansion over undecimated-band atoms.
 
-    Assembles the image-domain normal system (atom Gram matrix against the
-    data-fit plus divergence vector), solves for the weights, and returns
-    the synthesized estimate of x with a RiskReport. "mixed" pools the
-    Haar-frame and block-DCT atoms into one joint system.
+    Each atom's row is its band synthesized to the image domain and its
+    divergence comes from the band's correlation fields; _fit_expansion
+    solves the weights and scores the estimate of x in one pass. "mixed"
+    pools the Haar-frame and block-DCT atoms into one joint system. The
+    report's per_band maps "<bank>/<atom label>" to the atom's weight.
     """
     y = np.asarray(y, dtype=np.float64)
     if (y < 0).any():
         raise ValueError("squared-magnitude data must be nonnegative")
-    parts = _bank_parts(y, K, transform, J, lambdas, beta)
-    n = y.size
-
-    rows, cvec = [], []
-    for bank, family, fields in parts:
-        for ev, b in zip(family.atoms, family.band_index):
-            f_i = bank.synthesize_band(b, ev.theta)
+    rows, div, labels = [], [], []
+    for bank, family, fields in _bank_parts(y, K, transform, J, lambdas, beta):
+        for ev, b, label in zip(family.atoms, family.band_index, family.labels):
+            rows.append(bank.synthesize_band(b, ev.theta).ravel())
             first, second = band_divergence_scalars(fields[b], ev)
-            rows.append(f_i.ravel())
-            cvec.append(float(((y - K) * f_i).sum()) - 4.0 * (first - second))
-    F = np.stack(rows)
-    c_full = np.asarray(cvec)
-    live = _live_atoms((F ** 2).sum(axis=1), float(((y - K) ** 2).sum()))
-    a = np.zeros(len(rows))
-    if live.any():
-        F_live = F[live]
-        system = NormalSystem(M=F_live @ F_live.T, c=c_full[live])
-        a[live] = solve_weights(system.M, system.c)
-
-    estimate = (a @ F).reshape(y.shape)
-    half = y - K / 2
-    value = (float(((estimate - (y - K)) ** 2).sum()) - 4.0 * float(half.sum())) / n
-    offset = 0
-    weight_map = {}
-    for bank, family, fields in parts:
-        part_a = a[offset:offset + len(family.atoms)]
-        family.weights = part_a
-        evs = combined_band_evaluations(family, part_a, len(bank.bands))
-        for fl, ev in zip(fields, evs):
-            first, second = band_divergence_scalars(fl, ev)
-            value += 8.0 / n * (first - second)
-        for k, label in enumerate(family.labels):
-            weight_map[f"{bank.name}/{label}"] = float(part_a[k])
-        offset += len(family.atoms)
-    return estimate, RiskReport(cure=value, per_band=weight_map)
+            div.append(first - second)
+            labels.append(f"{bank.name}/{label}")
+    a, estimate, cure = _fit_expansion(
+        np.stack(rows), (y - K).ravel(), np.asarray(div),
+        -4.0 * float((y - K / 2).sum()))
+    weights = {label: float(ak) for label, ak in zip(labels, a)}
+    return estimate.reshape(y.shape), RiskReport(cure=cure, per_band=weights)
 
 
 # ------------------------------------------------------ subband CUREshrink
@@ -519,23 +495,6 @@ def joint_let_atoms(w, s, p, lambdas=JOINT_LAMBDAS, kernel: np.ndarray | None = 
 # ------------------------------------------------------- pyramid denoisers
 
 
-def _subband_normal_system(w, s, K_j: float, atoms: list) -> NormalSystem:
-    """Normal equations minimizing the subband risk over atom weights."""
-    theta = np.stack([ev.theta.ravel() for ev in atoms])
-    M = theta @ theta.T
-    half = (s - K_j / 2).ravel()
-    wv, sv = w.ravel(), s.ravel()
-    c = np.array([
-        float(wv @ ev.theta.ravel())
-        - 4.0 * float(half @ ev.d1.ravel())
-        - 4.0 * float(wv @ ev.d2.ravel())
-        + 4.0 * float(wv @ (ev.d11 + ev.d22).ravel())
-        + 8.0 * float(sv @ ev.d12.ravel())
-        for ev in atoms
-    ])
-    return NormalSystem(M=M, c=c)
-
-
 def _denoise_pyramid(y: np.ndarray, K: float, J: int, subband_fn):
     """Shared pyramid loop: process details, unbias the lowpass, invert.
 
@@ -584,21 +543,24 @@ def cureshrink_denoise(y, K: float, J: int = 3):
 def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=JOINT_LAMBDAS):
     """Per-subband 8-atom inter-/intra-scale expansion, weights by risk.
 
-    Each detail subband gets its own normal system; the lowpass is
-    unbiased by its accumulated dof (4^J K in 2-D).
+    Each detail subband is its own expansion fitted by _fit_expansion.
+    The subband risk has the filterbank divergence form with the
+    correlation fields (s - K_j/2, w, w, w, s): the coefficient is its own
+    band and s doubles as the variance channel. The lowpass is unbiased
+    by its accumulated dof (4^J K in 2-D).
     """
 
     def fn(w, s, kj, orient):
-        p = parent_field(s, orient)
-        atoms = joint_let_atoms(w, s, p, lambdas=lambdas)
-        energies = np.array([float((ev.theta ** 2).sum()) for ev in atoms])
-        live = _live_atoms(energies, float((w ** 2).sum()))
-        a = np.zeros(len(atoms))
-        if live.any():
-            kept = [ev for ev, ok in zip(atoms, live) if ok]
-            system = _subband_normal_system(w, s, kj, kept)
-            a[live] = solve_weights(system.M, system.c)
-        combined = combine_evaluations(atoms, a)
-        return combined.theta, cure_subband(w, s, kj, combined)
+        atoms = joint_let_atoms(w, s, parent_field(s, orient), lambdas=lambdas)
+        half = s - kj / 2
+        fields = BandDivergenceFields(z1=half, z2=w, z11=w, z22=w, z12=s)
+        div = []
+        for ev in atoms:
+            first, second = band_divergence_scalars(fields, ev)
+            div.append(first - second)
+        _, theta, risk = _fit_expansion(
+            np.stack([ev.theta.ravel() for ev in atoms]), w.ravel(),
+            np.asarray(div), -4.0 * float(half.sum()))
+        return theta.reshape(w.shape), risk
 
     return _denoise_pyramid(y, K, J, fn)

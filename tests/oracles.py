@@ -1,10 +1,11 @@
-"""Dense-matrix reference implementations used only by the tests.
+"""Dense and written-out reference implementations used only by the tests.
 
 The package computes filterbank risk divergences through FFT correlations
 with tap-product kernels. These helpers rebuild the same quantities from
 explicit circulant matrices and the image-domain chain rule, providing an
 independent arbiter: D[k, l] = taps[l - k] (periodic), Dbar uses squared
-taps, R = synth_gain * D.T.
+taps, R = synth_gain * D.T. The subband weight solve is likewise rebuilt
+from normal equations written out term by term.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from curelet.risk import EstimatorEvaluation, cure_image
+from curelet.shrinkage import solve_weights
 
 
 def dense_band_matrices(bank, shape):
@@ -71,3 +73,38 @@ def dense_filterbank_cure(y, K, evs, bank, mats=None):
         f.reshape(shape), df.reshape(shape), d2f.reshape(shape)
     )
     return cure_image(y, K, ev_img)
+
+
+def subband_normal_weights(w, s, K_j, atoms):
+    """Risk-optimal weights of a Haar-subband expansion, written out.
+
+    The subband risk of sum_k a_k theta_k is (a'Ma - 2a'c + const)/N with
+    M = Theta Theta' and, term by term from cure_subband,
+
+      c_k = w'theta_k - 4 (s - K_j/2)'d1_k - 4 w'd2_k
+            + 4 w'(d11_k + d22_k) + 8 s'd12_k.
+
+    Atoms whose energy is at most 1e-12 of the larger of the largest atom
+    energy and |w|^2 are dead and get weight zero; the live system goes
+    through solve_weights.
+    """
+    energies = np.array([float((ev.theta ** 2).sum()) for ev in atoms])
+    scale = max(float(energies.max()), float((w ** 2).sum()))
+    live = energies > 1e-12 * scale
+    a = np.zeros(len(atoms))
+    if not live.any():
+        return a
+    kept = [ev for ev, ok in zip(atoms, live) if ok]
+    theta = np.stack([ev.theta.ravel() for ev in kept])
+    half = (s - K_j / 2).ravel()
+    wv, sv = w.ravel(), s.ravel()
+    c = np.array([
+        float(wv @ ev.theta.ravel())
+        - 4.0 * float(half @ ev.d1.ravel())
+        - 4.0 * float(wv @ ev.d2.ravel())
+        + 4.0 * float(wv @ (ev.d11 + ev.d22).ravel())
+        + 8.0 * float(sv @ ev.d12.ravel())
+        for ev in kept
+    ])
+    a[live] = solve_weights(theta @ theta.T, c)
+    return a

@@ -13,10 +13,14 @@ from curelet.chi2model import (
     sample_rician,
 )
 from curelet.pipeline import make_phantom
-from curelet.risk import SubbandEvaluation, combine_evaluations, cure_subband
+from curelet.risk import (
+    SubbandEvaluation,
+    combine_evaluations,
+    cure_filterbank_divergence,
+    cure_subband,
+)
 from curelet.shrinkage import (
     LetFamily,
-    NormalSystem,
     combined_band_evaluations,
     cureshrink_denoise,
     cureshrink_evaluation,
@@ -30,7 +34,9 @@ from curelet.shrinkage import (
     solve_weights,
     uwt_curelet_denoise,
 )
-from curelet.transforms import haar_dwt_analyze, haar_uwt_bank
+from curelet.transforms import bdct8_bank, haar_dwt_analyze, haar_uwt_bank, parent_field
+
+from oracles import subband_normal_weights
 
 
 def rng_of(seed):
@@ -50,6 +56,13 @@ def snr_level_field(mu, snr_db, K=2.0):
     disc = (4.0 * g * m2) ** 2 + 4.0 * m4 * g * 2.0 * K * n
     t = (4.0 * g * m2 + np.sqrt(disc)) / (2.0 * m4)
     return mu ** 2 * t
+
+
+def rescaled_shepp_logan(size, sigma, seed=17):
+    """Chi-square-domain data y and its dof K from a Rician phantom draw."""
+    mu = make_phantom("shepp-logan", size)
+    field = rescale_squared(sample_rician(mu, sigma, seed=seed), sigma)
+    return field.samples.reshape(mu.shape), field.dof
 
 
 def psnr_vs(ref, est):
@@ -286,15 +299,6 @@ def test_solved_weights_minimize_risk_against_perturbations():
         assert best <= perturbed + 1e-12
 
 
-def test_normal_system_validation():
-    with pytest.raises(ValueError):
-        NormalSystem(M=np.array([[1.0, 2.0], [0.0, 1.0]]), c=np.zeros(2))
-    with pytest.raises(ValueError):
-        NormalSystem(M=np.eye(3), c=np.zeros(2))
-    system = NormalSystem(M=np.eye(2), c=np.array([1.0, 2.0]))
-    assert system.solution is None
-
-
 def test_let_family_validation():
     with pytest.raises(ValueError):
         LetFamily(atoms=[None], band_index=[0, 1], labels=["a"], beta=0.02)
@@ -483,6 +487,25 @@ def test_uwt_report_names_every_atom():
     assert np.isfinite(report.cure)
 
 
+@pytest.mark.parametrize("sigma", [10.0, 50.0])
+@pytest.mark.parametrize("transform", ["haar-uwt", "bdct"])
+def test_uwt_fit_matches_filterbank_evaluator(transform, sigma):
+    # the returned risk and estimate must be what the filterbank evaluator
+    # gives for the reported weights
+    y, K = rescaled_shepp_logan(64, sigma)
+    est, report = uwt_curelet_denoise(y, K, transform=transform)
+    bank = haar_uwt_bank(3) if transform == "haar-uwt" else bdct8_bank()
+    family = pointwise_let_family(bank, bank.analyze(y),
+                                  bank.analyze_variance(y), K)
+    a = [report.per_band[f"{bank.name}/{label}"] for label in family.labels]
+    evs = combined_band_evaluations(family, a, len(bank.bands))
+    assert report.cure == pytest.approx(
+        cure_filterbank_divergence(y, K, evs, bank), rel=1e-10, abs=0.0)
+    ref = bank.synthesize([ev.theta for ev in evs])
+    np.testing.assert_allclose(est, ref, rtol=0.0,
+                               atol=1e-10 * float(np.abs(ref).max()))
+
+
 # ------------------------------------------------------- pyramid denoisers
 
 
@@ -516,6 +539,23 @@ def test_haar_denoise_beats_plain_soft_threshold():
                 - psnr_vs(mu, reconstruct_magnitude(est_c, sigma))
             gaps.append(gap)
         assert float(np.mean(gaps)) >= 0.5
+
+
+@pytest.mark.parametrize("sigma", [10.0, 50.0])
+def test_haar_fit_matches_subband_evaluator(sigma):
+    # every subband's reported risk is cure_subband of the expansion whose
+    # weights solve the written-out normal equations
+    y, K = rescaled_shepp_logan(64, sigma)
+    est, report = haar_curelet_denoise(y, K, J=2)
+    pyr = haar_dwt_analyze(y, 2, dof=K)
+    for j in (1, 2):
+        s, kj = pyr.smooth_levels[j - 1], pyr.dof(j)
+        for orient, w in pyr.detail[j - 1].items():
+            atoms = joint_let_atoms(w, s, parent_field(s, orient))
+            a = subband_normal_weights(w, s, kj, atoms)
+            expected = cure_subband(w, s, kj, combine_evaluations(atoms, a))
+            assert report.per_band[f"{orient}{j}"] == pytest.approx(
+                expected, rel=1e-10, abs=0.0)
 
 
 def test_pyramid_denoisers_reject_negative_data():
