@@ -5,12 +5,13 @@ the unbiased target t (y - K, or a Haar detail w), the estimator's
 divergence, and a constant from the variance channel v (y, or the scaling
 field s with K_j). One band's divergence is written once, in
 band_divergence_scalars, as its partials dotted with five correlation
-fields: band_divergence_fields correlates y with a filterbank band's
-tap-product kernels (no operator matrices are formed), and a Haar DWT
-subband, whose s doubles as the variance channel, uses (s - K_j/2, w, w,
-w, s). From these per-atom scalars the LET denoisers in shrinkage fit
-their weights and risk in one solve. The evaluators score a given
-estimate and are the references the tests trust:
+fields (BandDivergenceFields). For a filterbank band the fields are the
+correlations of y with the band's taps raised to the powers 2..5, scaled
+by the synthesis gain (BandDivergenceFields.of_band); no operator
+matrices are formed. A Haar DWT subband, whose s doubles as the variance
+channel, uses (s - K_j/2, w, w, w, s). From these per-atom scalars the LET
+denoisers in shrinkage fit their weights and risk in one solve. The
+evaluators score a given estimate and are the references the tests trust:
 
 * cure_image: image-domain risk of any smooth estimator of the
   noncentrality field, from the estimate and its diagonal derivatives.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import FilterBank
+from .transforms import Band, FilterBank
 
 __all__ = [
     "EstimatorEvaluation",
@@ -183,34 +184,32 @@ class BandDivergenceFields:
     z22: np.ndarray
     z12: np.ndarray
 
+    @classmethod
+    def of_band(cls, band: Band, K: float, corr) -> "BandDivergenceFields":
+        """Fields of a band with analysis taps d and synthesis taps g*d.
+
+        corr holds the correlations of y with d^p for p = 2..5 (d^2 are
+        the variance taps). The divergence sums need them scaled by g;
+        correlation is linear, so the (y - K/2) variants subtract K/2
+        times the kernel sum.
+        """
+        g = band.synth_gain
+        c2, c3, c4, c5 = (g * c for c in corr)
+        return cls(
+            z1=c2 - 0.5 * K * g * float((band.taps ** 2).sum()),
+            z2=c3 - 0.5 * K * g * float((band.taps ** 3).sum()),
+            z11=c3,
+            z22=c5,
+            z12=c4,
+        )
+
 
 def band_divergence_fields(y, K: float, bank: FilterBank) -> list[BandDivergenceFields]:
-    """Precompute per-band divergence correlation fields.
-
-    For a band with analysis taps d and synthesis taps g*d, the divergence
-    sums need correlations with g*d^p for p = 2..5 (the variance taps are
-    d^2). Correlation is linear, so the (y - K/2) variants are obtained by
-    subtracting K/2 times the kernel sum.
-    """
+    """Divergence correlation fields of every band of the bank."""
     y = _samples(y)
-    out = []
-    for i, band in enumerate(bank.bands):
-        c2 = bank.correlate_tap_power(y, i, 2)
-        c3 = bank.correlate_tap_power(y, i, 3)
-        c4 = bank.correlate_tap_power(y, i, 4)
-        c5 = bank.correlate_tap_power(y, i, 5)
-        sum2 = band.synth_gain * float((band.taps ** 2).sum())
-        sum3 = band.synth_gain * float((band.taps ** 3).sum())
-        out.append(
-            BandDivergenceFields(
-                z1=c2 - 0.5 * K * sum2,
-                z2=c3 - 0.5 * K * sum3,
-                z11=c3,
-                z22=c5,
-                z12=c4,
-            )
-        )
-    return out
+    y_fft = np.fft.rfftn(y)
+    return [BandDivergenceFields.of_band(band, K, bank.correlate(y_fft, y.shape, i, range(2, 6)))
+            for i, band in enumerate(bank.bands)]
 
 
 def band_divergence_scalars(fields: BandDivergenceFields, ev: SubbandEvaluation) -> tuple[float, float]:

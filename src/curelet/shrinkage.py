@@ -11,8 +11,9 @@ minimizer; both expansion denoisers go through it.
 Three denoisers:
 
 * uwt_curelet_denoise: pointwise shrinkage atoms per undecimated band
-  (Haar frame, overlapping block DCT, or both pooled), weights solved
-  globally in the image domain.
+  (Haar frame, overlapping block DCT, or both pooled), built band by band
+  and kept only as synthesized rows; weights solved globally in the image
+  domain.
 * cureshrink_denoise: per-subband soft thresholding in the unnormalized
   Haar DWT, threshold = a * sqrt(s) with scalar a picked by risk search.
 * haar_curelet_denoise: per-subband 8-atom expansion mixing the
@@ -31,7 +32,6 @@ from .risk import (
     BandDivergenceFields,
     RiskReport,
     SubbandEvaluation,
-    band_divergence_fields,
     band_divergence_scalars,
     combine_evaluations,
     cure_subband,
@@ -214,9 +214,9 @@ def _fit_expansion(rows: np.ndarray, target: np.ndarray, div: np.ndarray,
     itself, so no large terms cancel. Returns (a, estimate, cure).
     """
     a = np.zeros(rows.shape[0])
-    live = _live_atoms((rows ** 2).sum(axis=1), float(target @ target))
+    live = _live_atoms(np.einsum("ij,ij->i", rows, rows), float(target @ target))
     if live.any():
-        kept = rows[live]
+        kept = rows if live.all() else rows[live]
         a[live] = solve_weights(kept @ kept.T, kept @ target - 4.0 * div[live])
     estimate = a @ rows
     resid = estimate - target
@@ -234,36 +234,42 @@ class LetFamily:
     atoms: list
     band_index: list
     labels: list
-    beta: float
 
     def __post_init__(self):
         if not (len(self.atoms) == len(self.band_index) == len(self.labels)):
             raise ValueError("atom metadata misaligned")
 
 
+def _band_atoms(band, w, wbar, K: float, lambdas, beta: float):
+    """Labelled atoms of one band: (label, SubbandEvaluation) pairs.
+
+    A lowpass band gets one bias-removing atom, which synthesizes to the
+    unbiased lowpass of x (the band carries tap_sum * K of chi-square mean
+    per coefficient); a highpass band gets one keep-factor atom per lambda.
+    """
+    if band.kind == "lowpass":
+        w = np.asarray(w, dtype=np.float64)
+        yield f"{band.label}:bias", SubbandEvaluation(
+            theta=w - band.tap_sum * K, d1=1.0, d2=0.0, d11=0.0, d22=0.0, d12=0.0)
+        return
+    for lam in lambdas:
+        yield f"{band.label}:l{lam:g}", let_atom_pointwise(w, wbar, lam, beta)
+
+
 def pointwise_let_family(bank: FilterBank, coeffs, variances, K: float,
                          lambdas=POINTWISE_LAMBDAS, beta: float = DEFAULT_BETA) -> LetFamily:
-    """Per-band pointwise atoms plus one bias-removing lowpass atom.
+    """Every band's atoms at once, labelled as _band_atoms labels them.
 
-    The lowpass atom synthesizes to the unbiased lowpass of x (the band
-    carries tap_sum * K of chi-square mean per coefficient); each highpass
-    band gets one keep-factor atom per lambda.
+    One bias-removing atom per lowpass band, one keep-factor atom per
+    lambda for each highpass band.
     """
     atoms, band_index, labels = [], [], []
     for i, band in enumerate(bank.bands):
-        if band.kind == "lowpass":
-            w = np.asarray(coeffs[i], dtype=np.float64)
-            atoms.append(SubbandEvaluation(
-                theta=w - band.tap_sum * K, d1=1.0, d2=0.0, d11=0.0, d22=0.0, d12=0.0,
-            ))
+        for label, ev in _band_atoms(band, coeffs[i], variances[i], K, lambdas, beta):
+            atoms.append(ev)
             band_index.append(i)
-            labels.append(f"{band.label}:bias")
-        else:
-            for lam in lambdas:
-                atoms.append(let_atom_pointwise(coeffs[i], variances[i], lam, beta))
-                band_index.append(i)
-                labels.append(f"{band.label}:l{lam:g}")
-    return LetFamily(atoms=atoms, band_index=band_index, labels=labels, beta=beta)
+            labels.append(label)
+    return LetFamily(atoms=atoms, band_index=band_index, labels=labels)
 
 
 def combined_band_evaluations(family: LetFamily, weights, n_bands: int) -> list:
@@ -279,7 +285,23 @@ def combined_band_evaluations(family: LetFamily, weights, n_bands: int) -> list:
     return evs
 
 
-def _bank_parts(y: np.ndarray, K: float, transform: str, J: int, lambdas, beta):
+def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
+                        lambdas=POINTWISE_LAMBDAS, beta: float = DEFAULT_BETA):
+    """Risk-optimal linear expansion over undecimated-band atoms.
+
+    One pass over the bands, with y transformed once. A band's
+    correlations with its taps to the powers 1..5 are its coefficients,
+    its variance channel and (2..5) its divergence fields; each of its
+    atoms is synthesized into its row of one (atoms x pixels) matrix and
+    reduced to its divergence, and nothing else of the band outlives it.
+    _fit_expansion then solves the weights and scores the estimate of x.
+    "mixed" pools the Haar-frame and block-DCT atoms into one joint
+    system. The report's per_band maps "<bank>/<atom label>" to the atom's
+    weight.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if (y < 0).any():
+        raise ValueError("squared-magnitude data must be nonnegative")
     names = {"haar-uwt", "bdct", "mixed"}
     if transform not in names:
         raise ValueError(f"transform must be one of {sorted(names)}")
@@ -288,39 +310,23 @@ def _bank_parts(y: np.ndarray, K: float, transform: str, J: int, lambdas, beta):
         banks.append(haar_uwt_bank(J, ndim=y.ndim))
     if transform in ("bdct", "mixed"):
         banks.append(bdct8_bank())
-    parts = []
+    # one row per atom: _band_atoms gives a lowpass band 1, any other band one per lambda
+    n_atoms = sum(1 if band.kind == "lowpass" else len(lambdas)
+                  for bank in banks for band in bank.bands)
+    rows = np.empty((n_atoms, y.size))
+    div, labels = [], []
+    y_fft = np.fft.rfftn(y)
     for bank in banks:
-        coeffs = bank.analyze(y)
-        variances = bank.analyze_variance(y)
-        fields = band_divergence_fields(y, K, bank)
-        family = pointwise_let_family(bank, coeffs, variances, K, lambdas, beta)
-        parts.append((bank, family, fields))
-    return parts
-
-
-def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
-                        lambdas=POINTWISE_LAMBDAS, beta: float = DEFAULT_BETA):
-    """Risk-optimal linear expansion over undecimated-band atoms.
-
-    Each atom's row is its band synthesized to the image domain and its
-    divergence comes from the band's correlation fields; _fit_expansion
-    solves the weights and scores the estimate of x in one pass. "mixed"
-    pools the Haar-frame and block-DCT atoms into one joint system. The
-    report's per_band maps "<bank>/<atom label>" to the atom's weight.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if (y < 0).any():
-        raise ValueError("squared-magnitude data must be nonnegative")
-    rows, div, labels = [], [], []
-    for bank, family, fields in _bank_parts(y, K, transform, J, lambdas, beta):
-        for ev, b, label in zip(family.atoms, family.band_index, family.labels):
-            rows.append(bank.synthesize_band(b, ev.theta).ravel())
-            first, second = band_divergence_scalars(fields[b], ev)
-            div.append(first - second)
-            labels.append(f"{bank.name}/{label}")
+        for i, band in enumerate(bank.bands):
+            corr = bank.correlate(y_fft, y.shape, i, range(1, 6))
+            fields = BandDivergenceFields.of_band(band, K, corr[1:])
+            for label, ev in _band_atoms(band, corr[0], corr[1], K, lambdas, beta):
+                rows[len(div)] = bank.synthesize_band(i, ev.theta).ravel()
+                first, second = band_divergence_scalars(fields, ev)
+                div.append(first - second)
+                labels.append(f"{bank.name}/{label}")
     a, estimate, cure = _fit_expansion(
-        np.stack(rows), (y - K).ravel(), np.asarray(div),
-        -4.0 * float((y - K / 2).sum()))
+        rows, (y - K).ravel(), np.asarray(div), -4.0 * float((y - K / 2).sum()))
     weights = {label: float(ak) for label, ak in zip(labels, a)}
     return estimate.reshape(y.shape), RiskReport(cure=cure, per_band=weights)
 

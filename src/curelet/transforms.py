@@ -6,7 +6,8 @@ Two transform families back the denoisers:
   8x8 block DCT): every band is a periodic correlation of the image with a
   small tap array anchored at offset zero, and synthesis is the adjoint
   correlation scaled by a per-band gain. The variance channel correlates
-  with the squared taps.
+  with the squared taps, and the risk divergence fields with higher tap
+  powers.
 * The unnormalized Haar DWT: critically sampled pairwise sums/differences
   whose scaling chain preserves the chi-square family (sums of independent
   chi-squares stay chi-square, doubling the dof per 1-D split).
@@ -29,7 +30,6 @@ __all__ = [
     "bdct8_bank",
     "uwt_haar_analyze",
     "uwt_haar_synthesize",
-    "variance_channel",
     "bdct_analyze",
     "bdct_synthesize",
     "haar_dwt_analyze",
@@ -42,21 +42,28 @@ __all__ = [
 ]
 
 
+def _tap_spectra(taps: np.ndarray, shape) -> np.ndarray:
+    """rfftn of tap arrays embedded at offset zero in a field of the given shape.
+
+    Leading axes of taps beyond len(shape) stack independent tap arrays.
+    """
+    axes = tuple(range(-len(shape), 0))
+    emb = np.zeros(taps.shape[: taps.ndim - len(shape)] + tuple(shape))
+    emb[(...,) + tuple(slice(0, s) for s in taps.shape[taps.ndim - len(shape):])] = taps
+    return np.fft.rfftn(emb, axes=axes)
+
+
 def periodic_correlate(y: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Full-size periodic correlation, taps anchored at offset zero.
 
     out[k] = sum_m taps[m] * y[(k + m) mod shape], computed via FFT.
     """
-    emb = np.zeros(y.shape)
-    emb[tuple(slice(0, s) for s in taps.shape)] = taps
-    return np.fft.irfftn(np.fft.rfftn(y) * np.conj(np.fft.rfftn(emb)), s=y.shape, axes=range(y.ndim))
+    return np.fft.irfftn(np.fft.rfftn(y) * np.conj(_tap_spectra(taps, y.shape)), s=y.shape, axes=range(y.ndim))
 
 
 def periodic_convolve(y: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Periodic convolution (the adjoint of periodic_correlate)."""
-    emb = np.zeros(y.shape)
-    emb[tuple(slice(0, s) for s in taps.shape)] = taps
-    return np.fft.irfftn(np.fft.rfftn(y) * np.fft.rfftn(emb), s=y.shape, axes=range(y.ndim))
+    return np.fft.irfftn(np.fft.rfftn(y) * _tap_spectra(taps, y.shape), s=y.shape, axes=range(y.ndim))
 
 
 @dataclass(frozen=True)
@@ -85,10 +92,12 @@ class Band:
 class FilterBank:
     """Undecimated analysis/synthesis filterbank over full-size bands.
 
-    bands[0] is the lowpass (bias-carrying) band. Analysis correlates the
-    image with each band's taps; synthesis convolves each coefficient field
-    with ``synth_gain * taps`` and sums. Kernel FFTs are memoized per image
-    shape (pure cache; safe to share).
+    bands[0] is the lowpass (bias-carrying) band. Every analysis quantity
+    is one per-band correlation of the image with a power of the band's
+    taps (correlate): power 1 gives the coefficients, power 2 the variance
+    channel, powers 2..5 the risk divergence fields. Synthesis convolves
+    each coefficient field with ``synth_gain * taps`` and sums. A bank
+    holds only its bands and caches nothing, so it is safe to share.
     """
 
     def __init__(self, name: str, bands):
@@ -96,7 +105,6 @@ class FilterBank:
         self.bands = tuple(bands)
         if self.bands[0].kind != "lowpass":
             raise ValueError("bands[0] must be the lowpass band")
-        self._cache: dict = {}
 
     def __len__(self) -> int:
         return len(self.bands)
@@ -108,52 +116,40 @@ class FilterBank:
         if len(shape) != self.bands[0].taps.ndim:
             raise ValueError("image dimensionality does not match the band taps")
 
-    def _kernel_fft(self, shape, key: tuple, taps: np.ndarray) -> np.ndarray:
-        memo = (shape, key)
-        if memo not in self._cache:
-            emb = np.zeros(shape)
-            emb[tuple(slice(0, s) for s in taps.shape)] = taps
-            self._cache[memo] = np.fft.rfftn(emb)
-        return self._cache[memo]
+    def correlate(self, y_fft: np.ndarray, shape, i: int, powers) -> np.ndarray:
+        """Correlations of an image with band i's taps raised to each power.
+
+        y_fft is rfftn of the image and shape its shape, so one transform
+        of the image serves every band. Returns an array of shape
+        (len(powers), *shape).
+        """
+        self._check_size(shape)
+        taps = self.bands[i].taps
+        kernels = _tap_spectra(np.stack([taps ** p for p in powers]), shape)
+        return np.fft.irfftn(y_fft * np.conj(kernels), s=shape, axes=range(-len(shape), 0))
+
+    def _correlate_all(self, y: np.ndarray, power: int) -> list[np.ndarray]:
+        y = np.asarray(y, dtype=np.float64)
+        y_fft = np.fft.rfftn(y)
+        return [self.correlate(y_fft, y.shape, i, (power,))[0] for i in range(len(self.bands))]
 
     def analyze(self, y: np.ndarray) -> list[np.ndarray]:
         """Per-band coefficient fields w_b = correlation(y, taps_b)."""
-        y = np.asarray(y, dtype=np.float64)
-        self._check_size(y.shape)
-        Y = np.fft.rfftn(y)
-        return [
-            np.fft.irfftn(Y * np.conj(self._kernel_fft(y.shape, ("a", i), b.taps)), s=y.shape, axes=range(y.ndim))
-            for i, b in enumerate(self.bands)
-        ]
+        return self._correlate_all(y, 1)
 
     def analyze_variance(self, y: np.ndarray) -> list[np.ndarray]:
-        """Variance-channel fields: correlation with the squared taps."""
-        y = np.asarray(y, dtype=np.float64)
-        self._check_size(y.shape)
-        Y = np.fft.rfftn(y)
-        return [
-            np.fft.irfftn(Y * np.conj(self._kernel_fft(y.shape, ("v", i), b.taps ** 2)), s=y.shape, axes=range(y.ndim))
-            for i, b in enumerate(self.bands)
-        ]
+        """Variance-channel fields: correlation with the squared taps.
 
-    def correlate_tap_power(self, u: np.ndarray, i: int, power: int) -> np.ndarray:
-        """Correlation of u with ``synth_gain * taps**power`` of band i.
-
-        These tap-product kernels are exactly the diagonals of the band's
-        synthesis-times-analysis operator products needed by the risk
-        divergence terms (the analysis taps d, their square d^2 acting as
-        variance taps, and the synthesis taps synth_gain*d).
+        For chi-square data these estimate coefficient variances via
+        Var(w) = 4 (E[wbar] - K/2).
         """
-        u = np.asarray(u, dtype=np.float64)
-        band = self.bands[i]
-        kernel_fft = self._kernel_fft(u.shape, ("p", i, power), band.synth_gain * band.taps ** power)
-        return np.fft.irfftn(np.fft.rfftn(u) * np.conj(kernel_fft), s=u.shape, axes=range(u.ndim))
+        return self._correlate_all(y, 2)
 
     def synthesize_band(self, i: int, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=np.float64)
         band = self.bands[i]
-        kernel_fft = self._kernel_fft(coeffs.shape, ("s", i), band.synth_gain * band.taps)
-        return np.fft.irfftn(np.fft.rfftn(coeffs) * kernel_fft, s=coeffs.shape, axes=range(coeffs.ndim))
+        kernel = _tap_spectra(band.synth_gain * band.taps, coeffs.shape)
+        return np.fft.irfftn(np.fft.rfftn(coeffs) * kernel, s=coeffs.shape, axes=range(coeffs.ndim))
 
     def synthesize(self, coeffs: list[np.ndarray]) -> np.ndarray:
         if len(coeffs) != len(self.bands):
@@ -246,15 +242,6 @@ def uwt_haar_analyze(y: np.ndarray, levels: int, bank: FilterBank | None = None)
 
 def uwt_haar_synthesize(bands: SubbandSet) -> np.ndarray:
     return bands.bank.synthesize(bands.coeffs)
-
-
-def variance_channel(y: np.ndarray, bank: FilterBank) -> list[np.ndarray]:
-    """Per-band correlations with squared analysis taps.
-
-    For chi-square data these estimate coefficient variances via
-    Var(w) = 4 (E[wbar] - K/2).
-    """
-    return bank.analyze_variance(np.asarray(y, dtype=np.float64))
 
 
 def bdct_analyze(y: np.ndarray, bank: FilterBank | None = None) -> SubbandSet:

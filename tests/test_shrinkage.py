@@ -1,6 +1,8 @@
 """Atom, solver, and denoiser tests: hand examples, finite-difference
 derivative checks, risk-optimality spot checks, and phantom protocols."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,13 @@ from curelet.shrinkage import (
     solve_weights,
     uwt_curelet_denoise,
 )
-from curelet.transforms import bdct8_bank, haar_dwt_analyze, haar_uwt_bank, parent_field
+from curelet.transforms import (
+    FilterBank,
+    bdct8_bank,
+    haar_dwt_analyze,
+    haar_uwt_bank,
+    parent_field,
+)
 
 from oracles import subband_normal_weights
 
@@ -319,7 +327,7 @@ def test_solved_weights_minimize_risk_against_perturbations():
 
 def test_let_family_validation():
     with pytest.raises(ValueError):
-        LetFamily(atoms=[None], band_index=[0, 1], labels=["a"], beta=0.02)
+        LetFamily(atoms=[None], band_index=[0, 1], labels=["a"])
 
 
 def test_pointwise_family_structure():
@@ -506,22 +514,44 @@ def test_uwt_report_names_every_atom():
 
 
 @pytest.mark.parametrize("sigma", [10.0, 50.0])
-@pytest.mark.parametrize("transform", ["haar-uwt", "bdct"])
+@pytest.mark.parametrize("transform", ["haar-uwt", "bdct", "mixed"])
 def test_uwt_fit_matches_filterbank_evaluator(transform, sigma):
     # the returned risk and estimate must be what the filterbank evaluator
-    # gives for the reported weights
+    # gives for the reported weights; "mixed" is checked as one bank
+    # holding both banks' bands
     y, K = rescaled_shepp_logan(64, sigma)
     est, report = uwt_curelet_denoise(y, K, transform=transform)
-    bank = haar_uwt_bank(3) if transform == "haar-uwt" else bdct8_bank()
+    banks = {"haar-uwt": [haar_uwt_bank(3)], "bdct": [bdct8_bank()],
+             "mixed": [haar_uwt_bank(3), bdct8_bank()]}[transform]
+    bank = FilterBank(transform, [band for b in banks for band in b.bands])
+    bank_names = [b.name for b in banks for _ in b.bands]
     family = pointwise_let_family(bank, bank.analyze(y),
                                   bank.analyze_variance(y), K)
-    a = [report.per_band[f"{bank.name}/{label}"] for label in family.labels]
+    keys = [f"{bank_names[i]}/{label}"
+            for i, label in zip(family.band_index, family.labels)]
+    assert keys == list(report.per_band)
+    a = [report.per_band[key] for key in keys]
     evs = combined_band_evaluations(family, a, len(bank.bands))
     assert report.cure == pytest.approx(
         cure_filterbank_divergence(y, K, evs, bank), rel=1e-10, abs=0.0)
     ref = bank.synthesize([ev.theta for ev in evs])
     np.testing.assert_allclose(est, ref, rtol=0.0,
                                atol=1e-10 * float(np.abs(ref).max()))
+
+
+def test_uwt_mixed_keeps_only_the_row_matrix():
+    # the default method's traced peak stays within twice its
+    # (atoms x pixels) row matrix: no band's fields or atoms outlive it
+    y, K = rescaled_shepp_logan(128, 20.0)
+    n_atoms = 1 + 2 * 9 + 1 + 2 * 63
+    tracemalloc.start()
+    try:
+        _, report = uwt_curelet_denoise(y, K, transform="mixed")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.per_band) == n_atoms
+    assert peak <= 2 * n_atoms * y.size * 8
 
 
 # ------------------------------------------------------- pyramid denoisers

@@ -94,12 +94,12 @@ def test_bdct_parseval():
 
 def test_variance_channel_examples():
     bank = tr.haar_uwt_bank(1, ndim=1)
-    wbar = tr.variance_channel(np.array([3.0, 5.0]), bank)
+    wbar = bank.analyze_variance(np.array([3.0, 5.0]))
     # squared taps are [1/2, 1/2]: wbar = 4 on both bands here
     assert wbar[1][0] == pytest.approx(4.0)
     # variance estimate 4(wbar - K/2) = 12 for K=2
     assert 4 * (wbar[1][0] - 1.0) == pytest.approx(12.0)
-    const = tr.variance_channel(np.full((8, 8), 7.0), tr.haar_uwt_bank(2))
+    const = tr.haar_uwt_bank(2).analyze_variance(np.full((8, 8), 7.0))
     for v in const:
         np.testing.assert_allclose(v, 7.0, atol=1e-12)
 
