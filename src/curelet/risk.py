@@ -1,17 +1,18 @@
 """Unbiased risk estimates under noncentral chi-square noise.
 
-Every estimate is (|f - t|^2 + 8 div - 4 sum(v - K/2)) / N: a data fit to
-the unbiased target t (y - K, or a Haar detail w), the estimator's
-divergence, and a constant from the variance channel v (y, or the scaling
-field s with K_j). One band's divergence is written once, in
-band_divergence_scalars, as its partials dotted with five correlation
-fields (BandDivergenceFields). For a filterbank band the fields are the
-correlations of y with the band's taps raised to the powers 2..5, scaled
-by the synthesis gain (BandDivergenceFields.of_band); no operator
-matrices are formed. A Haar DWT subband, whose s doubles as the variance
-channel, uses (s - K_j/2, w, w, w, s). From these per-atom scalars the LET
-denoisers in shrinkage fit their weights and risk in one solve. The
-evaluators score a given estimate and are the references the tests trust:
+Every estimate is one expression, formed only in cure_expression:
+(|resid|^2 + 8 div - 4 sum(v - K/2)) / N, with resid the estimate minus
+its unbiased target (y - K, or a Haar detail w), div the estimator's
+divergence and v the variance channel (y, or the scaling field s with
+K_j). A band's divergence dots theta's partials with five correlation
+fields (BandDivergenceFields), one atom at a time (atom_divergence). The
+fields have two layouts, one constructor each: of_band for a filterbank
+band (correlations of y with the taps to the powers 2..5, scaled by the
+synthesis gain; no operator matrices) and of_subband for a Haar DWT
+subband, whose s doubles as the variance channel: (s - K_j/2, w, w, w, s).
+The LET denoisers in shrinkage fit their weights from per-atom
+divergences and score through the same expression. The evaluators score
+a given estimate and are the references the tests trust:
 
 * cure_image: image-domain risk of any smooth estimator of the
   noncentrality field, from the estimate and its diagonal derivatives.
@@ -38,11 +39,13 @@ __all__ = [
     "SubbandEvaluation",
     "RiskReport",
     "BandDivergenceFields",
+    "cure_expression",
     "cure_image",
     "mse_oracle",
     "cure_subband",
     "band_divergence_fields",
     "band_divergence_scalars",
+    "atom_divergence",
     "cure_filterbank_divergence",
     "combine_evaluations",
 ]
@@ -112,10 +115,9 @@ def combine_evaluations(evs, weights) -> SubbandEvaluation:
 
 @dataclass(frozen=True)
 class RiskReport:
-    """Estimated risk, optional oracle MSE, optional per-band breakdown."""
+    """Estimated risk and an optional per-band breakdown."""
 
     cure: float
-    mse_oracle: float | None = None
     per_band: dict | None = None
 
     def __post_init__(self):
@@ -123,23 +125,29 @@ class RiskReport:
             raise ValueError("risk estimate must be finite")
 
 
+def cure_expression(resid: np.ndarray, div: float, half: np.ndarray) -> float:
+    """(|resid|^2 + 8 div - 4 sum(half)) / N, the risk every evaluator returns.
+
+    resid is the estimate minus its unbiased target, div the estimator's
+    divergence term and half the bias-shifted variance channel v - K/2.
+    """
+    resid = resid.ravel()
+    return (float(resid @ resid) + 8.0 * div - 4.0 * float(half.sum())) / resid.size
+
+
 def cure_image(y, K: float, ev: EstimatorEvaluation) -> float:
     """Image-domain unbiased risk estimate of ev.f as an estimate of x.
 
-    (1/N)(|f - (y - K)|^2 - 4 sum(y - K/2))
-      + (8/N)((y - K/2)' df - y' d2f)
+    The divergence is (y - K/2)' df - y' d2f.
     """
     y = _samples(y)
     if ev.f.shape != y.shape:
         raise ValueError("estimate and observation shapes differ")
     if not K > 0:
         raise ValueError("K must be positive")
-    n = y.size
-    resid = ev.f - (y - K)
     half = y - K / 2
-    value = (float((resid ** 2).sum()) - 4.0 * float(half.sum())) / n
-    value += 8.0 / n * (float((half * ev.df).sum()) - float((y * ev.d2f).sum()))
-    return value
+    div = float((half * ev.df).sum()) - float((y * ev.d2f).sum())
+    return cure_expression(ev.f - (y - K), div, half)
 
 
 def mse_oracle(f, x) -> float:
@@ -154,9 +162,9 @@ def mse_oracle(f, x) -> float:
 def cure_subband(w, s, K_j: float, ev: SubbandEvaluation) -> float:
     """Per-subband unbiased risk estimate in the unnormalized Haar DWT.
 
-    (1/N_j)(|theta - w|^2 - 4 sum(s - K_j/2))
-      + (8/N_j)((s - K_j/2)' d1 + w' d2)
-      - (8/N_j)(w'(d11 + d22) + 2 s' d12)
+    The data fit is theta - w; the divergence is that of the subband
+    layout (BandDivergenceFields.of_subband):
+    (s - K_j/2)' d1 + w' d2 - w'(d11 + d22) - 2 s' d12.
     """
     w = np.asarray(w, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
@@ -164,12 +172,8 @@ def cure_subband(w, s, K_j: float, ev: SubbandEvaluation) -> float:
         raise ValueError("subband fields misaligned")
     if not K_j > 0:
         raise ValueError("K_j must be positive")
-    n = w.size
-    half = s - K_j / 2
-    value = (float(((ev.theta - w) ** 2).sum()) - 4.0 * float(half.sum())) / n
-    value += 8.0 / n * (float((half * ev.d1).sum()) + float((w * ev.d2).sum()))
-    value -= 8.0 / n * (float((w * (ev.d11 + ev.d22)).sum()) + 2.0 * float((s * ev.d12).sum()))
-    return value
+    fields = BandDivergenceFields.of_subband(w, s, K_j)
+    return cure_expression(ev.theta - w, atom_divergence(fields, ev), fields.z1)
 
 
 @dataclass(frozen=True)
@@ -203,13 +207,17 @@ class BandDivergenceFields:
             z12=c4,
         )
 
+    @classmethod
+    def of_subband(cls, w, s, K_j: float) -> "BandDivergenceFields":
+        """(s - K_j/2, w, w, w, s): w is its own band, s its variance channel,
+        so z1 is also the subband's bias-shifted variance field."""
+        return cls(z1=s - K_j / 2, z2=w, z11=w, z22=w, z12=s)
+
 
 def band_divergence_fields(y, K: float, bank: FilterBank) -> list[BandDivergenceFields]:
     """Divergence correlation fields of every band of the bank."""
-    y = _samples(y)
-    y_fft = np.fft.rfftn(y)
-    return [BandDivergenceFields.of_band(band, K, bank.correlate(y_fft, y.shape, i, range(2, 6)))
-            for i, band in enumerate(bank.bands)]
+    return [BandDivergenceFields.of_band(band, K, corr)
+            for band, corr in zip(bank.bands, bank.walk(_samples(y), range(2, 6)))]
 
 
 def band_divergence_scalars(fields: BandDivergenceFields, ev: SubbandEvaluation) -> tuple[float, float]:
@@ -223,15 +231,22 @@ def band_divergence_scalars(fields: BandDivergenceFields, ev: SubbandEvaluation)
     return first, second
 
 
+def atom_divergence(fields: BandDivergenceFields, ev: SubbandEvaluation) -> float:
+    """Divergence of one atom (or band estimate): first - second order terms.
+
+    The second-order terms, d12 included, enter negated by the chain rule.
+    """
+    first, second = band_divergence_scalars(fields, ev)
+    return first - second
+
+
 def cure_filterbank_divergence(y, K: float, evs, bank: FilterBank,
                                fields: list[BandDivergenceFields] | None = None) -> float:
     """Image-domain risk of the full filterbank estimator f = sum_b R_b theta_b.
 
     evs holds one SubbandEvaluation per band (lowpass included), with
     partials taken w.r.t. that band's (w_b, wbar_b). The divergence sums
-    reduce to per-band correlations; the cross (d12) term enters with the
-    same negative sign as the other second-order terms, as the chain rule
-    of the image-domain form dictates.
+    reduce to per-band correlations.
     """
     y = _samples(y)
     if len(evs) != len(bank.bands):
@@ -239,12 +254,5 @@ def cure_filterbank_divergence(y, K: float, evs, bank: FilterBank,
     if fields is None:
         fields = band_divergence_fields(y, K, bank)
     f = bank.synthesize([ev.theta for ev in evs])
-    n = y.size
-    half = y - K / 2
-    value = (float(((f - (y - K)) ** 2).sum()) - 4.0 * float(half.sum())) / n
-    div1 = div2 = 0.0
-    for fl, ev in zip(fields, evs):
-        first, second = band_divergence_scalars(fl, ev)
-        div1 += first
-        div2 += second
-    return value + 8.0 / n * (div1 - div2)
+    div = sum(atom_divergence(fl, ev) for fl, ev in zip(fields, evs))
+    return cure_expression(f - (y - K), div, y - K / 2)

@@ -32,8 +32,9 @@ from .risk import (
     BandDivergenceFields,
     RiskReport,
     SubbandEvaluation,
-    band_divergence_scalars,
+    atom_divergence,
     combine_evaluations,
+    cure_expression,
     cure_subband,
 )
 from .transforms import (
@@ -205,10 +206,10 @@ def _live_atoms(energies: np.ndarray, data_energy: float) -> np.ndarray:
 
 
 def _fit_expansion(rows: np.ndarray, target: np.ndarray, div: np.ndarray,
-                   bias: float) -> tuple[np.ndarray, np.ndarray, float]:
+                   half: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Risk-optimal weights of a linear expansion and the risk at them.
 
-    The risk of a @ rows is (|a @ rows - target|^2 + 8 a'div + bias) / n,
+    The risk of a @ rows is cure_expression(a @ rows - target, a'div, half),
     minimized by (rows rows') a = rows target - 4 div over the live atoms
     (dead ones get weight zero). The data fit comes from the residual
     itself, so no large terms cancel. Returns (a, estimate, cure).
@@ -219,9 +220,7 @@ def _fit_expansion(rows: np.ndarray, target: np.ndarray, div: np.ndarray,
         kept = rows if live.all() else rows[live]
         a[live] = solve_weights(kept @ kept.T, kept @ target - 4.0 * div[live])
     estimate = a @ rows
-    resid = estimate - target
-    cure = (float(resid @ resid) + 8.0 * float(a @ div) + bias) / target.size
-    return a, estimate, cure
+    return a, estimate, cure_expression(estimate - target, float(a @ div), half)
 
 
 # ------------------------------------------------- filterbank LET denoiser
@@ -240,7 +239,7 @@ class LetFamily:
             raise ValueError("atom metadata misaligned")
 
 
-def _band_atoms(band, w, wbar, K: float, lambdas, beta: float):
+def _band_atoms(band, w, wbar, K: float, lambdas):
     """Labelled atoms of one band: (label, SubbandEvaluation) pairs.
 
     A lowpass band gets one bias-removing atom, which synthesizes to the
@@ -253,11 +252,11 @@ def _band_atoms(band, w, wbar, K: float, lambdas, beta: float):
             theta=w - band.tap_sum * K, d1=1.0, d2=0.0, d11=0.0, d22=0.0, d12=0.0)
         return
     for lam in lambdas:
-        yield f"{band.label}:l{lam:g}", let_atom_pointwise(w, wbar, lam, beta)
+        yield f"{band.label}:l{lam:g}", let_atom_pointwise(w, wbar, lam)
 
 
 def pointwise_let_family(bank: FilterBank, coeffs, variances, K: float,
-                         lambdas=POINTWISE_LAMBDAS, beta: float = DEFAULT_BETA) -> LetFamily:
+                         lambdas=POINTWISE_LAMBDAS) -> LetFamily:
     """Every band's atoms at once, labelled as _band_atoms labels them.
 
     One bias-removing atom per lowpass band, one keep-factor atom per
@@ -265,7 +264,7 @@ def pointwise_let_family(bank: FilterBank, coeffs, variances, K: float,
     """
     atoms, band_index, labels = [], [], []
     for i, band in enumerate(bank.bands):
-        for label, ev in _band_atoms(band, coeffs[i], variances[i], K, lambdas, beta):
+        for label, ev in _band_atoms(band, coeffs[i], variances[i], K, lambdas):
             atoms.append(ev)
             band_index.append(i)
             labels.append(label)
@@ -286,14 +285,15 @@ def combined_band_evaluations(family: LetFamily, weights, n_bands: int) -> list:
 
 
 def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
-                        lambdas=POINTWISE_LAMBDAS, beta: float = DEFAULT_BETA):
+                        lambdas=POINTWISE_LAMBDAS):
     """Risk-optimal linear expansion over undecimated-band atoms.
 
-    One pass over the bands, with y transformed once. A band's
-    correlations with its taps to the powers 1..5 are its coefficients,
-    its variance channel and (2..5) its divergence fields; each of its
-    atoms is synthesized into its row of one (atoms x pixels) matrix and
-    reduced to its divergence, and nothing else of the band outlives it.
+    One walk over the bands of each bank. A band's correlations with its
+    taps to the powers 1..5 are its coefficients, its variance channel
+    and (2..5) its divergence fields; its atoms are taken one at a time,
+    each reduced to its divergence with only its theta kept, and the
+    band's thetas are synthesized in one call into their rows of one
+    (atoms x pixels) matrix. Nothing else of the band outlives it.
     _fit_expansion then solves the weights and scores the estimate of x.
     "mixed" pools the Haar-frame and block-DCT atoms into one joint
     system. The report's per_band maps "<bank>/<atom label>" to the atom's
@@ -315,18 +315,17 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
                   for bank in banks for band in bank.bands)
     rows = np.empty((n_atoms, y.size))
     div, labels = [], []
-    y_fft = np.fft.rfftn(y)
     for bank in banks:
-        for i, band in enumerate(bank.bands):
-            corr = bank.correlate(y_fft, y.shape, i, range(1, 6))
+        for i, (band, corr) in enumerate(zip(bank.bands, bank.walk(y, range(1, 6)))):
             fields = BandDivergenceFields.of_band(band, K, corr[1:])
-            for label, ev in _band_atoms(band, corr[0], corr[1], K, lambdas, beta):
-                rows[len(div)] = bank.synthesize_band(i, ev.theta).ravel()
-                first, second = band_divergence_scalars(fields, ev)
-                div.append(first - second)
+            thetas = []
+            for label, ev in _band_atoms(band, corr[0], corr[1], K, lambdas):
+                div.append(atom_divergence(fields, ev))
                 labels.append(f"{bank.name}/{label}")
-    a, estimate, cure = _fit_expansion(
-        rows, (y - K).ravel(), np.asarray(div), -4.0 * float((y - K / 2).sum()))
+                thetas.append(ev.theta)
+            rows[len(div) - len(thetas):len(div)] = bank.synthesize_band(
+                i, np.stack(thetas)).reshape(len(thetas), -1)
+    a, estimate, cure = _fit_expansion(rows, (y - K).ravel(), np.asarray(div), y - K / 2)
     weights = {label: float(ak) for label, ak in zip(labels, a)}
     return estimate.reshape(y.shape), RiskReport(cure=cure, per_band=weights)
 
@@ -418,8 +417,8 @@ def cureshrink_subband(w, s, K_j: float, objective=None,
     best = int(np.argmin(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
-    a_star, _ = _golden_section(score, lo, hi, tol)
-    if values[best] < score(a_star):
+    a_star, value = _golden_section(score, lo, hi, tol)
+    if values[best] < value:
         a_star = float(grid[best])
     ev = cureshrink_evaluation(w, s, a_star, beta=beta, delta=delta)
     return ev.theta, float(a_star)
@@ -558,22 +557,18 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=JOINT_LAMBDAS):
 
     Each detail subband is its own expansion fitted by _fit_expansion.
     The subband risk has the filterbank divergence form with the
-    correlation fields (s - K_j/2, w, w, w, s): the coefficient is its own
-    band and s doubles as the variance channel. The lowpass is unbiased
-    by its accumulated dof (4^J K in 2-D).
+    subband field layout (BandDivergenceFields.of_subband), as in
+    cure_subband: the coefficient is its own band and s doubles as the
+    variance channel. The lowpass is unbiased by its accumulated dof
+    (4^J K in 2-D).
     """
 
     def fn(w, s, kj, orient):
         atoms = joint_let_atoms(w, s, parent_field(s, orient), lambdas=lambdas)
-        half = s - kj / 2
-        fields = BandDivergenceFields(z1=half, z2=w, z11=w, z22=w, z12=s)
-        div = []
-        for ev in atoms:
-            first, second = band_divergence_scalars(fields, ev)
-            div.append(first - second)
+        fields = BandDivergenceFields.of_subband(w, s, kj)
         _, theta, risk = _fit_expansion(
             np.stack([ev.theta.ravel() for ev in atoms]), w.ravel(),
-            np.asarray(div), -4.0 * float(half.sum()))
+            np.array([atom_divergence(fields, ev) for ev in atoms]), fields.z1)
         return theta.reshape(w.shape), risk
 
     return _denoise_pyramid(y, K, J, fn)

@@ -5,9 +5,10 @@ Two transform families back the denoisers:
 * Undecimated filterbanks (shift-invariant Haar wavelet frame, overlapping
   8x8 block DCT): every band is a periodic correlation of the image with a
   small tap array anchored at offset zero, and synthesis is the adjoint
-  correlation scaled by a per-band gain. The variance channel correlates
-  with the squared taps, and the risk divergence fields with higher tap
-  powers.
+  correlation scaled by a per-band gain. FilterBank owns the spectral
+  format (no other module calls numpy.fft): walk streams each band's
+  correlations with powers of its taps from one transform of the image,
+  and synthesize_band maps a stack of fields through one kernel spectrum.
 * The unnormalized Haar DWT: critically sampled pairwise sums/differences
   whose scaling chain preserves the chi-square family (sums of independent
   chi-squares stay chi-square, doubling the dof per 1-D split).
@@ -17,7 +18,7 @@ Boundaries are periodic everywhere; the analysis operators are circulant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +38,6 @@ __all__ = [
     "parent_field",
     "cycle_spin",
     "SPIN_SHIFTS",
-    "periodic_correlate",
-    "periodic_convolve",
 ]
 
 
@@ -51,19 +50,6 @@ def _tap_spectra(taps: np.ndarray, shape) -> np.ndarray:
     emb = np.zeros(taps.shape[: taps.ndim - len(shape)] + tuple(shape))
     emb[(...,) + tuple(slice(0, s) for s in taps.shape[taps.ndim - len(shape):])] = taps
     return np.fft.rfftn(emb, axes=axes)
-
-
-def periodic_correlate(y: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Full-size periodic correlation, taps anchored at offset zero.
-
-    out[k] = sum_m taps[m] * y[(k + m) mod shape], computed via FFT.
-    """
-    return np.fft.irfftn(np.fft.rfftn(y) * np.conj(_tap_spectra(taps, y.shape)), s=y.shape, axes=range(y.ndim))
-
-
-def periodic_convolve(y: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Periodic convolution (the adjoint of periodic_correlate)."""
-    return np.fft.irfftn(np.fft.rfftn(y) * _tap_spectra(taps, y.shape), s=y.shape, axes=range(y.ndim))
 
 
 @dataclass(frozen=True)
@@ -93,11 +79,12 @@ class FilterBank:
     """Undecimated analysis/synthesis filterbank over full-size bands.
 
     bands[0] is the lowpass (bias-carrying) band. Every analysis quantity
-    is one per-band correlation of the image with a power of the band's
-    taps (correlate): power 1 gives the coefficients, power 2 the variance
-    channel, powers 2..5 the risk divergence fields. Synthesis convolves
-    each coefficient field with ``synth_gain * taps`` and sums. A bank
-    holds only its bands and caches nothing, so it is safe to share.
+    is a per-band correlation of the image with a power of the band's
+    taps, and walk streams them: it transforms the image once and yields
+    one band's stacked correlations at a time, so only the current band
+    is alive. Synthesis convolves a coefficient field (or a stack of them)
+    with ``synth_gain * taps``; synthesize sums the bands. A bank holds
+    only its bands and caches nothing, so it is safe to share.
     """
 
     def __init__(self, name: str, bands):
@@ -116,26 +103,25 @@ class FilterBank:
         if len(shape) != self.bands[0].taps.ndim:
             raise ValueError("image dimensionality does not match the band taps")
 
-    def correlate(self, y_fft: np.ndarray, shape, i: int, powers) -> np.ndarray:
-        """Correlations of an image with band i's taps raised to each power.
+    def walk(self, y: np.ndarray, powers):
+        """Yield, band by band, the correlations of y with taps ** p.
 
-        y_fft is rfftn of the image and shape its shape, so one transform
-        of the image serves every band. Returns an array of shape
-        (len(powers), *shape).
+        y is transformed once; each yielded array has shape
+        (len(powers), *y.shape) and row k is the periodic correlation
+        out[n] = sum_m taps[m] ** powers[k] * y[(n + m) mod shape].
         """
-        self._check_size(shape)
-        taps = self.bands[i].taps
-        kernels = _tap_spectra(np.stack([taps ** p for p in powers]), shape)
-        return np.fft.irfftn(y_fft * np.conj(kernels), s=shape, axes=range(-len(shape), 0))
-
-    def _correlate_all(self, y: np.ndarray, power: int) -> list[np.ndarray]:
         y = np.asarray(y, dtype=np.float64)
+        self._check_size(y.shape)
         y_fft = np.fft.rfftn(y)
-        return [self.correlate(y_fft, y.shape, i, (power,))[0] for i in range(len(self.bands))]
+        for band in self.bands:
+            # no local holds the kernel spectra, so they are freed before the band is consumed
+            yield np.fft.irfftn(
+                y_fft * np.conj(_tap_spectra(np.stack([band.taps ** p for p in powers]), y.shape)),
+                s=y.shape, axes=range(-y.ndim, 0))
 
     def analyze(self, y: np.ndarray) -> list[np.ndarray]:
         """Per-band coefficient fields w_b = correlation(y, taps_b)."""
-        return self._correlate_all(y, 1)
+        return [corr[0] for corr in self.walk(y, (1,))]
 
     def analyze_variance(self, y: np.ndarray) -> list[np.ndarray]:
         """Variance-channel fields: correlation with the squared taps.
@@ -143,21 +129,22 @@ class FilterBank:
         For chi-square data these estimate coefficient variances via
         Var(w) = 4 (E[wbar] - K/2).
         """
-        return self._correlate_all(y, 2)
+        return [corr[0] for corr in self.walk(y, (2,))]
 
     def synthesize_band(self, i: int, coeffs: np.ndarray) -> np.ndarray:
+        """Band i's synthesis of a coefficient field, or of a stack of them
+        along leading axes, all through one transform of the band's kernel."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
         band = self.bands[i]
-        kernel = _tap_spectra(band.synth_gain * band.taps, coeffs.shape)
-        return np.fft.irfftn(np.fft.rfftn(coeffs) * kernel, s=coeffs.shape, axes=range(coeffs.ndim))
+        shape = coeffs.shape[coeffs.ndim - band.taps.ndim:]
+        axes = range(-len(shape), 0)
+        kernel = _tap_spectra(band.synth_gain * band.taps, shape)
+        return np.fft.irfftn(np.fft.rfftn(coeffs, axes=axes) * kernel, s=shape, axes=axes)
 
     def synthesize(self, coeffs: list[np.ndarray]) -> np.ndarray:
         if len(coeffs) != len(self.bands):
             raise ValueError(f"expected {len(self.bands)} bands, got {len(coeffs)}")
-        out = np.zeros_like(np.asarray(coeffs[0], dtype=np.float64))
-        for i, c in enumerate(coeffs):
-            out += self.synthesize_band(i, c)
-        return out
+        return sum(self.synthesize_band(i, c) for i, c in enumerate(coeffs))
 
 
 @dataclass

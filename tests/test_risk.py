@@ -154,7 +154,7 @@ def test_evaluation_rejects_nonfinite():
 def test_risk_report_rejects_nonfinite():
     with pytest.raises(ValueError):
         RiskReport(cure=float("nan"))
-    report = RiskReport(cure=1.5, mse_oracle=None)
+    report = RiskReport(cure=1.5)
     assert report.per_band is None
 
 

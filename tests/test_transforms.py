@@ -265,12 +265,19 @@ def test_haar_dwt_round_trip_property(y, levels):
     np.testing.assert_allclose(tr.haar_dwt_synthesize(pyr), y, atol=1e-9)
 
 
-def test_periodic_correlate_convolve_adjoint():
+@pytest.mark.parametrize("bank", [tr.haar_uwt_bank(2), tr.haar_uwt_bank(2, ndim=1), tr.bdct8_bank()],
+                         ids=["haar-2d", "haar-1d", "bdct8"])
+def test_band_synthesis_is_scaled_adjoint_and_stacks(bank):
     rng = np.random.default_rng(13)
-    y = rng.normal(size=(8, 8))
-    z = rng.normal(size=(8, 8))
-    taps = rng.normal(size=(3, 3))
-    # <corr(y, t), z> == <y, conv(z, t)>
-    lhs = float((tr.periodic_correlate(y, taps) * z).sum())
-    rhs = float((y * tr.periodic_convolve(z, taps)).sum())
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    shape = (12, 10)[: bank.bands[0].taps.ndim]
+    y = rng.normal(size=shape)
+    z = rng.normal(size=(3,) + shape)
+    for i, (band, w) in enumerate(zip(bank.bands, bank.analyze(y))):
+        # <R_i z, y> == g_i <z, A_i y>
+        lhs = float((bank.synthesize_band(i, z[0]) * y).sum())
+        rhs = band.synth_gain * float((z[0] * w).sum())
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+        stacked = bank.synthesize_band(i, z)
+        assert stacked.shape == z.shape
+        for k in range(len(z)):
+            np.testing.assert_allclose(stacked[k], bank.synthesize_band(i, z[k]), rtol=0, atol=1e-14)
