@@ -24,11 +24,7 @@ from .chi2model import (
     rescale_squared,
     sample_rician,
 )
-from .shrinkage import (
-    cureshrink_denoise,
-    haar_curelet_denoise,
-    uwt_curelet_denoise,
-)
+from .shrinkage import haar_curelet_denoise, uwt_curelet_denoise
 from .transforms import cycle_spin
 
 __all__ = [
@@ -66,14 +62,13 @@ class ImageBuffer:
 
     semantics says what the numbers mean: "magnitude" (nonnegative MR
     magnitudes), "squared-rescaled" (chi-square domain samples), or
-    "clean-reference". bit_depth is an I/O hint only.
+    "clean-reference".
     """
 
     width: int
     height: int
     data: np.ndarray
     semantics: str = "magnitude"
-    bit_depth: int = 16
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64).ravel()
@@ -85,12 +80,12 @@ class ImageBuffer:
             raise ValueError("magnitude data must be nonnegative")
 
     @classmethod
-    def from_array(cls, arr, semantics: str = "magnitude", bit_depth: int = 16):
+    def from_array(cls, arr, semantics: str = "magnitude"):
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
         return cls(width=arr.shape[1], height=arr.shape[0], data=arr.ravel(),
-                   semantics=semantics, bit_depth=bit_depth)
+                   semantics=semantics)
 
     def as_array(self) -> np.ndarray:
         return self.data.reshape(self.height, self.width)
@@ -160,22 +155,29 @@ def cipsnr(est, ref) -> tuple[float, tuple[float, float]]:
     return psnr(a * est + b, ref), (a, b)
 
 
-def _ssim_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+SSIM_WINDOW = 11  # side of the Gaussian SSIM window
+
+
+def _ssim_window(size: int = SSIM_WINDOW, sigma: float = 1.5) -> np.ndarray:
     half = (size - 1) / 2.0
     g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma ** 2))
     w = np.outer(g, g)
     return w / w.sum()
 
 
-def ssim_mean(est, ref, dynamic_range: float | None = None) -> float:
+def ssim_mean(est, ref) -> float:
     """Mean structural similarity over the valid window positions.
 
-    11x11 Gaussian window (sigma 1.5), C1=(0.01 L)^2, C2=(0.03 L)^2.
-    L defaults to max(ref); a fixed 255 would be wrong for 16-bit data.
+    11x11 Gaussian window (sigma 1.5), C1=(0.01 L)^2, C2=(0.03 L)^2 with
+    the dynamic range L = max|ref|; a fixed 255 would be wrong for 16-bit
+    data. Images smaller than the window have no valid position and are
+    rejected.
     """
     est, ref = _check_pair(est, ref)
-    if dynamic_range is None:
-        dynamic_range = float(np.abs(ref).max())
+    if min(est.shape) < SSIM_WINDOW:
+        raise ValueError(f"ssim needs images of at least its {SSIM_WINDOW}x{SSIM_WINDOW} "
+                         f"window, got {est.shape}")
+    dynamic_range = float(np.abs(ref).max())
     if dynamic_range <= 0:
         raise ValueError("dynamic range must be positive")
     w = _ssim_window()
@@ -191,10 +193,10 @@ def ssim_mean(est, ref, dynamic_range: float | None = None) -> float:
     return float(np.clip((num / den).mean(), -1.0, 1.0))
 
 
-def quality_report(est, ref, dynamic_range: float | None = None) -> QualityReport:
+def quality_report(est, ref) -> QualityReport:
     ci, ab = cipsnr(est, ref)
     return QualityReport(psnr=psnr(est, ref), cipsnr=ci,
-                         ssim=ssim_mean(est, ref, dynamic_range), affine=ab)
+                         ssim=ssim_mean(est, ref), affine=ab)
 
 
 # ----------------------------------------------------------------- phantoms

@@ -17,7 +17,7 @@ a given estimate and are the references the tests trust:
 * cure_image: image-domain risk of any smooth estimator of the
   noncentrality field, from the estimate and its diagonal derivatives.
 * cure_filterbank_divergence: the same risk for band-wise processing
-  inside an undecimated filterbank.
+  inside an undecimated filterbank, its fields formed from y.
 * cure_subband: per-subband risk in the unnormalized Haar DWT, valid for
   any subband whose coefficient is a +-1 combination of a disjoint block
   of input samples summing to s (the 2-D LH/HL/HH bands, K_j = 4^j K).
@@ -44,7 +44,6 @@ __all__ = [
     "mse_oracle",
     "cure_subband",
     "band_divergence_fields",
-    "band_divergence_scalars",
     "atom_divergence",
     "cure_filterbank_divergence",
     "combine_evaluations",
@@ -220,39 +219,31 @@ def band_divergence_fields(y, K: float, bank: FilterBank) -> list[BandDivergence
             for band, corr in zip(bank.bands, bank.walk(_samples(y), range(2, 6)))]
 
 
-def band_divergence_scalars(fields: BandDivergenceFields, ev: SubbandEvaluation) -> tuple[float, float]:
-    """First- and second-order divergence contributions of one band."""
+def atom_divergence(fields: BandDivergenceFields, ev: SubbandEvaluation) -> float:
+    """Divergence of one atom (or band estimate): first - second order terms.
+
+    The second-order terms, d12 included, enter negated by the chain rule.
+    """
     first = float((fields.z1 * ev.d1).sum()) + float((fields.z2 * ev.d2).sum())
     second = (
         float((fields.z11 * ev.d11).sum())
         + float((fields.z22 * ev.d22).sum())
         + 2.0 * float((fields.z12 * ev.d12).sum())
     )
-    return first, second
-
-
-def atom_divergence(fields: BandDivergenceFields, ev: SubbandEvaluation) -> float:
-    """Divergence of one atom (or band estimate): first - second order terms.
-
-    The second-order terms, d12 included, enter negated by the chain rule.
-    """
-    first, second = band_divergence_scalars(fields, ev)
     return first - second
 
 
-def cure_filterbank_divergence(y, K: float, evs, bank: FilterBank,
-                               fields: list[BandDivergenceFields] | None = None) -> float:
+def cure_filterbank_divergence(y, K: float, evs, bank: FilterBank) -> float:
     """Image-domain risk of the full filterbank estimator f = sum_b R_b theta_b.
 
     evs holds one SubbandEvaluation per band (lowpass included), with
     partials taken w.r.t. that band's (w_b, wbar_b). The divergence sums
-    reduce to per-band correlations.
+    reduce to per-band correlations (band_divergence_fields of y).
     """
     y = _samples(y)
     if len(evs) != len(bank.bands):
         raise ValueError("one evaluation per band required")
-    if fields is None:
-        fields = band_divergence_fields(y, K, bank)
     f = bank.synthesize([ev.theta for ev in evs])
-    div = sum(atom_divergence(fl, ev) for fl, ev in zip(fields, evs))
+    div = sum(atom_divergence(fl, ev)
+              for fl, ev in zip(band_divergence_fields(y, K, bank), evs))
     return cure_expression(f - (y - K), div, y - K / 2)

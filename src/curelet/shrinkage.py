@@ -23,8 +23,6 @@ Three denoisers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import ndimage
 
@@ -33,12 +31,10 @@ from .risk import (
     RiskReport,
     SubbandEvaluation,
     atom_divergence,
-    combine_evaluations,
     cure_expression,
     cure_subband,
 )
 from .transforms import (
-    FilterBank,
     bdct8_bank,
     haar_dwt_analyze,
     haar_dwt_synthesize,
@@ -47,12 +43,9 @@ from .transforms import (
 )
 
 __all__ = [
-    "LetFamily",
     "smooth_pos",
     "let_atom_pointwise",
     "solve_weights",
-    "pointwise_let_family",
-    "combined_band_evaluations",
     "uwt_curelet_denoise",
     "cureshrink_evaluation",
     "cureshrink_subband",
@@ -65,6 +58,18 @@ __all__ = [
 DEFAULT_BETA = 0.02
 POINTWISE_LAMBDAS = (3.0, 9.0)
 JOINT_LAMBDAS = POINTWISE_LAMBDAS
+# solve_weights: ridge above this condition estimate, at this fraction of
+# trace(M)/I, then drop eigenmodes below RCOND times the largest
+COND_LIMIT = 1e12
+RIDGE = 1e-9
+RCOND = 1e-4
+# cureshrink_subband: coarse grid of threshold scales, golden-section tolerance
+GRID_MAX = 4.0
+GRID_STEP = 0.05
+GRID_TOL = 1e-3
+# gamma_kernel: truncation radius and width of the Gaussian weights
+GAMMA_RADIUS = 4
+GAMMA_SIGMA = 1.0
 
 
 # ------------------------------------------------------------ smooth atoms
@@ -158,17 +163,16 @@ def let_atom_pointwise(w, wbar, lam: float, beta: float = DEFAULT_BETA,
 # --------------------------------------------------------- weight solving
 
 
-def solve_weights(M, c, cond_limit: float = 1e12, ridge: float = 1e-9,
-                  rcond: float = 1e-4) -> np.ndarray:
+def solve_weights(M, c) -> np.ndarray:
     """Minimal-norm pseudo-inverse solve of the normal system Ma = c.
 
     The risk surface is a quadratic whose Hessian is the atom Gram matrix;
     its near-null eigenmodes belong to almost-collinear atom combinations,
     where the estimated gradient is dominated by sampling noise and the
     formal minimizer runs far from zero without lowering the true risk.
-    Eigenmodes below rcond * (largest eigenvalue) are therefore solved to
-    zero weight. When the condition estimate exceeds cond_limit,
-    ridge * trace(M)/I is added to the diagonal first; the returned
+    Eigenmodes below RCOND * (largest eigenvalue) are therefore solved to
+    zero weight. When the condition estimate exceeds COND_LIMIT,
+    RIDGE * trace(M)/I is added to the diagonal first; the returned
     weights satisfy the regularized normal equations restricted to the
     kept subspace to 1e-8 * (|c| + 1).
     """
@@ -177,10 +181,10 @@ def solve_weights(M, c, cond_limit: float = 1e12, ridge: float = 1e-9,
     if not (np.isfinite(M).all() and np.isfinite(c).all()):
         raise ValueError("non-finite entries in the normal system")
     cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > cond_limit:
-        M = M + (ridge * np.trace(M) / c.size) * np.eye(c.size)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        M = M + (RIDGE * np.trace(M) / c.size) * np.eye(c.size)
     lam, V = np.linalg.eigh((M + M.T) / 2.0)
-    keep = lam > rcond * max(lam.max(), 0.0)
+    keep = lam > RCOND * max(lam.max(), 0.0)
     if not keep.any():
         return np.zeros(c.size)
     V = V[:, keep]
@@ -226,19 +230,6 @@ def _fit_expansion(rows: np.ndarray, target: np.ndarray, div: np.ndarray,
 # ------------------------------------------------- filterbank LET denoiser
 
 
-@dataclass
-class LetFamily:
-    """Atoms of one linear expansion; band_index maps each to its band."""
-
-    atoms: list
-    band_index: list
-    labels: list
-
-    def __post_init__(self):
-        if not (len(self.atoms) == len(self.band_index) == len(self.labels)):
-            raise ValueError("atom metadata misaligned")
-
-
 def _band_atoms(band, w, wbar, K: float, lambdas):
     """Labelled atoms of one band: (label, SubbandEvaluation) pairs.
 
@@ -253,35 +244,6 @@ def _band_atoms(band, w, wbar, K: float, lambdas):
         return
     for lam in lambdas:
         yield f"{band.label}:l{lam:g}", let_atom_pointwise(w, wbar, lam)
-
-
-def pointwise_let_family(bank: FilterBank, coeffs, variances, K: float,
-                         lambdas=POINTWISE_LAMBDAS) -> LetFamily:
-    """Every band's atoms at once, labelled as _band_atoms labels them.
-
-    One bias-removing atom per lowpass band, one keep-factor atom per
-    lambda for each highpass band.
-    """
-    atoms, band_index, labels = [], [], []
-    for i, band in enumerate(bank.bands):
-        for label, ev in _band_atoms(band, coeffs[i], variances[i], K, lambdas):
-            atoms.append(ev)
-            band_index.append(i)
-            labels.append(label)
-    return LetFamily(atoms=atoms, band_index=band_index, labels=labels)
-
-
-def combined_band_evaluations(family: LetFamily, weights, n_bands: int) -> list:
-    """Collapse weighted atoms into one evaluation per band."""
-    weights = np.asarray(weights, dtype=np.float64)
-    evs = []
-    for b in range(n_bands):
-        members = [k for k, idx in enumerate(family.band_index) if idx == b]
-        if not members:
-            raise ValueError(f"band {b} has no atoms")
-        evs.append(combine_evaluations([family.atoms[k] for k in members],
-                                       weights[members]))
-    return evs
 
 
 def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
@@ -388,69 +350,67 @@ def _golden_section(fun, lo: float, hi: float, tol: float) -> tuple[float, float
     return mid, fun(mid)
 
 
-def cureshrink_subband(w, s, K_j: float, objective=None,
-                       beta: float | None = None, delta: float | None = None,
-                       grid_max: float = 4.0, grid_step: float = 0.05,
-                       tol: float = 1e-3):
+def cureshrink_subband(w, s, K_j: float, objective=None):
     """Pick the threshold scale a minimizing the subband risk estimate.
 
-    Coarse grid {0, grid_step, ..., grid_max} followed by golden-section
-    refinement of the best cell. objective(a, evaluation) -> float
-    overrides the default risk objective (used for oracle comparisons).
-    Returns (theta field, chosen a).
+    Coarse grid {0, GRID_STEP, ..., GRID_MAX} followed by golden-section
+    refinement of the best cell to GRID_TOL; cureshrink_evaluation's
+    default smoothing throughout. objective(a, evaluation) -> float
+    overrides the default objective, the subband risk cure_subband (used
+    for oracle comparisons). Returns (theta field, chosen a, objective
+    at a).
     """
     w = np.asarray(w, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
-    if delta is None:
-        delta = 1e-6 * (float(s.mean()) + 1.0)
-    if beta is None:
-        beta = DEFAULT_BETA * float(np.sqrt(s + delta).mean())
 
     def score(a):
-        ev = cureshrink_evaluation(w, s, a, beta=beta, delta=delta)
+        ev = cureshrink_evaluation(w, s, a)
         if objective is not None:
             return float(objective(a, ev))
         return cure_subband(w, s, K_j, ev)
 
-    grid = np.arange(0.0, grid_max + 0.5 * grid_step, grid_step)
+    grid = np.arange(0.0, GRID_MAX + 0.5 * GRID_STEP, GRID_STEP)
     values = [score(a) for a in grid]
     best = int(np.argmin(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
-    a_star, value = _golden_section(score, lo, hi, tol)
+    a_star, value = _golden_section(score, lo, hi, GRID_TOL)
     if values[best] < value:
-        a_star = float(grid[best])
-    ev = cureshrink_evaluation(w, s, a_star, beta=beta, delta=delta)
-    return ev.theta, float(a_star)
+        a_star, value = float(grid[best]), values[best]
+    return cureshrink_evaluation(w, s, a_star).theta, float(a_star), value
 
 
 # ----------------------------------------------- joint inter-/intra-scale
 
 
-def gamma_kernel(ndim: int = 2, radius: int = 4, sigma: float = 1.0) -> np.ndarray:
+def gamma_kernel(ndim: int = 2) -> np.ndarray:
     """Truncated Gaussian density weights for local-magnitude smoothing.
 
-    Weights exp(-|m|^2 / 2 sigma^2) / sqrt(2 pi sigma^2)^ndim on the
-    integer offsets |m_i| <= radius; the center weight is the density at
-    zero (1/sqrt(2 pi) per axis), not renormalized after truncation.
+    Weights exp(-|m|^2 / 2 GAMMA_SIGMA^2) / sqrt(2 pi GAMMA_SIGMA^2)^ndim
+    on the integer offsets |m_i| <= GAMMA_RADIUS; the center weight is
+    the density at zero (1/sqrt(2 pi) per axis), not renormalized after
+    truncation.
     """
     if ndim not in (1, 2):
         raise ValueError("only 1-D and 2-D kernels supported")
-    m = np.arange(-radius, radius + 1, dtype=np.float64)
-    g1 = np.exp(-(m ** 2) / (2.0 * sigma ** 2)) / np.sqrt(2.0 * np.pi * sigma ** 2)
+    m = np.arange(-GAMMA_RADIUS, GAMMA_RADIUS + 1, dtype=np.float64)
+    g1 = np.exp(-(m ** 2) / (2.0 * GAMMA_SIGMA ** 2)) / np.sqrt(2.0 * np.pi * GAMMA_SIGMA ** 2)
     return g1 if ndim == 1 else np.outer(g1, g1)
 
 
-def _gamma_fields(u: np.ndarray, kernel: np.ndarray, delta: float):
+def _gamma_fields(u: np.ndarray, g1: np.ndarray, delta: float):
     """Smoothed local magnitude and its diagonal self-term derivatives.
 
-    gamma_n = sum_m G(m) |u_{n+m}| with |.| smoothed to sqrt(u^2+delta^2);
-    only the m=0 term involves u_n, so the diagonal derivatives are the
-    center weight times the smoothed-abs derivatives.
+    gamma_n = sum_m G(m) |u_{n+m}| with |.| smoothed to sqrt(u^2+delta^2)
+    and G the separable gamma_kernel, applied as the 1-D weights g1 along
+    each axis; only the m=0 term involves u_n, so the diagonal
+    derivatives are the center weight times the smoothed-abs derivatives.
     """
     absu = np.sqrt(u ** 2 + delta ** 2)
-    gamma = ndimage.correlate(absu, kernel, mode="wrap")
-    g0 = float(kernel[tuple(s // 2 for s in kernel.shape)])
+    gamma = absu
+    for axis in range(u.ndim):
+        gamma = ndimage.correlate1d(gamma, g1, axis=axis, mode="wrap")
+    g0 = float(g1[GAMMA_RADIUS]) ** u.ndim
     return gamma, g0 * u / absu, g0 * delta ** 2 / absu ** 3
 
 
@@ -458,47 +418,46 @@ def _field_delta(u: np.ndarray) -> float:
     return 1e-3 * float(np.sqrt((u ** 2).mean())) + 1e-12
 
 
-def joint_let_atoms(w, s, p, lambdas=JOINT_LAMBDAS, kernel: np.ndarray | None = None,
-                    beta: float = DEFAULT_BETA, deltas=None) -> list:
+def joint_let_atoms(w, s, p, lambdas=JOINT_LAMBDAS, deltas=None) -> list:
     """The 8 inter-/intra-scale atoms of one subband.
 
     Two modulators per lambda: the pointwise keep factor
     ramp(1 - 4 lam s / w^2), which reads the exact variance channel s of
     each coefficient (4(E[s] - K_j/2) = Var(w)) so one large coefficient
     survives among noisy neighbors, and the parent-energy factor
-    ramp(1 - 4 lam gamma(s) / gamma(p)^2), with gamma the smoothed local
-    magnitude. Carriers are w and p; atoms are ordered (modulator=w,
-    carrier=w), (modulator=p, carrier=w), (modulator=w, carrier=p),
-    (modulator=p, carrier=p), both lambdas within each. The first two
-    atoms are exactly let_atom_pointwise(w, s, lam). The parent p is an
-    exogenous predictor (built from neighboring scaling coefficients,
-    never from (w_n, s_n)), so partials are taken w.r.t. (w_n, s_n) only;
-    gamma's dependence on a coordinate is exactly its center kernel term.
+    ramp(1 - 4 lam gamma(s) / gamma(p)^2), with gamma the local magnitude
+    smoothed by gamma_kernel. Every ramp is smoothed with DEFAULT_BETA.
+    Carriers are w and p; atoms are ordered (modulator=w, carrier=w),
+    (modulator=p, carrier=w), (modulator=w, carrier=p), (modulator=p,
+    carrier=p), both lambdas within each. The first two atoms are exactly
+    let_atom_pointwise(w, s, lam). The parent p is an exogenous predictor
+    (built from neighboring scaling coefficients, never from (w_n, s_n)),
+    so partials are taken w.r.t. (w_n, s_n) only; gamma's dependence on a
+    coordinate is exactly its center kernel term.
     deltas = (d_w, d_s, d_p) smooths the magnitudes inside gamma; only
     d_s and d_p are read, since no gamma of w is formed.
     """
     w = np.asarray(w, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
-    if kernel is None:
-        kernel = gamma_kernel(ndim=w.ndim)
     if deltas is None:
         deltas = (None, _field_delta(s), _field_delta(p))
     _, ds, dp = deltas
 
-    A, A_s, A_ss = _gamma_fields(s, kernel, ds)
-    Bp, _, _ = _gamma_fields(p, kernel, dp)
+    g1 = gamma_kernel(ndim=1)
+    A, A_s, A_ss = _gamma_fields(s, g1, ds)
+    Bp, _, _ = _gamma_fields(p, g1, dp)
     eps_w = 1e-12 * (float((w ** 2).mean()) + 1.0)
     qp = Bp ** 2 + 1e-12 * (float((Bp ** 2).mean()) + 1.0)
 
     modulators = []
     for lam in lambdas:
         u, *partials = _keep_factor(w, s, lam, eps_w)
-        modulators.append((_smooth_pos3(u, beta), partials))
+        modulators.append((_smooth_pos3(u, DEFAULT_BETA), partials))
     for lam in lambdas:
         u = 1.0 - 4.0 * lam * A / qp
         partials = (0.0, -4.0 * lam * A_s / qp, 0.0, -4.0 * lam * A_ss / qp, 0.0)
-        modulators.append((_smooth_pos3(u, beta), partials))
+        modulators.append((_smooth_pos3(u, DEFAULT_BETA), partials))
     return [_ramp_atom(ramp, partials, carrier, own)
             for carrier, own in ((w, True), (p, False))
             for ramp, partials in modulators]
@@ -545,9 +504,8 @@ def cureshrink_denoise(y, K: float, J: int = 3):
     """Soft-threshold every detail subband with its risk-picked scale."""
 
     def fn(w, s, kj, orient):
-        theta, a = cureshrink_subband(w, s, kj)
-        ev = cureshrink_evaluation(w, s, a)
-        return theta, cure_subband(w, s, kj, ev)
+        theta, _, risk = cureshrink_subband(w, s, kj)
+        return theta, risk
 
     return _denoise_pyramid(y, K, J, fn)
 

@@ -25,14 +25,9 @@ import numpy as np
 __all__ = [
     "Band",
     "FilterBank",
-    "SubbandSet",
     "HaarPyramid",
     "haar_uwt_bank",
     "bdct8_bank",
-    "uwt_haar_analyze",
-    "uwt_haar_synthesize",
-    "bdct_analyze",
-    "bdct_synthesize",
     "haar_dwt_analyze",
     "haar_dwt_synthesize",
     "parent_field",
@@ -70,10 +65,6 @@ class Band:
     def tap_sum(self) -> float:
         return float(self.taps.sum())
 
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt((self.taps ** 2).sum()))
-
 
 class FilterBank:
     """Undecimated analysis/synthesis filterbank over full-size bands.
@@ -92,9 +83,6 @@ class FilterBank:
         self.bands = tuple(bands)
         if self.bands[0].kind != "lowpass":
             raise ValueError("bands[0] must be the lowpass band")
-
-    def __len__(self) -> int:
-        return len(self.bands)
 
     def _check_size(self, shape) -> None:
         support = np.max([b.taps.shape for b in self.bands], axis=0)
@@ -145,15 +133,6 @@ class FilterBank:
         if len(coeffs) != len(self.bands):
             raise ValueError(f"expected {len(self.bands)} bands, got {len(coeffs)}")
         return sum(self.synthesize_band(i, c) for i, c in enumerate(coeffs))
-
-
-@dataclass
-class SubbandSet:
-    """Analysis output: per-band coefficients, optional variance channel."""
-
-    coeffs: list
-    bank: FilterBank
-    variance: list | None = None
 
 
 def _haar_cumulative_1d(levels: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -217,29 +196,6 @@ def bdct8_bank() -> FilterBank:
                 continue
             bands.append(Band(np.outer(basis[u], basis[v]), 1 / 64, "highpass", 0, f"ac{u}{v}"))
     return FilterBank("bdct8", bands)
-
-
-def uwt_haar_analyze(y: np.ndarray, levels: int, bank: FilterBank | None = None) -> SubbandSet:
-    """Decompose into the shift-invariant Haar frame; see haar_uwt_bank."""
-    y = np.asarray(y, dtype=np.float64)
-    if bank is None:
-        bank = haar_uwt_bank(levels, ndim=y.ndim)
-    return SubbandSet(coeffs=bank.analyze(y), bank=bank)
-
-
-def uwt_haar_synthesize(bands: SubbandSet) -> np.ndarray:
-    return bands.bank.synthesize(bands.coeffs)
-
-
-def bdct_analyze(y: np.ndarray, bank: FilterBank | None = None) -> SubbandSet:
-    y = np.asarray(y, dtype=np.float64)
-    if bank is None:
-        bank = bdct8_bank()
-    return SubbandSet(coeffs=bank.analyze(y), bank=bank)
-
-
-def bdct_synthesize(bands: SubbandSet) -> np.ndarray:
-    return bands.bank.synthesize(bands.coeffs)
 
 
 @dataclass

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from curelet.risk import EstimatorEvaluation, cure_image
-from curelet.shrinkage import solve_weights
+from curelet.risk import EstimatorEvaluation, SubbandEvaluation, combine_evaluations, cure_image
+from curelet.shrinkage import let_atom_pointwise, solve_weights
+
+POINTWISE_LAMBDAS = (3.0, 9.0)
 
 
 def dense_band_matrices(bank, shape):
@@ -108,3 +110,29 @@ def subband_normal_weights(w, s, K_j, atoms):
     ])
     a[live] = solve_weights(theta @ theta.T, c)
     return a
+
+
+def pointwise_let_evaluations(bank, y, K, weights):
+    """One weighted SubbandEvaluation per band of the pointwise LET expansion.
+
+    Each band's atoms are built on their own, in bank order: a lowpass
+    band gets the bias-removing atom w - tap_sum K (d1 = 1), labelled
+    "<band>:bias"; a highpass band gets let_atom_pointwise(w, wbar, lam)
+    for each lambda, labelled "<band>:l<lam>". weights receives the
+    (band index, label) of every atom, in that order, and returns one
+    weight per atom; each band's atoms are then combined with
+    combine_evaluations.
+    """
+    atoms = []
+    for i, (band, w, wbar) in enumerate(zip(bank.bands, bank.analyze(y),
+                                            bank.analyze_variance(y))):
+        if band.kind == "lowpass":
+            atoms.append((i, f"{band.label}:bias", SubbandEvaluation(
+                theta=w - band.tap_sum * K, d1=1.0, d2=0.0, d11=0.0, d22=0.0, d12=0.0)))
+        else:
+            atoms += [(i, f"{band.label}:l{lam:g}", let_atom_pointwise(w, wbar, lam))
+                      for lam in POINTWISE_LAMBDAS]
+    a = np.asarray(weights([(i, label) for i, label, _ in atoms]), dtype=np.float64)
+    band_of = np.array([i for i, _, _ in atoms])
+    return [combine_evaluations([ev for j, _, ev in atoms if j == i], a[band_of == i])
+            for i in range(len(bank.bands))]

@@ -16,34 +16,26 @@ from curelet.chi2model import (
 )
 from curelet.pipeline import denoise_mr, make_phantom, psnr
 from curelet.risk import (
-    band_divergence_fields,
     combine_evaluations,
     cure_filterbank_divergence,
     cure_subband,
     mse_oracle,
 )
 from curelet.shrinkage import (
-    combined_band_evaluations,
     cureshrink_denoise,
     cureshrink_evaluation,
     cureshrink_subband,
-    gamma_kernel,
     joint_let_atoms,
     let_atom_pointwise,
-    pointwise_let_family,
 )
 from curelet.transforms import (
     bdct8_bank,
-    bdct_analyze,
-    bdct_synthesize,
     haar_dwt_analyze,
     haar_dwt_synthesize,
     haar_uwt_bank,
     parent_field,
-    uwt_haar_analyze,
-    uwt_haar_synthesize,
 )
-from oracles import dense_band_matrices, dense_filterbank_cure
+from oracles import dense_band_matrices, dense_filterbank_cure, pointwise_let_evaluations
 
 
 def rng_of(seed):
@@ -112,14 +104,10 @@ def test_criterion_01_image_risk_unbiased():
     cures, mses = [], []
     for seed in range(MC_RUNS):
         y = sample_chi2(MC_X, 2, seed=seed).samples
-        coeffs = bank.analyze(y)
-        variances = bank.analyze_variance(y)
-        family = pointwise_let_family(bank, coeffs, variances, 2.0)
-        weights = np.array([POINTWISE_FIXED[label.rsplit(":", 1)[1]]
-                            for label in family.labels])
-        evs = combined_band_evaluations(family, weights, len(bank.bands))
-        fields = band_divergence_fields(y, 2.0, bank)
-        cures.append(cure_filterbank_divergence(y, 2.0, evs, bank, fields))
+        evs = pointwise_let_evaluations(
+            bank, y, 2.0, lambda atoms: [POINTWISE_FIXED[label.rsplit(":", 1)[1]]
+                                         for _, label in atoms])
+        cures.append(cure_filterbank_divergence(y, 2.0, evs, bank))
         mses.append(mse_oracle(bank.synthesize([ev.theta for ev in evs]),
                                MC_X))
     wall = time.time() - t0
@@ -177,12 +165,9 @@ def test_criterion_03_correlation_risk_equals_dense():
                 rng = rng_of(31000 + 100 * size + trial)
                 x = rng.uniform(0.0, 25.0, size=(size, size))
                 y = sample_chi2(x, 2, seed=31500 + 100 * size + trial).samples
-                coeffs = bank.analyze(y)
-                variances = bank.analyze_variance(y)
-                family = pointwise_let_family(bank, coeffs, variances, 2.0)
-                weights = rng.uniform(-0.5, 1.5, size=len(family.atoms))
-                evs = combined_band_evaluations(family, weights,
-                                                len(bank.bands))
+                evs = pointwise_let_evaluations(
+                    bank, y, 2.0,
+                    lambda atoms: rng.uniform(-0.5, 1.5, size=len(atoms)))
                 fast = cure_filterbank_divergence(y, 2.0, evs, bank)
                 dense = dense_filterbank_cure(y, 2.0, evs, bank, mats=mats)
                 worst = max(worst, abs(fast - dense) / abs(dense))
@@ -197,14 +182,15 @@ def test_criterion_04_perfect_reconstruction():
     for shape in ((8, 8), (16, 16), (64, 64), (17, 13)):
         y = rng_of(7000 + shape[0]).uniform(0.0, 50.0, size=shape)
         for levels in (1, 2, 3):
-            sub = uwt_haar_analyze(y, levels)
+            bank = haar_uwt_bank(levels)
             worst = max(worst,
-                        float(np.abs(uwt_haar_synthesize(sub) - y).max()))
+                        float(np.abs(bank.synthesize(bank.analyze(y)) - y).max()))
             pyr = haar_dwt_analyze(y, levels)
             worst = max(worst,
                         float(np.abs(haar_dwt_synthesize(pyr) - y).max()))
+        bank = bdct8_bank()
         worst = max(worst,
-                    float(np.abs(bdct_synthesize(bdct_analyze(y)) - y).max()))
+                    float(np.abs(bank.synthesize(bank.analyze(y)) - y).max()))
     ok = worst <= 1e-10
     report(4, "perfect reconstruction", ok, f"max round-trip error {worst:.2e}")
     assert worst <= 1e-10
@@ -222,8 +208,8 @@ def test_criterion_05_risk_picked_threshold_near_oracle():
         s = pyr.smooth_levels[0]
         kj = pyr.dof(1)
         assert w.size == 128 * 128 and kj == 8.0
-        theta_risk, _ = cureshrink_subband(w, s, kj)
-        theta_star, _ = cureshrink_subband(
+        theta_risk, _, _ = cureshrink_subband(w, s, kj)
+        theta_star, _, _ = cureshrink_subband(
             w, s, kj,
             objective=lambda a, ev: float(((ev.theta - omega) ** 2).sum()))
         mse_risk = float(((theta_risk - omega) ** 2).mean())
@@ -294,11 +280,9 @@ def test_criterion_08_declared_partials_match_finite_differences():
     wf = rng.normal(scale=3.0, size=shape)
     sf = rng.uniform(2.0, 30.0, size=shape)
     pf = rng.normal(scale=2.0, size=shape)
-    kernel = gamma_kernel(ndim=2)
 
     def build(w2, s2):
-        return joint_let_atoms(w2, s2, pf, kernel=kernel,
-                               deltas=(0.05, 0.05, 0.05))
+        return joint_let_atoms(w2, s2, pf, deltas=(0.05, 0.05, 0.05))
 
     base = build(wf, sf)
     h = 1e-4

@@ -179,6 +179,18 @@ def test_evaluate_perfect_estimate(phantom_files, capsys):
     assert (a, b) == (1.0, 0.0)
 
 
+def test_evaluate_rejects_images_smaller_than_the_ssim_window(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    paths = []
+    for name in ("est", "ref"):
+        paths.append(str(tmp_path / f"{name}.pgm"))
+        write_pgm(paths[-1], rng.uniform(0.0, 255.0, size=(8, 8)))
+    assert run("evaluate", "--est", paths[0], "--ref", paths[1]) == 1
+    captured = capsys.readouterr()
+    assert "11x11" in captured.err
+    assert "psnr,cipsnr,ssim" not in captured.out
+
+
 def test_simulate_then_evaluate_round(tmp_path, capsys):
     clean = str(tmp_path / "clean.pgm")
     write_pgm(clean, make_phantom("shepp-logan", 64))

@@ -98,6 +98,17 @@ def test_ssim_rejects_zero_dynamic_range():
         ssim_mean(np.zeros((16, 16)), np.zeros((16, 16)))
 
 
+def test_ssim_rejects_images_smaller_than_its_window():
+    # no 11x11 window fits in an 8x8 image; scipy's valid-mode convolution
+    # would silently swap the operands and average a meaningless map
+    rng = rng_of(33)
+    est, ref = rng.uniform(0.0, 255.0, size=(2, 8, 8))
+    with pytest.raises(ValueError, match="11x11"):
+        ssim_mean(est, ref)
+    with pytest.raises(ValueError, match="11x11"):
+        quality_report(est, ref)
+
+
 def test_quality_report_consistency():
     ref = make_phantom("shepp-logan", 64)
     rng = rng_of(21)

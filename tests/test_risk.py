@@ -12,8 +12,8 @@ from curelet.risk import (
     EstimatorEvaluation,
     RiskReport,
     SubbandEvaluation,
+    atom_divergence,
     band_divergence_fields,
-    band_divergence_scalars,
     combine_evaluations,
     cure_filterbank_divergence,
     cure_image,
@@ -281,21 +281,20 @@ def test_dense_matrices_agree_with_fft_analysis():
         np.testing.assert_allclose(R, band.synth_gain * D.T)
 
 
-def test_band_divergence_scalars_match_dot_products():
+def test_atom_divergence_matches_dot_products():
     bank = bdct8_bank()
     rng = rng_of(17)
     y = rng.uniform(0.5, 20.0, size=(8, 8))
     fields = band_divergence_fields(y, 2.0, bank)
     ev = nonlinear_evaluation(bank.analyze(y)[3], bank.analyze_variance(y)[3])
-    first, second = band_divergence_scalars(fields[3], ev)
     manual_first = (fields[3].z1 * ev.d1).sum() + (fields[3].z2 * ev.d2).sum()
     manual_second = (
         (fields[3].z11 * ev.d11).sum()
         + (fields[3].z22 * ev.d22).sum()
         + 2 * (fields[3].z12 * ev.d12).sum()
     )
-    assert first == pytest.approx(manual_first, rel=1e-12)
-    assert second == pytest.approx(manual_second, rel=1e-12)
+    assert atom_divergence(fields[3], ev) == pytest.approx(
+        manual_first - manual_second, rel=1e-12)
 
 
 # ------------------------------------------------- Monte Carlo unbiasedness

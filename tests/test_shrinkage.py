@@ -22,8 +22,6 @@ from curelet.risk import (
     cure_subband,
 )
 from curelet.shrinkage import (
-    LetFamily,
-    combined_band_evaluations,
     cureshrink_denoise,
     cureshrink_evaluation,
     cureshrink_subband,
@@ -31,7 +29,6 @@ from curelet.shrinkage import (
     haar_curelet_denoise,
     joint_let_atoms,
     let_atom_pointwise,
-    pointwise_let_family,
     smooth_pos,
     solve_weights,
     uwt_curelet_denoise,
@@ -44,7 +41,7 @@ from curelet.transforms import (
     parent_field,
 )
 
-from oracles import subband_normal_weights
+from oracles import pointwise_let_evaluations, subband_normal_weights
 
 
 def rng_of(seed):
@@ -199,11 +196,10 @@ def test_joint_partials_match_finite_differences():
     w = rng.normal(scale=3.0, size=shape)
     s = rng.uniform(2.0, 30.0, size=shape)
     p = rng.normal(scale=2.0, size=shape)
-    kernel = gamma_kernel(ndim=2)
     deltas = (0.05, 0.05, 0.05)
 
     def build(wf, sf):
-        return joint_let_atoms(wf, sf, p, kernel=kernel, deltas=deltas)
+        return joint_let_atoms(wf, sf, p, deltas=deltas)
 
     base = build(w, s)
     h = 1e-4
@@ -325,28 +321,6 @@ def test_solved_weights_minimize_risk_against_perturbations():
         assert best <= perturbed + 1e-12
 
 
-def test_let_family_validation():
-    with pytest.raises(ValueError):
-        LetFamily(atoms=[None], band_index=[0, 1], labels=["a"])
-
-
-def test_pointwise_family_structure():
-    bank = haar_uwt_bank(2)
-    rng = rng_of(5)
-    y = rng.uniform(0.5, 20.0, size=(16, 16))
-    family = pointwise_let_family(bank, bank.analyze(y),
-                                  bank.analyze_variance(y), 2.0)
-    n_high = sum(1 for b in bank.bands if b.kind != "lowpass")
-    assert len(family.atoms) == 1 + 2 * n_high
-    assert sum(1 for lab in family.labels if lab.endswith(":bias")) == 1
-    evs = combined_band_evaluations(family, np.ones(len(family.atoms)),
-                                    len(bank.bands))
-    assert len(evs) == len(bank.bands)
-    with pytest.raises(ValueError):
-        combined_band_evaluations(family, np.ones(len(family.atoms)),
-                                  len(bank.bands) + 1)
-
-
 # ------------------------------------------------------------- joint atoms
 
 
@@ -422,15 +396,16 @@ def test_cureshrink_subband_search_respects_objective_override():
     def pin(a, ev):
         return (a - target) ** 2
 
-    theta, a = cureshrink_subband(w, s, pyr.dof(1), objective=pin)
+    theta, a, value = cureshrink_subband(w, s, pyr.dof(1), objective=pin)
     assert a == pytest.approx(target, abs=2e-3)
+    assert value == pin(a, None)
 
 
 def test_cureshrink_pure_noise_picks_positive_threshold():
     y = sample_chi2(np.zeros((32, 32)), 2.0, seed=8).samples
     pyr = haar_dwt_analyze(y, 1, dof=2.0)
-    theta, a = cureshrink_subband(pyr.detail[0]["hh"], pyr.smooth_levels[0],
-                                  pyr.dof(1))
+    theta, a, _ = cureshrink_subband(pyr.detail[0]["hh"], pyr.smooth_levels[0],
+                                     pyr.dof(1))
     assert a > 0.5
     assert float((theta ** 2).mean()) < float((pyr.detail[0]["hh"] ** 2).mean())
 
@@ -448,15 +423,43 @@ def test_cure_picked_threshold_tracks_oracle():
         pyr = haar_dwt_analyze(y, 1, dof=2.0)
         w, s = pyr.detail[0]["hh"], pyr.smooth_levels[0]
         assert pyr.dof(1) == pytest.approx(8.0)
-        th_cure, _ = cureshrink_subband(w, s, pyr.dof(1))
+        th_cure, _, _ = cureshrink_subband(w, s, pyr.dof(1))
 
         def oracle(a, ev):
             return float(((ev.theta - omega) ** 2).mean())
 
-        th_best, _ = cureshrink_subband(w, s, pyr.dof(1), objective=oracle)
+        th_best, _, _ = cureshrink_subband(w, s, pyr.dof(1), objective=oracle)
         mse_cure = float(((th_cure - omega) ** 2).mean())
         mse_best = float(((th_best - omega) ** 2).mean())
         assert mse_cure <= 1.05 * mse_best
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_cureshrink_subband_value_is_risk_at_returned_scale(seed):
+    # the returned value is, bit for bit, the subband risk at the returned
+    # threshold scale, so cureshrink_denoise need not score it again
+    y = sample_chi2(rng_of(seed).uniform(0.0, 30.0, size=(32, 32)), 2.0, seed=seed).samples
+    pyr = haar_dwt_analyze(y, 1, dof=2.0)
+    w, s, kj = pyr.detail[0]["hh"], pyr.smooth_levels[0], pyr.dof(1)
+    theta, a, value = cureshrink_subband(w, s, kj)
+    ev = cureshrink_evaluation(w, s, a)
+    assert value == cure_subband(w, s, kj, ev)
+    np.testing.assert_array_equal(theta, ev.theta)
+
+
+def test_cureshrink_subband_value_when_a_grid_point_wins():
+    # an objective minimal only at a = 0 exactly: golden-section refinement
+    # of the cell [0, GRID_STEP] cannot reach it, so the grid point and its
+    # value must both be returned
+    y = sample_chi2(np.full((16, 16), 10.0), 2.0, seed=4).samples
+    pyr = haar_dwt_analyze(y, 1, dof=2.0)
+
+    def spike(a, ev):
+        return 0.0 if a == 0.0 else 1.0 + a
+
+    _, a, value = cureshrink_subband(pyr.detail[0]["hh"], pyr.smooth_levels[0],
+                                     pyr.dof(1), objective=spike)
+    assert (a, value) == (0.0, 0.0)
 
 
 # --------------------------------------------------------- uwt denoiser
@@ -525,13 +528,13 @@ def test_uwt_fit_matches_filterbank_evaluator(transform, sigma):
              "mixed": [haar_uwt_bank(3), bdct8_bank()]}[transform]
     bank = FilterBank(transform, [band for b in banks for band in b.bands])
     bank_names = [b.name for b in banks for _ in b.bands]
-    family = pointwise_let_family(bank, bank.analyze(y),
-                                  bank.analyze_variance(y), K)
-    keys = [f"{bank_names[i]}/{label}"
-            for i, label in zip(family.band_index, family.labels)]
-    assert keys == list(report.per_band)
-    a = [report.per_band[key] for key in keys]
-    evs = combined_band_evaluations(family, a, len(bank.bands))
+
+    def reported_weights(atoms):
+        keys = [f"{bank_names[i]}/{label}" for i, label in atoms]
+        assert keys == list(report.per_band)
+        return [report.per_band[key] for key in keys]
+
+    evs = pointwise_let_evaluations(bank, y, K, reported_weights)
     assert report.cure == pytest.approx(
         cure_filterbank_divergence(y, K, evs, bank), rel=1e-10, abs=0.0)
     ref = bank.synthesize([ev.theta for ev in evs])
