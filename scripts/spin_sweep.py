@@ -12,17 +12,11 @@ import numpy as np
 from curelet.chi2model import reconstruct_magnitude, rescale_squared, sample_rician
 from curelet.pipeline import denoise_mr, make_phantom, psnr
 from curelet.shrinkage import haar_curelet_denoise
-from curelet.transforms import cycle_spin
 
 
 def spun_estimate(m, sigma, n_spins, J):
     noisy = rescale_squared(m, sigma)
-
-    def once(ys, Ks):
-        est, _ = haar_curelet_denoise(ys, Ks, J=J)
-        return est
-
-    xhat = cycle_spin(noisy.samples, noisy.dof, once, n_spins)
+    xhat, _ = haar_curelet_denoise(noisy.samples, noisy.dof, J=J, spins=n_spins)
     return reconstruct_magnitude(xhat, sigma)
 
 

@@ -53,7 +53,6 @@ from .transforms import (
     FilterBank,
     HaarPyramid,
     bdct8_bank,
-    cycle_spin,
     haar_uwt_bank,
     parent_field,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "cure_subband",
     "cureshrink_denoise",
     "cureshrink_subband",
-    "cycle_spin",
     "denoise_mr",
     "estimate_sigma_background",
     "format_csv",

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -125,119 +124,69 @@ def write_field(path, data, semantics: str) -> None:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-@dataclass
-class JobConfig:
-    """One resolved invocation; the union of every command's knobs."""
-
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    ref_path: str | None = None
-    mask_path: str | None = None
-    dump_path: str | None = None
-    method: str = "uwt-bdct"
-    sigma: float | str | None = None
-    lam: float = 0.5
-    levels: int = 3
-    seed: int = 0
-    lambda1: float | None = None
-    lambda2: float | None = None
-    phantom: str | None = None
-    size: int = 128
-    sigmas: tuple = ()
-    methods: tuple = ()
-    seeds: int = 10
-
-    def lambdas(self) -> tuple[float, float] | None:
-        if (self.lambda1 is None) != (self.lambda2 is None):
-            raise ConfigError("--lambda1 and --lambda2 must be given together")
-        if self.lambda1 is None:
-            return None
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ConfigError("--lambda1 and --lambda2 must be positive")
-        return (self.lambda1, self.lambda2)
+def _lambdas(args: argparse.Namespace) -> tuple[float, float] | None:
+    if (args.lambda1 is None) != (args.lambda2 is None):
+        raise ConfigError("--lambda1 and --lambda2 must be given together")
+    if args.lambda1 is None:
+        return None
+    if args.lambda1 <= 0 or args.lambda2 <= 0:
+        raise ConfigError("--lambda1 and --lambda2 must be positive")
+    return (args.lambda1, args.lambda2)
 
 
-def _require(value, flag: str) -> None:
-    if not value:
-        raise ConfigError(f"{flag} is required for this command")
-
-
-def _check_common(config: JobConfig) -> None:
-    if not 0.0 <= config.lam <= 1.0:
-        raise ConfigError("--lambda must lie in [0, 1]")
-    if config.levels < 1:
-        raise ConfigError("--levels must be at least 1")
-    if config.seed < 0:
-        raise ConfigError("--seed must be nonnegative")
-
-
-def _print_config(config: JobConfig, keys: tuple[str, ...]) -> None:
-    parts = [f"command={config.command}"]
-    parts += [f"{key}={getattr(config, key)}" for key in keys]
+def _print_config(args: argparse.Namespace, keys: tuple[str, ...]) -> None:
+    parts = [f"command={args.command}"]
+    parts += [f"{key}={getattr(args, key)}" for key in keys]
     print("config: " + " ".join(parts))
 
 
-def cmd_denoise(config: JobConfig) -> int:
-    _require(config.input_path, "--in")
-    _require(config.output_path, "--out")
-    _check_common(config)
-    lambdas = config.lambdas()
-    if config.sigma == "auto" and not config.mask_path:
+def cmd_denoise(args: argparse.Namespace) -> int:
+    lambdas = _lambdas(args)
+    if args.sigma == "auto" and not args.mask_path:
         raise ConfigError("--sigma auto requires --mask to locate background")
-    _print_config(config, ("input_path", "output_path", "method", "sigma",
-                           "mask_path", "lam", "levels", "lambda1", "lambda2"))
-    m = read_pgm(config.input_path)
-    mask = read_pgm(config.mask_path) if config.mask_path else None
+    _print_config(args, ("input_path", "output_path", "method", "sigma",
+                         "mask_path", "lam", "levels", "lambda1", "lambda2"))
+    m = read_pgm(args.input_path)
+    mask = read_pgm(args.mask_path) if args.mask_path else None
     start = time.perf_counter()
     try:
-        result = denoise_mr(m, sigma=config.sigma, method=config.method,
-                            lam=config.lam, J=config.levels, mask=mask,
+        result = denoise_mr(m, sigma=args.sigma, method=args.method,
+                            lam=args.lam, J=args.levels, mask=mask,
                             lambdas=lambdas)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not np.isfinite(result.estimate).all():
         raise RuntimeError("denoised image contains non-finite values")
-    write_pgm(config.output_path, result.estimate)
-    if config.dump_path:
-        write_field(config.dump_path, result.xhat, "squared-rescaled")
+    write_pgm(args.output_path, result.estimate)
+    if args.dump_path:
+        write_field(args.dump_path, result.xhat, "squared-rescaled")
     wall = time.perf_counter() - start
     print(f"sigma={result.sigma:.6g} method={result.method} "
           f"cure={result.cure:.6g} wall_s={wall:.3f}")
     return 0
 
 
-def cmd_simulate(config: JobConfig) -> int:
-    _require(config.output_path, "--out")
-    _check_common(config)
-    if config.ref_path and config.phantom:
-        raise ConfigError("give either --ref or --phantom, not both")
-    if not config.ref_path and not config.phantom:
-        raise ConfigError("simulate needs --ref or --phantom")
-    if not isinstance(config.sigma, float) or not config.sigma > 0:
-        raise ConfigError("--sigma must be a positive number for simulate")
-    _print_config(config, ("ref_path", "phantom", "size", "output_path",
-                           "sigma", "seed"))
-    if config.ref_path:
-        mu = read_pgm(config.ref_path)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    _print_config(args, ("ref_path", "phantom", "size", "output_path",
+                         "sigma", "seed"))
+    if args.ref_path:
+        mu = read_pgm(args.ref_path)
     else:
         try:
-            mu = make_phantom(config.phantom, config.size)
+            mu = make_phantom(args.phantom, args.size)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    m = sample_rician(mu, config.sigma, config.seed)
-    write_pgm(config.output_path, m)
-    print(f"wrote {config.output_path} sigma={config.sigma:.6g} "
-          f"seed={config.seed}")
+    m = sample_rician(mu, args.sigma, args.seed)
+    write_pgm(args.output_path, m)
+    print(f"wrote {args.output_path} sigma={args.sigma:.6g} "
+          f"seed={args.seed}")
     return 0
 
 
-def cmd_evaluate(config: JobConfig) -> int:
-    _require(config.input_path, "--est")
-    _require(config.ref_path, "--ref")
-    _print_config(config, ("input_path", "ref_path"))
-    est = read_pgm(config.input_path)
-    ref = read_pgm(config.ref_path)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    _print_config(args, ("input_path", "ref_path"))
+    est = read_pgm(args.input_path)
+    ref = read_pgm(args.ref_path)
     try:
         report = quality_report(est, ref)
     except ValueError as exc:
@@ -249,44 +198,41 @@ def cmd_evaluate(config: JobConfig) -> int:
     return 0
 
 
-def cmd_benchmark(config: JobConfig) -> int:
-    _require(config.output_path, "--out")
-    _check_common(config)
-    if config.seeds < 1:
-        raise ConfigError("--seeds must be at least 1")
+def cmd_benchmark(args: argparse.Namespace) -> int:
     protocol = ExperimentProtocol(
-        phantom=config.phantom or "shepp-logan",
-        size=config.size,
-        sigmas=config.sigmas or SIGMA_GRID,
-        methods=config.methods or METHODS,
-        seeds=tuple(range(config.seeds)),
-        lam=config.lam,
-        J=config.levels,
+        phantom=args.phantom,
+        size=args.size,
+        sigmas=args.sigmas or SIGMA_GRID,
+        methods=args.methods or METHODS,
+        seeds=tuple(range(args.seeds)),
+        lam=args.lam,
+        J=args.levels,
     )
     try:
         protocol.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _print_config(config, ("phantom", "size", "sigmas", "methods", "seeds",
-                           "lam", "levels", "output_path"))
-    rows = monte_carlo_experiment(protocol)
+    _print_config(args, ("phantom", "size", "sigmas", "methods", "seeds",
+                         "lam", "levels", "output_path"))
+    try:
+        rows = monte_carlo_experiment(protocol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     text = format_csv(rows)
     try:
-        Path(config.output_path).write_text(text)
+        Path(args.output_path).write_text(text)
     except OSError as exc:
-        raise DataError(f"cannot write {config.output_path}: {exc}") from exc
+        raise DataError(f"cannot write {args.output_path}: {exc}") from exc
     for method in protocol.methods:
         times = [row["runtime_s"] for row in rows if row["method"] == method]
         print(f"method={method} mean_runtime_s={float(np.mean(times)):.3f}")
     return 0
 
 
-def cmd_estimate_sigma(config: JobConfig) -> int:
-    _require(config.input_path, "--in")
-    _require(config.mask_path, "--mask")
-    _print_config(config, ("input_path", "mask_path"))
-    m = read_pgm(config.input_path)
-    mask = read_pgm(config.mask_path) != 0
+def cmd_estimate_sigma(args: argparse.Namespace) -> int:
+    _print_config(args, ("input_path", "mask_path"))
+    m = read_pgm(args.input_path)
+    mask = read_pgm(args.mask_path) != 0
     try:
         sigma = estimate_sigma_background(m, mask)
     except ValueError as exc:
@@ -314,6 +260,27 @@ def _sigma_flag(text: str):
             f"expected a number or 'auto', got {text!r}")
 
 
+def _checked(convert, ok, need: str):
+    """argparse type: convert(text), rejected unless ok(value); need says what ok asks."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {need}, got {text!r}")
+        return value
+
+    return parse
+
+
+_BLEND = _checked(float, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "be at least 1")
+_PATH = _checked(str, bool, "name a file")
+
+
 def _float_tuple(text: str) -> tuple:
     try:
         return tuple(float(tok) for tok in text.split(",") if tok)
@@ -332,17 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     dn = sub.add_parser("denoise", help="denoise a magnitude PGM image")
-    dn.add_argument("--in", dest="input_path", required=True, metavar="PGM",
+    dn.add_argument("--in", dest="input_path", type=_PATH, required=True, metavar="PGM",
                     help="noisy magnitude image, 16-bit binary PGM")
-    dn.add_argument("--out", dest="output_path", required=True, metavar="PGM")
+    dn.add_argument("--out", dest="output_path", type=_PATH, required=True,
+                    metavar="PGM")
     dn.add_argument("--sigma", type=_sigma_flag, default="auto",
                     help="noise level, or 'auto' to fit it on --mask")
     dn.add_argument("--mask", dest="mask_path", metavar="PGM",
                     help="background mask, nonzero pixels are signal-free")
     dn.add_argument("--method", choices=METHODS, default="uwt-bdct")
-    dn.add_argument("--lambda", dest="lam", type=float, default=0.5,
+    dn.add_argument("--lambda", dest="lam", type=_BLEND, default=0.5,
                     help="negative-estimate blend: 0 clips, 1 reflects")
-    dn.add_argument("--levels", type=int, default=3,
+    dn.add_argument("--levels", type=_AT_LEAST_ONE, default=3,
                     help="decomposition depth")
     dn.add_argument("--lambda1", type=float, help="first atom shape override")
     dn.add_argument("--lambda2", type=float, help="second atom shape override")
@@ -351,22 +319,26 @@ def build_parser() -> argparse.ArgumentParser:
                          "float32 raw with a JSON sidecar")
 
     sim = sub.add_parser("simulate", help="draw a noisy magnitude image")
-    src = sim.add_mutually_exclusive_group()
-    src.add_argument("--ref", dest="ref_path", metavar="PGM",
+    src = sim.add_mutually_exclusive_group(required=True)
+    src.add_argument("--ref", dest="ref_path", type=_PATH, metavar="PGM",
                      help="clean reference image")
     src.add_argument("--phantom", choices=("shepp-logan", "piecewise",
                                            "constant"))
     sim.add_argument("--size", type=int, default=128,
                      help="phantom side length")
-    sim.add_argument("--sigma", type=_sigma_flag, required=True)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--out", dest="output_path", required=True,
+    sim.add_argument("--sigma", required=True,
+                     type=_checked(float, lambda v: v > 0, "be a positive number"))
+    sim.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "be nonnegative"),
+                     default=0)
+    sim.add_argument("--out", dest="output_path", type=_PATH, required=True,
                      metavar="PGM")
 
     ev = sub.add_parser("evaluate", help="score an estimate against a "
                                          "reference")
-    ev.add_argument("--est", dest="input_path", required=True, metavar="PGM")
-    ev.add_argument("--ref", dest="ref_path", required=True, metavar="PGM")
+    ev.add_argument("--est", dest="input_path", type=_PATH, required=True,
+                    metavar="PGM")
+    ev.add_argument("--ref", dest="ref_path", type=_PATH, required=True,
+                    metavar="PGM")
 
     bm = sub.add_parser("benchmark", help="phantom sweep over methods and "
                                           "noise levels")
@@ -377,32 +349,28 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated noise levels")
     bm.add_argument("--methods", type=_name_tuple, default=(),
                     help="comma-separated method names")
-    bm.add_argument("--seeds", type=int, default=10,
+    bm.add_argument("--seeds", type=_AT_LEAST_ONE, default=10,
                     help="number of noise realizations per cell")
-    bm.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    bm.add_argument("--levels", type=int, default=3)
-    bm.add_argument("--out", dest="output_path", required=True, metavar="CSV")
+    bm.add_argument("--lambda", dest="lam", type=_BLEND, default=0.5)
+    bm.add_argument("--levels", type=_AT_LEAST_ONE, default=3)
+    bm.add_argument("--out", dest="output_path", type=_PATH, required=True,
+                    metavar="CSV")
 
     es = sub.add_parser("estimate-sigma", help="fit the noise level on a "
                                                "background mask")
-    es.add_argument("--in", dest="input_path", required=True, metavar="PGM")
-    es.add_argument("--mask", dest="mask_path", required=True, metavar="PGM")
+    es.add_argument("--in", dest="input_path", type=_PATH, required=True,
+                    metavar="PGM")
+    es.add_argument("--mask", dest="mask_path", type=_PATH, required=True,
+                    metavar="PGM")
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    values = {f.name: getattr(args, f.name) for f in fields(JobConfig)
-              if hasattr(args, f.name)}
-    return JobConfig(**values)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        return HANDLERS[config.command](config)
+        return HANDLERS[args.command](args)
     except SystemExit as exc:
         # argparse --help lands here; error() no longer raises it
         return exc.code if isinstance(exc.code, int) else 0

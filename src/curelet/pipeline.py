@@ -25,7 +25,6 @@ from .chi2model import (
     sample_rician,
 )
 from .shrinkage import haar_curelet_denoise, uwt_curelet_denoise
-from .transforms import cycle_spin
 
 __all__ = [
     "ImageBuffer",
@@ -275,32 +274,6 @@ class DenoiseResult:
         return np.asarray(self.estimate, dtype=dtype)
 
 
-def _run_method(y: np.ndarray, K: float, method: str, J: int,
-                lambdas=None) -> tuple[np.ndarray, float]:
-    """(x-domain estimate, its cure); haar-cs16 reports the mean spin risk."""
-    kw = {"J": J}
-    if lambdas is not None:
-        kw["lambdas"] = lambdas
-    if method == "haar-cs1":
-        est, rep = haar_curelet_denoise(y, K, **kw)
-        return est, rep.cure
-    if method == "haar-cs16":
-        cures = []
-
-        def spin_once(ys, Ks):
-            est, rep = haar_curelet_denoise(ys, Ks, **kw)
-            cures.append(rep.cure)
-            return est
-
-        est = cycle_spin(y, K, spin_once, 16)
-        return est, float(np.mean(cures))
-    if method in ("uwt", "uwt-bdct"):
-        transform = "haar-uwt" if method == "uwt" else "mixed"
-        est, rep = uwt_curelet_denoise(y, K, transform=transform, **kw)
-        return est, rep.cure
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
 def denoise_mr(m, sigma="auto", method: str = "uwt-bdct", lam: float = 0.5,
                J: int = 3, mask=None, lambdas=None) -> DenoiseResult:
     """Denoise a magnitude MR image under the squared-chi-square model.
@@ -310,7 +283,8 @@ def denoise_mr(m, sigma="auto", method: str = "uwt-bdct", lam: float = 0.5,
     The x-domain estimate runs through the chosen risk-optimized method
     and comes back as magnitudes via the lambda-blended square root.
     lambdas overrides the method's atom shape pair, (3, 9) by default for
-    the filterbank families and the joint inter-scale one alike.
+    the filterbank families and the joint inter-scale one alike. cure is
+    the method's risk estimate; haar-cs16 reports its mean spin risk.
     """
     m = _as_image(m)
     if method not in METHODS:
@@ -329,10 +303,16 @@ def denoise_mr(m, sigma="auto", method: str = "uwt-bdct", lam: float = 0.5,
     start = time.perf_counter()
     noisy = rescale_squared(m, sigma)
     y = noisy.samples.reshape(m.shape)
-    xhat, cure = _run_method(y, noisy.dof, method, J, lambdas)
+    kw = {"J": J} if lambdas is None else {"J": J, "lambdas": lambdas}
+    if method in ("haar-cs1", "haar-cs16"):
+        xhat, report = haar_curelet_denoise(
+            y, noisy.dof, spins=16 if method == "haar-cs16" else 1, **kw)
+    else:
+        xhat, report = uwt_curelet_denoise(
+            y, noisy.dof, transform="haar-uwt" if method == "uwt" else "mixed", **kw)
     estimate = reconstruct_magnitude(xhat, sigma, lam)
     return DenoiseResult(estimate=estimate, xhat=np.asarray(xhat),
-                         sigma=sigma, method=method, cure=float(cure),
+                         sigma=sigma, method=method, cure=float(report.cure),
                          runtime_s=time.perf_counter() - start)
 
 
@@ -365,7 +345,10 @@ class ExperimentProtocol:
 
 def _max_workers(n_jobs: int) -> int:
     cap = os.environ.get("CURE_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
+    try:
+        limit = int(cap) if cap else (os.cpu_count() or 1)
+    except ValueError:
+        raise ValueError(f"CURE_THREADS must be an integer, got {cap!r}") from None
     return max(1, min(n_jobs, limit))
 
 

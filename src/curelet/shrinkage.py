@@ -18,7 +18,7 @@ Three denoisers:
   Haar DWT, threshold = a * sqrt(s) with scalar a picked by risk search.
 * haar_curelet_denoise: per-subband 8-atom expansion mixing the
   coefficient's pointwise keep factor, its parent's smoothed local
-  energy, and the parent predictor itself.
+  energy, and the parent predictor itself, optionally cycle-spun.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from .risk import (
     cure_subband,
 )
 from .transforms import (
+    SPIN_COUNTS,
+    SPIN_SHIFTS,
     bdct8_bank,
     haar_dwt_analyze,
     haar_dwt_synthesize,
@@ -501,7 +503,11 @@ def _denoise_pyramid(y: np.ndarray, K: float, J: int, subband_fn):
 
 
 def cureshrink_denoise(y, K: float, J: int = 3):
-    """Soft-threshold every detail subband with its risk-picked scale."""
+    """Soft-threshold every detail subband with its risk-picked scale.
+
+    For a shape that is not a multiple of 2^J, cure is the risk of the
+    periodically padded field, not of the cropped estimate returned.
+    """
 
     def fn(w, s, kj, orient):
         theta, _, risk = cureshrink_subband(w, s, kj)
@@ -510,7 +516,7 @@ def cureshrink_denoise(y, K: float, J: int = 3):
     return _denoise_pyramid(y, K, J, fn)
 
 
-def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=JOINT_LAMBDAS):
+def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=JOINT_LAMBDAS, spins: int = 1):
     """Per-subband 8-atom inter-/intra-scale expansion, weights by risk.
 
     Each detail subband is its own expansion fitted by _fit_expansion.
@@ -519,7 +525,17 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=JOINT_LAMBDAS):
     cure_subband: the coefficient is its own band and s doubles as the
     variance channel. The lowpass is unbiased by its accumulated dof
     (4^J K in 2-D).
+
+    spins (one of SPIN_COUNTS) cycle-spins the pyramid: y is rolled
+    periodically by each of the first spins shifts of SPIN_SHIFTS,
+    denoised, rolled back, and the estimates are averaged. The report's
+    cure is then the mean of the per-spin risks and per_band the per-key
+    mean, which is not the risk of the averaged estimate. For a shape
+    that is not a multiple of 2^J, each pass's cure is the risk of the
+    periodically padded field, not of the cropped estimate returned.
     """
+    if spins not in SPIN_COUNTS:
+        raise ValueError(f"spins must be one of {SPIN_COUNTS}, got {spins!r}")
 
     def fn(w, s, kj, orient):
         atoms = joint_let_atoms(w, s, parent_field(s, orient), lambdas=lambdas)
@@ -529,4 +545,16 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=JOINT_LAMBDAS):
             np.array([atom_divergence(fields, ev) for ev in atoms]), fields.z1)
         return theta.reshape(w.shape), risk
 
-    return _denoise_pyramid(y, K, J, fn)
+    y = np.asarray(y, dtype=np.float64)
+    axes = tuple(range(y.ndim))
+    out = np.zeros_like(y)
+    reports = []
+    for shift in SPIN_SHIFTS[:spins]:
+        sh = shift[: y.ndim]
+        est, report = _denoise_pyramid(np.roll(y, sh, axis=axes), K, J, fn)
+        out += np.roll(est, tuple(-v for v in sh), axis=axes)
+        reports.append(report)
+    per_band = {key: float(np.mean([r.per_band[key] for r in reports]))
+                for key in reports[0].per_band}
+    return out / spins, RiskReport(cure=float(np.mean([r.cure for r in reports])),
+                                   per_band=per_band)

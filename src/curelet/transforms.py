@@ -31,8 +31,8 @@ __all__ = [
     "haar_dwt_analyze",
     "haar_dwt_synthesize",
     "parent_field",
-    "cycle_spin",
     "SPIN_SHIFTS",
+    "SPIN_COUNTS",
 ]
 
 
@@ -87,7 +87,8 @@ class FilterBank:
     def _check_size(self, shape) -> None:
         support = np.max([b.taps.shape for b in self.bands], axis=0)
         if any(s < t for s, t in zip(shape, support)):
-            raise ValueError(f"image shape {shape} smaller than filter support {tuple(support)}")
+            raise ValueError(f"image shape {shape} smaller than filter support "
+                             f"{tuple(support.tolist())}")
         if len(shape) != self.bands[0].taps.ndim:
             raise ValueError("image dimensionality does not match the band taps")
 
@@ -346,22 +347,5 @@ SPIN_SHIFTS: tuple = tuple(
     + [(a, b) for a in range(4) for b in range(4) if a != b]
 )
 
-_VALID_SPINS = (1, 4, 8, 16)
-
-
-def cycle_spin(y: np.ndarray, K: float, denoiser, n_spins: int) -> np.ndarray:
-    """Average a shift-variant denoiser over a fixed list of input shifts.
-
-    denoiser(y_shifted, K) -> estimate array. Each spin shifts the input
-    periodically, denoises, unshifts, and the results are averaged.
-    """
-    if n_spins not in _VALID_SPINS:
-        raise ValueError(f"n_spins must be one of {_VALID_SPINS}")
-    y = np.asarray(y, dtype=np.float64)
-    axes = tuple(range(y.ndim))
-    out = np.zeros_like(y)
-    for shift in SPIN_SHIFTS[:n_spins]:
-        sh = shift[: y.ndim]
-        est = denoiser(np.roll(y, sh, axis=axes), K)
-        out += np.roll(est, tuple(-v for v in sh), axis=axes)
-    return out / n_spins
+# Spin counts a cycle-spun denoiser accepts: prefixes of SPIN_SHIFTS.
+SPIN_COUNTS = (1, 4, 8, 16)

@@ -1,12 +1,13 @@
 """Command-line contract: file formats, flag validation, exit codes."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from curelet.chi2model import sample_rician
-from curelet.cli import main, read_pgm, write_pgm
+from curelet.cli import build_parser, main, read_pgm, write_pgm
 from curelet.pipeline import make_phantom, psnr
 
 
@@ -296,3 +297,64 @@ def test_benchmark_rejects_out_of_grid_sigma(tmp_path, capsys):
                str(tmp_path / "b.csv"))
     assert code == 1
     capsys.readouterr()
+
+
+def test_benchmark_maps_a_rejected_protocol_to_a_config_error(tmp_path, capsys):
+    # seven Haar levels need a 128x128 support, more than a 64x64 phantom has
+    code = run("benchmark", "--size", "64", "--levels", "7", "--methods", "uwt",
+               "--seeds", "1", "--sigmas", "10", "--out", str(tmp_path / "b.csv"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "(128, 128)" in err
+
+
+def test_benchmark_rejects_a_non_integer_thread_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CURE_THREADS", "two")
+    code = run("benchmark", "--size", "64", "--methods", "haar-cs1",
+               "--seeds", "1", "--sigmas", "10", "--out", str(tmp_path / "b.csv"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "CURE_THREADS" in err
+
+
+# -------------------------------------------------------------- flag surface
+
+SUBCOMMAND_OPTIONS = {
+    "denoise": {"--in", "--out", "--sigma", "--mask", "--method", "--lambda",
+                "--levels", "--lambda1", "--lambda2", "--dump-x"},
+    "simulate": {"--ref", "--phantom", "--size", "--sigma", "--seed", "--out"},
+    "evaluate": {"--est", "--ref"},
+    "benchmark": {"--phantom", "--size", "--sigmas", "--methods", "--seeds",
+                  "--lambda", "--levels", "--out"},
+    "estimate-sigma": {"--in", "--mask"},
+}
+
+
+def test_each_subcommand_accepts_its_pinned_flags():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    found = {name: {opt for action in parser._actions for opt in action.option_strings}
+             - {"-h", "--help"}
+             for name, parser in sub.choices.items()}
+    assert found == SUBCOMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (("denoise", "--in", "in.pgm", "--out", "out.pgm", "--sigma", "20",
+      "--levels", "0"), ("--levels",)),
+    (("benchmark", "--seeds", "0", "--out", "b.csv"), ("--seeds",)),
+    (("simulate", "--phantom", "constant", "--sigma", "20", "--seed", "-1",
+      "--out", "out.pgm"), ("--seed",)),
+    (("simulate", "--sigma", "20", "--out", "out.pgm"), ("--ref", "--phantom")),
+    (("denoise", "--in", "", "--out", "out.pgm", "--sigma", "20"), ("--in",)),
+], ids=["levels-0", "seeds-0", "seed-negative", "simulate-without-source", "empty-path"])
+def test_out_of_range_flags_are_config_errors_naming_the_flag(argv, flags, tmp_path,
+                                                              monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    for flag in flags:
+        assert flag in err

@@ -34,6 +34,8 @@ from curelet.shrinkage import (
     uwt_curelet_denoise,
 )
 from curelet.transforms import (
+    SPIN_COUNTS,
+    SPIN_SHIFTS,
     FilterBank,
     bdct8_bank,
     haar_dwt_analyze,
@@ -614,6 +616,32 @@ def test_pyramid_denoisers_reject_negative_data():
         cureshrink_denoise(-np.ones((8, 8)), 2.0)
     with pytest.raises(ValueError):
         haar_curelet_denoise(-np.ones((8, 8)), 2.0)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (64,)], ids=["2d", "1d"])
+@pytest.mark.parametrize("spins", SPIN_COUNTS)
+def test_haar_spins_average_the_rolled_passes(shape, spins):
+    # the spun average written out: roll y, denoise once, roll back; exact
+    # equality also catches a wrong roll sign
+    x = rng_of(spins).uniform(0.0, 60.0, size=shape)
+    y = sample_chi2(x, 2.0, seed=spins).samples.reshape(shape)
+    axes = tuple(range(y.ndim))
+    out, cures, bands = np.zeros_like(y), [], []
+    for shift in SPIN_SHIFTS[:spins]:
+        sh = shift[:y.ndim]
+        est, report = haar_curelet_denoise(np.roll(y, sh, axis=axes), 2.0, J=2)
+        out += np.roll(est, tuple(-v for v in sh), axis=axes)
+        cures.append(report.cure)
+        bands.append(report.per_band)
+    est, report = haar_curelet_denoise(y, 2.0, J=2, spins=spins)
+    assert np.array_equal(est, out / spins)
+    assert report.cure == np.mean(cures)
+    assert report.per_band == {k: np.mean([b[k] for b in bands]) for k in bands[0]}
+
+
+def test_haar_spins_must_prefix_the_shift_schedule():
+    with pytest.raises(ValueError, match="spins"):
+        haar_curelet_denoise(np.ones((8, 8)), 2.0, J=1, spins=3)
 
 
 def test_haar_denoise_report_structure():

@@ -217,27 +217,6 @@ def test_parent_field_orientations():
         tr.parent_field(s, "xx")
 
 
-def test_cycle_spin_single_is_plain():
-    rng = np.random.default_rng(4)
-    y = rng.uniform(1, 10, size=(8, 8))
-    denoise = lambda z, K: z * 0.5
-    np.testing.assert_allclose(tr.cycle_spin(y, 2, denoise, 1), denoise(y, 2))
-
-
-def test_cycle_spin_shift_invariant_denoiser():
-    rng = np.random.default_rng(9)
-    y = rng.uniform(1, 10, size=(8, 8))
-    denoise = lambda z, K: z - z.mean()  # commutes with periodic shifts
-    base = tr.cycle_spin(y, 2, denoise, 1)
-    for n in (4, 8, 16):
-        np.testing.assert_allclose(tr.cycle_spin(y, 2, denoise, n), base, atol=1e-12)
-
-
-def test_cycle_spin_rejects_bad_count():
-    with pytest.raises(ValueError):
-        tr.cycle_spin(np.ones((8, 8)), 2, lambda z, K: z, 3)
-
-
 def test_spin_shift_schedule():
     assert tr.SPIN_SHIFTS[:4] == ((0, 0), (1, 1), (2, 2), (3, 3))
     assert len(tr.SPIN_SHIFTS) == 16
