@@ -23,6 +23,8 @@ Three denoisers:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from scipy import ndimage
 
@@ -37,6 +39,7 @@ from .risk import (
 from .transforms import (
     SPIN_COUNTS,
     SPIN_SHIFTS,
+    _pad_to_multiple,
     bdct8_bank,
     haar_dwt_analyze,
     haar_dwt_synthesize,
@@ -211,6 +214,13 @@ def _live_atoms(energies: np.ndarray, data_energy: float) -> np.ndarray:
     return energies > 1e-12 * scale
 
 
+def _nonnegative(y) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    if (y < 0).any():
+        raise ValueError("squared-magnitude data must be nonnegative")
+    return y
+
+
 def _fit_expansion(rows: np.ndarray, target: np.ndarray, div: np.ndarray,
                    half: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Risk-optimal weights of a linear expansion and the risk at them.
@@ -263,9 +273,7 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
     system. The report's per_band maps "<bank>/<atom label>" to the atom's
     weight.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if (y < 0).any():
-        raise ValueError("squared-magnitude data must be nonnegative")
+    y = _nonnegative(y)
     names = {"haar-uwt", "bdct", "mixed"}
     if transform not in names:
         raise ValueError(f"transform must be one of {sorted(names)}")
@@ -471,14 +479,12 @@ def joint_let_atoms(w, s, p, lambdas=JOINT_LAMBDAS, deltas=None) -> list:
 def _denoise_pyramid(y: np.ndarray, K: float, J: int, subband_fn):
     """Shared pyramid loop: process details, unbias the lowpass, invert.
 
-    subband_fn(w, s, K_j, orientation) -> (theta, per-coefficient risk).
+    subband_fn(w, s, K_j, orientation, j) -> (theta, per-coefficient risk)
+    for a level-j subband of y, which the caller has checked nonnegative.
     The report's total risk recombines subband risks with the synthesis
     energy weights (each 2-D level carries 1/4 of the finer level's
     energy) plus the unbiased lowpass error estimate 4 sum(s - K_J/2).
     """
-    y = np.asarray(y, dtype=np.float64)
-    if (y < 0).any():
-        raise ValueError("squared-magnitude data must be nonnegative")
     pyr = haar_dwt_analyze(y, J, dof=K)
     branch = 4.0 if pyr.ndim == 2 else 2.0
     per_band = {}
@@ -487,7 +493,7 @@ def _denoise_pyramid(y: np.ndarray, K: float, J: int, subband_fn):
         s = pyr.smooth_levels[j - 1]
         kj = pyr.dof(j)
         for orient, w in list(pyr.detail[j - 1].items()):
-            theta, risk_j = subband_fn(w, s, kj, orient)
+            theta, risk_j = subband_fn(w, s, kj, orient, j)
             pyr.detail[j - 1][orient] = theta
             per_band[f"{orient}{j}"] = risk_j
             total_sse += branch ** -j * w.size * risk_j
@@ -509,11 +515,11 @@ def cureshrink_denoise(y, K: float, J: int = 3):
     periodically padded field, not of the cropped estimate returned.
     """
 
-    def fn(w, s, kj, orient):
+    def fn(w, s, kj, orient, j):
         theta, _, risk = cureshrink_subband(w, s, kj)
         return theta, risk
 
-    return _denoise_pyramid(y, K, J, fn)
+    return _denoise_pyramid(_nonnegative(y), K, J, fn)
 
 
 def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=JOINT_LAMBDAS, spins: int = 1):
@@ -526,35 +532,45 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=JOINT_LAMBDAS, spins: 
     variance channel. The lowpass is unbiased by its accumulated dof
     (4^J K in 2-D).
 
-    spins (one of SPIN_COUNTS) cycle-spins the pyramid: y is rolled
-    periodically by each of the first spins shifts of SPIN_SHIFTS,
-    denoised, rolled back, and the estimates are averaged. The report's
-    cure is then the mean of the per-spin risks and per_band the per-key
-    mean, which is not the risk of the averaged estimate. For a shape
-    that is not a multiple of 2^J, each pass's cure is the risk of the
-    periodically padded field, not of the cropped estimate returned.
+    spins (one of SPIN_COUNTS) cycle-spins the pyramid: y is padded
+    periodically to a multiple of 2^J once, that padded field is rolled by
+    each distinct shift among SPIN_SHIFTS[:spins] (truncated to y's axes),
+    denoised and rolled back, and the cropped average is returned. cure
+    is the mean of the per-spin risks (of the padded field, for a shape
+    that is not a multiple of 2^J) and per_band the per-key mean; neither
+    is the risk of the averaged, cropped estimate. Level-1 fits are shared
+    by shift residue: the level-1 subbands of shift r + 2q (r = shift mod
+    2) are those of shift r rolled by q, and the whole fit is periodic.
     """
     if spins not in SPIN_COUNTS:
         raise ValueError(f"spins must be one of {SPIN_COUNTS}, got {spins!r}")
+    level1 = {}  # (r, orientation) -> (level-1 theta of shift r, its risk)
 
-    def fn(w, s, kj, orient):
+    def fn(w, s, kj, orient, j, r, q):
+        if j == 1 and (r, orient) in level1:
+            theta, risk = level1[r, orient]
+            return np.roll(theta, q, axis=axes), risk
         atoms = joint_let_atoms(w, s, parent_field(s, orient), lambdas=lambdas)
         fields = BandDivergenceFields.of_subband(w, s, kj)
         _, theta, risk = _fit_expansion(
             np.stack([ev.theta.ravel() for ev in atoms]), w.ravel(),
             np.array([atom_divergence(fields, ev) for ev in atoms]), fields.z1)
-        return theta.reshape(w.shape), risk
+        theta = theta.reshape(w.shape)
+        if j == 1:
+            level1[r, orient] = np.roll(theta, [-v for v in q], axis=axes), risk
+        return theta, risk
 
-    y = np.asarray(y, dtype=np.float64)
+    y = _nonnegative(y)
     axes = tuple(range(y.ndim))
-    out = np.zeros_like(y)
-    reports = []
-    for shift in SPIN_SHIFTS[:spins]:
-        sh = shift[: y.ndim]
-        est, report = _denoise_pyramid(np.roll(y, sh, axis=axes), K, J, fn)
+    yp = _pad_to_multiple(y, 2 ** J)
+    shifts = list(dict.fromkeys(shift[: y.ndim] for shift in SPIN_SHIFTS[:spins]))
+    out, reports = np.zeros_like(yp), []
+    for sh in shifts:
+        r, q = tuple(v % 2 for v in sh), tuple(v // 2 for v in sh)
+        est, report = _denoise_pyramid(np.roll(yp, sh, axis=axes), K, J, partial(fn, r=r, q=q))
         out += np.roll(est, tuple(-v for v in sh), axis=axes)
         reports.append(report)
-    per_band = {key: float(np.mean([r.per_band[key] for r in reports]))
+    per_band = {key: float(np.mean([rep.per_band[key] for rep in reports]))
                 for key in reports[0].per_band}
-    return out / spins, RiskReport(cure=float(np.mean([r.cure for r in reports])),
-                                   per_band=per_band)
+    return out[tuple(map(slice, y.shape))] / len(shifts), RiskReport(
+        cure=float(np.mean([rep.cure for rep in reports])), per_band=per_band)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curelet import shrinkage
 from curelet.chi2model import (
     rescale_squared,
     reconstruct_magnitude,
@@ -618,25 +619,97 @@ def test_pyramid_denoisers_reject_negative_data():
         haar_curelet_denoise(-np.ones((8, 8)), 2.0)
 
 
-@pytest.mark.parametrize("shape", [(16, 16), (64,)], ids=["2d", "1d"])
-@pytest.mark.parametrize("spins", SPIN_COUNTS)
-def test_haar_spins_average_the_rolled_passes(shape, spins):
-    # the spun average written out: roll y, denoise once, roll back; exact
-    # equality also catches a wrong roll sign
-    x = rng_of(spins).uniform(0.0, 60.0, size=shape)
-    y = sample_chi2(x, 2.0, seed=spins).samples.reshape(shape)
+def spun_passes(y, spins):
+    """The spun average written out: roll y by each distinct shift of
+    SPIN_SHIFTS[:spins] truncated to y's axes, denoise once, roll back.
+    Returns the average and each pass's cure and per_band."""
     axes = tuple(range(y.ndim))
+    shifts = {shift[:y.ndim] for shift in SPIN_SHIFTS[:spins]}
     out, cures, bands = np.zeros_like(y), [], []
-    for shift in SPIN_SHIFTS[:spins]:
-        sh = shift[:y.ndim]
+    for sh in shifts:
         est, report = haar_curelet_denoise(np.roll(y, sh, axis=axes), 2.0, J=2)
         out += np.roll(est, tuple(-v for v in sh), axis=axes)
         cures.append(report.cure)
         bands.append(report.per_band)
+    return out / len(shifts), cures, bands
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def noisy_uniform(shape, seed):
+    x = rng_of(seed).uniform(0.0, 60.0, size=shape)
+    return sample_chi2(x, 2.0, seed=seed).samples.reshape(shape)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (64,)], ids=["2d", "1d"])
+@pytest.mark.parametrize("spins", SPIN_COUNTS)
+def test_haar_spins_average_the_rolled_passes(shape, spins):
+    # shared level-1 fits are roll-equivariant up to rounding; a wrong roll
+    # sign would be an O(1) error
+    y = noisy_uniform(shape, spins)
+    out, cures, bands = spun_passes(y, spins)
     est, report = haar_curelet_denoise(y, 2.0, J=2, spins=spins)
-    assert np.array_equal(est, out / spins)
-    assert report.cure == np.mean(cures)
-    assert report.per_band == {k: np.mean([b[k] for b in bands]) for k in bands[0]}
+    assert_rel_close(est, out)
+    assert report.cure == pytest.approx(np.mean(cures), rel=1e-12, abs=0.0)
+    assert report.per_band == pytest.approx(
+        {k: np.mean([b[k] for b in bands]) for k in bands[0]}, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spins", [8, 16])
+def test_haar_1d_spins_weight_each_distinct_shift_once(spins):
+    # a 1-D schedule truncates to the four shifts 0..3, each counted once
+    y = noisy_uniform((64,), 5)
+    est4, report4 = haar_curelet_denoise(y, 2.0, J=2, spins=4)
+    est, report = haar_curelet_denoise(y, 2.0, J=2, spins=spins)
+    assert_rel_close(est, est4)
+    assert report.cure == pytest.approx(report4.cure, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spins", [4, 16])
+def test_haar_spins_cycle_one_padded_field(spins):
+    # a non-dyadic input is padded once and every spin rolls that padded
+    # field, so the result is the crop of the spun padded field
+    y = noisy_uniform((18, 14), 7)
+    yp = np.pad(y, [(0, 2), (0, 2)], mode="wrap")
+    out, cures, _ = spun_passes(yp, spins)
+    est, report = haar_curelet_denoise(y, 2.0, J=2, spins=spins)
+    assert_rel_close(est, out[:18, :14])
+    assert report.cure == pytest.approx(np.mean(cures), rel=1e-12, abs=0.0)
+
+
+def test_haar_single_pass_on_a_non_dyadic_shape_is_the_padded_crop():
+    y = noisy_uniform((18, 14), 7)
+    yp = np.pad(y, [(0, 2), (0, 2)], mode="wrap")
+    est, _ = haar_curelet_denoise(y, 2.0, J=2)
+    assert np.array_equal(est, haar_curelet_denoise(yp, 2.0, J=2)[0][:18, :14])
+
+
+def test_haar_spins_fit_each_level1_subband_once_per_shift_residue(monkeypatch):
+    # level 1 is fitted once per shift mod 2 and orientation, coarser levels
+    # once per spin
+    calls = []
+    atoms = shrinkage.joint_let_atoms
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return atoms(*args, **kwargs)
+
+    monkeypatch.setattr(shrinkage, "joint_let_atoms", counting)
+    haar_curelet_denoise(noisy_uniform((32, 32), 3), 2.0, J=3, spins=16)
+    assert len(calls) == 4 * 3 + 16 * 3 * 2
+    calls.clear()
+    haar_curelet_denoise(noisy_uniform((64,), 3), 2.0, J=2, spins=16)
+    assert len(calls) == 2 + 4
+
+
+def test_haar_spins_unroll_the_stored_level1_fit(monkeypatch):
+    # reversed, the schedule meets each shift residue first at q != 0
+    y = noisy_uniform((16, 16), 11)
+    out, _, _ = spun_passes(y, 16)
+    monkeypatch.setattr(shrinkage, "SPIN_SHIFTS", SPIN_SHIFTS[::-1])
+    assert_rel_close(haar_curelet_denoise(y, 2.0, J=2, spins=16)[0], out)
 
 
 def test_haar_spins_must_prefix_the_shift_schedule():
