@@ -270,8 +270,8 @@ class DenoiseResult:
     cure: float
     runtime_s: float
 
-    def __array__(self, dtype=None):
-        return np.asarray(self.estimate, dtype=dtype)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.estimate, dtype=dtype, copy=copy)
 
 
 def denoise_mr(m, sigma="auto", method: str = "uwt-bdct", lam: float = 0.5,

@@ -5,11 +5,13 @@ Every estimate is one expression, formed only in cure_expression:
 its unbiased target (y - K, or a Haar detail w), div the estimator's
 divergence and v the variance channel (y, or the scaling field s with
 K_j). A band's divergence dots theta's partials with five correlation
-fields (BandDivergenceFields), one atom at a time (atom_divergence). The
-fields have two layouts, one constructor each: of_band for a filterbank
-band (correlations of y with the taps to the powers 2..5, scaled by the
-synthesis gain; no operator matrices) and of_subband for a Haar DWT
-subband, whose s doubles as the variance channel: (s - K_j/2, w, w, w, s).
+fields (BandDivergenceFields): atom_divergence for one evaluated atom,
+shrinkage's fused keep-factor pass for all of a band's lambdas at once.
+The fields have two layouts, one constructor each: of_band for a
+filterbank band (correlations of y with the taps to the powers 2..5,
+scaled by the synthesis gain; no operator matrices) and of_subband for a
+Haar DWT subband, whose s doubles as the variance channel:
+(s - K_j/2, w, w, w, s).
 The LET denoisers in shrinkage fit their weights from per-atom
 divergences and score through the same expression. The evaluators score
 a given estimate and are the references the tests trust:

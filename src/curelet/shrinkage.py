@@ -216,6 +216,8 @@ def _live_atoms(energies: np.ndarray, data_energy: float) -> np.ndarray:
 
 def _nonnegative(y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
+    if not np.isfinite(y).all():
+        raise ValueError("squared-magnitude data must be finite")
     if (y < 0).any():
         raise ValueError("squared-magnitude data must be nonnegative")
     return y
@@ -242,20 +244,31 @@ def _fit_expansion(rows: np.ndarray, target: np.ndarray, div: np.ndarray,
 # ------------------------------------------------- filterbank LET denoiser
 
 
-def _band_atoms(band, w, wbar, K: float, lambdas):
-    """Labelled atoms of one band: (label, SubbandEvaluation) pairs.
+def _keep_factor_band(w, v, fields: BandDivergenceFields, lambdas):
+    """theta and divergence of let_atom_pointwise(w, v, lam), per lam.
 
-    A lowpass band gets one bias-removing atom, which synthesizes to the
-    unbiased lowpass of x (the band carries tap_sum * K of chi-square mean
-    per coefficient); a highpass band gets one keep-factor atom per lambda.
+    Every partial of u = 1 - 4 lam v / (w^2 + eps) is 4 lam times a
+    lam-free field, so div = sum(z1 g) + 4 lam sum(g' P) + 16 lam^2
+    sum(g'' Q), with P and Q formed once per band and one ramp per lam.
+    Returns (thetas stacked over lambdas, divergences), unchecked.
     """
-    if band.kind == "lowpass":
-        w = np.asarray(w, dtype=np.float64)
-        yield f"{band.label}:bias", SubbandEvaluation(
-            theta=w - band.tap_sum * K, d1=1.0, d2=0.0, d11=0.0, d22=0.0, d12=0.0)
-        return
-    for lam in lambdas:
-        yield f"{band.label}:l{lam:g}", let_atom_pointwise(w, wbar, lam)
+    w2 = w ** 2
+    eps = 1e-12 * (float(w2.mean()) + 1.0)  # let_atom_pointwise's default
+    iq = 1.0 / (w2 + eps)
+    r = v * iq  # u = 1 - 4 lam r
+    # _ramp_atom's partials with _keep_factor's u_w, u_v, u_ww, u_wv over 4 lam
+    # (2 r w iq, -iq, 2 r (eps - 3 w^2) iq^2, 2 w iq^2), grouped by field
+    wiq = w * iq
+    P = (2.0 * r * wiq * (fields.z1 * w - fields.z11 * (3.0 * eps - w2) * iq)
+         - fields.z2 * wiq - 2.0 * fields.z12 * (w2 - eps) * iq ** 2)
+    Q = -w * iq ** 2 * (4.0 * r ** 2 * w2 * fields.z11 + fields.z22 - 4.0 * r * w * fields.z12)
+    thetas, divs = np.empty((len(lambdas),) + w.shape), np.empty(len(lambdas))
+    for k, lam in enumerate(lambdas):
+        g, dg, d2g = _smooth_pos3(1.0 - 4.0 * lam * r, DEFAULT_BETA)
+        np.multiply(g, w, out=thetas[k])
+        divs[k] = (np.vdot(fields.z1, g) + 4.0 * lam * np.vdot(dg, P)
+                   + 16.0 * lam ** 2 * np.vdot(d2g, Q))
+    return thetas, divs
 
 
 def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
@@ -264,14 +277,16 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
 
     One walk over the bands of each bank. A band's correlations with its
     taps to the powers 1..5 are its coefficients, its variance channel
-    and (2..5) its divergence fields; its atoms are taken one at a time,
-    each reduced to its divergence with only its theta kept, and the
-    band's thetas are synthesized in one call into their rows of one
-    (atoms x pixels) matrix. Nothing else of the band outlives it.
+    and (2..5) its divergence fields. A lowpass band gets one bias atom,
+    w - tap_sum K, which synthesizes to the unbiased lowpass of x; a
+    highpass band gets one keep-factor atom per lambda, thetas and
+    divergences from one fused pass (_keep_factor_band). The band's
+    thetas are synthesized in one call into their rows of one
+    (atoms x pixels) matrix; nothing else of the band outlives it.
     _fit_expansion then solves the weights and scores the estimate of x.
     "mixed" pools the Haar-frame and block-DCT atoms into one joint
-    system. The report's per_band maps "<bank>/<atom label>" to the atom's
-    weight.
+    system. The report's per_band maps "<bank>/<band>:bias" and
+    "<bank>/<band>:l<lambda>" to the atom's weight.
     """
     y = _nonnegative(y)
     names = {"haar-uwt", "bdct", "mixed"}
@@ -282,22 +297,26 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
         banks.append(haar_uwt_bank(J, ndim=y.ndim))
     if transform in ("bdct", "mixed"):
         banks.append(bdct8_bank())
-    # one row per atom: _band_atoms gives a lowpass band 1, any other band one per lambda
     n_atoms = sum(1 if band.kind == "lowpass" else len(lambdas)
                   for bank in banks for band in bank.bands)
     rows = np.empty((n_atoms, y.size))
-    div, labels = [], []
+    div, labels = np.empty(n_atoms), []
     for bank in banks:
         for i, (band, corr) in enumerate(zip(bank.bands, bank.walk(y, range(1, 6)))):
             fields = BandDivergenceFields.of_band(band, K, corr[1:])
-            thetas = []
-            for label, ev in _band_atoms(band, corr[0], corr[1], K, lambdas):
-                div.append(atom_divergence(fields, ev))
-                labels.append(f"{bank.name}/{label}")
-                thetas.append(ev.theta)
-            rows[len(div) - len(thetas):len(div)] = bank.synthesize_band(
-                i, np.stack(thetas)).reshape(len(thetas), -1)
-    a, estimate, cure = _fit_expansion(rows, (y - K).ravel(), np.asarray(div), y - K / 2)
+            name = f"{bank.name}/{band.label}"
+            if band.kind == "lowpass":
+                thetas, band_div = (corr[0] - band.tap_sum * K)[None], [fields.z1.sum()]
+                labels.append(f"{name}:bias")
+            else:
+                thetas, band_div = _keep_factor_band(corr[0], corr[1], fields, lambdas)
+                if not np.isfinite(band_div).all():
+                    raise ValueError(f"divergence of band {name} is not finite")
+                labels.extend(f"{name}:l{lam:g}" for lam in lambdas)
+            at = slice(len(labels) - len(thetas), len(labels))
+            div[at] = band_div
+            rows[at] = bank.synthesize_band(i, thetas).reshape(len(thetas), -1)
+    a, estimate, cure = _fit_expansion(rows, (y - K).ravel(), div, y - K / 2)
     weights = {label: float(ak) for label, ak in zip(labels, a)}
     return estimate.reshape(y.shape), RiskReport(cure=cure, per_band=weights)
 

@@ -4,11 +4,12 @@ Two transform families back the denoisers:
 
 * Undecimated filterbanks (shift-invariant Haar wavelet frame, overlapping
   8x8 block DCT): every band is a periodic correlation of the image with a
-  small tap array anchored at offset zero, and synthesis is the adjoint
-  correlation scaled by a per-band gain. FilterBank owns the spectral
-  format (no other module calls numpy.fft): walk streams each band's
-  correlations with powers of its taps from one transform of the image,
-  and synthesize_band maps a stack of fields through one kernel spectrum.
+  small tap array anchored at offset zero, the outer product of 1-D
+  factors, and synthesis is the adjoint correlation scaled by a per-band
+  gain. FilterBank owns the spectral format (no other module calls
+  numpy.fft): walk streams each band's correlations with powers of its
+  taps from one transform of the image, and synthesize_band maps a stack
+  of fields through one kernel spectrum, an outer product of 1-D FFTs.
 * The unnormalized Haar DWT: critically sampled pairwise sums/differences
   whose scaling chain preserves the chi-square family (sums of independent
   chi-squares stay chi-square, doubling the dof per 1-D split).
@@ -19,6 +20,7 @@ Boundaries are periodic everywhere; the analysis operators are circulant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -36,30 +38,36 @@ __all__ = [
 ]
 
 
-def _tap_spectra(taps: np.ndarray, shape) -> np.ndarray:
-    """rfftn of tap arrays embedded at offset zero in a field of the given shape.
-
-    Leading axes of taps beyond len(shape) stack independent tap arrays.
-    """
-    axes = tuple(range(-len(shape), 0))
-    emb = np.zeros(taps.shape[: taps.ndim - len(shape)] + tuple(shape))
-    emb[(...,) + tuple(slice(0, s) for s in taps.shape[taps.ndim - len(shape):])] = taps
-    return np.fft.rfftn(emb, axes=axes)
+def _tap_spectra(factors, powers, shape) -> np.ndarray:
+    """rfftn of outer(*factors) ** p zero-embedded in a field of the given
+    shape, stacked over powers: the outer product of the 1-D spectra of
+    factors ** p (rfft along the last axis, fft along the others)."""
+    spectra = np.ones((len(powers),) + (1,) * len(shape))
+    for axis, (f, n) in enumerate(zip(factors, shape)):
+        fft = np.fft.rfft if axis == len(shape) - 1 else np.fft.fft
+        spec = fft(np.stack([f ** p for p in powers]), n=n)
+        spectra = spectra * np.expand_dims(spec, [1 + a for a in range(len(shape)) if a != axis])
+    return spectra
 
 
 @dataclass(frozen=True)
 class Band:
-    """One analysis band: tap array, synthesis gain, and metadata.
+    """One analysis band: 1-D tap factors, synthesis gain, and metadata.
 
-    The synthesis taps are ``synth_gain * taps`` (adjoint-scaled frame), so
+    The taps are the outer product of factors (one 1-D array per axis);
+    the synthesis taps are ``synth_gain * taps`` (adjoint-scaled frame), so
     a single gain per band fully describes the reconstruction side.
     """
 
-    taps: np.ndarray
+    factors: tuple
     synth_gain: float
     kind: str  # "lowpass" | "highpass"
     level: int
     label: str
+
+    @property
+    def taps(self) -> np.ndarray:
+        return reduce(np.multiply.outer, self.factors)
 
     @property
     def tap_sum(self) -> float:
@@ -74,8 +82,9 @@ class FilterBank:
     taps, and walk streams them: it transforms the image once and yields
     one band's stacked correlations at a time, so only the current band
     is alive. Synthesis convolves a coefficient field (or a stack of them)
-    with ``synth_gain * taps``; synthesize sums the bands. A bank holds
-    only its bands and caches nothing, so it is safe to share.
+    with ``synth_gain * taps``; synthesize sums the bands. Kernel spectra
+    come from the bands' 1-D factors (_tap_spectra). A bank holds only
+    its bands and caches nothing, so it is safe to share.
     """
 
     def __init__(self, name: str, bands):
@@ -105,7 +114,7 @@ class FilterBank:
         for band in self.bands:
             # no local holds the kernel spectra, so they are freed before the band is consumed
             yield np.fft.irfftn(
-                y_fft * np.conj(_tap_spectra(np.stack([band.taps ** p for p in powers]), y.shape)),
+                y_fft * np.conj(_tap_spectra(band.factors, powers, y.shape)),
                 s=y.shape, axes=range(-y.ndim, 0))
 
     def analyze(self, y: np.ndarray) -> list[np.ndarray]:
@@ -125,9 +134,9 @@ class FilterBank:
         along leading axes, all through one transform of the band's kernel."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
         band = self.bands[i]
-        shape = coeffs.shape[coeffs.ndim - band.taps.ndim:]
+        shape = coeffs.shape[coeffs.ndim - len(band.factors):]
         axes = range(-len(shape), 0)
-        kernel = _tap_spectra(band.synth_gain * band.taps, shape)
+        kernel = band.synth_gain * _tap_spectra(band.factors, (1,), shape)[0]
         return np.fft.irfftn(np.fft.rfftn(coeffs, axes=axes) * kernel, s=shape, axes=axes)
 
     def synthesize(self, coeffs: list[np.ndarray]) -> np.ndarray:
@@ -163,18 +172,18 @@ def haar_uwt_bank(levels: int, ndim: int = 2) -> FilterBank:
     details, low = _haar_cumulative_1d(levels)
     bands = []
     if ndim == 1:
-        bands.append(Band(low, 2.0 ** -levels, "lowpass", levels, "low"))
+        bands.append(Band((low,), 2.0 ** -levels, "lowpass", levels, "low"))
         for j, d in enumerate(details, start=1):
-            bands.append(Band(d, 2.0 ** -j, "highpass", j, f"d{j}"))
+            bands.append(Band((d,), 2.0 ** -j, "highpass", j, f"d{j}"))
     else:
         lows = [_haar_cumulative_1d(j)[1] for j in range(1, levels + 1)]
-        bands.append(Band(np.outer(low, low), 4.0 ** -levels, "lowpass", levels, "low"))
+        bands.append(Band((low, low), 4.0 ** -levels, "lowpass", levels, "low"))
         for j in range(1, levels + 1):
             d, l = details[j - 1], lows[j - 1]
             gain = 4.0 ** -j
-            bands.append(Band(np.outer(d, l), gain, "highpass", j, f"lh{j}"))
-            bands.append(Band(np.outer(l, d), gain, "highpass", j, f"hl{j}"))
-            bands.append(Band(np.outer(d, d), gain, "highpass", j, f"hh{j}"))
+            bands.append(Band((d, l), gain, "highpass", j, f"lh{j}"))
+            bands.append(Band((l, d), gain, "highpass", j, f"hl{j}"))
+            bands.append(Band((d, d), gain, "highpass", j, f"hh{j}"))
     return FilterBank(f"haar-uwt-J{levels}-{ndim}d", bands)
 
 
@@ -190,12 +199,12 @@ def bdct8_bank() -> FilterBank:
     basis = np.cos(np.pi * (2 * n[None, :] + 1) * n[:, None] / 16)
     basis[0] *= np.sqrt(1 / 8)
     basis[1:] *= np.sqrt(2 / 8)  # rows now orthonormal DCT-II vectors
-    bands = [Band(np.outer(basis[0], basis[0]), 1 / 64, "lowpass", 0, "dc")]
+    bands = [Band((basis[0], basis[0]), 1 / 64, "lowpass", 0, "dc")]
     for u in range(8):
         for v in range(8):
             if u == 0 and v == 0:
                 continue
-            bands.append(Band(np.outer(basis[u], basis[v]), 1 / 64, "highpass", 0, f"ac{u}{v}"))
+            bands.append(Band((basis[u], basis[v]), 1 / 64, "highpass", 0, f"ac{u}{v}"))
     return FilterBank("bdct8", bands)
 
 

@@ -1,5 +1,7 @@
 """Metric hand cases, phantom regressions, and end-to-end denoising runs."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,3 +327,18 @@ def test_format_csv_layout():
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(rows)
     assert len(lines[1].split(",")) == len(CSV_COLUMNS)
+
+
+def test_denoise_result_array_protocol_takes_the_copy_keyword():
+    mu = make_phantom("shepp-logan", 32)
+    res = denoise_mr(sample_rician(mu, 20.0, seed=3), sigma=20.0, method="uwt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plain = np.array(res)
+        copied = np.array(res, copy=True)
+        single = np.asarray(res, dtype=np.float32)
+    np.testing.assert_array_equal(plain, res.estimate)
+    np.testing.assert_array_equal(copied, res.estimate)
+    assert not np.shares_memory(copied, res.estimate)
+    assert single.dtype == np.float32
+    np.testing.assert_array_equal(single, res.estimate.astype(np.float32))

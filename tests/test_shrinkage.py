@@ -2,6 +2,7 @@
 derivative checks, risk-optimality spot checks, and phantom protocols."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from curelet.chi2model import (
 )
 from curelet.pipeline import make_phantom
 from curelet.risk import (
+    BandDivergenceFields,
     SubbandEvaluation,
+    atom_divergence,
     combine_evaluations,
     cure_filterbank_divergence,
     cure_subband,
@@ -240,6 +243,31 @@ def test_joint_intra_scale_atoms_are_pointwise_keep_factors():
             np.testing.assert_allclose(
                 got, want, rtol=0.0,
                 atol=1e-12 * (float(np.abs(want).max()) + 1.0), err_msg=name)
+
+
+@pytest.mark.parametrize("lambdas", [(3.0, 9.0), (5.0,)], ids=["3-9", "5"])
+@pytest.mark.parametrize("bank", [haar_uwt_bank(3), bdct8_bank()], ids=["haar-J3", "bdct8"])
+def test_fused_keep_factor_band_matches_the_reference_atoms(bank, lambdas):
+    # every highpass band of chi-square data, with some coefficients
+    # exactly 0 and many deep in the ramp's negative tail (u << 0)
+    K = 2.0
+    x = make_phantom("shepp-logan", 64) * 3.0 + 5.0
+    y = sample_chi2(x, K, seed=41).samples
+    for band, corr in zip(bank.bands, bank.walk(y, range(1, 6))):
+        if band.kind == "lowpass":
+            continue
+        w, v = corr[0].copy(), corr[1]
+        w[::5, ::3] = 0.0
+        fields = BandDivergenceFields.of_band(band, K, corr[1:])
+        thetas, divs = shrinkage._keep_factor_band(w, v, fields, lambdas)
+        assert thetas.shape == (len(lambdas),) + w.shape and divs.shape == (len(lambdas),)
+        for k, lam in enumerate(lambdas):
+            u = 1.0 - 4.0 * lam * v / (w ** 2 + 1e-12 * (float((w ** 2).mean()) + 1.0))
+            assert (u < -1e6).any() and (u > 0.5).any()
+            ref = let_atom_pointwise(w, v, lam)
+            np.testing.assert_allclose(thetas[k], ref.theta, rtol=1e-12,
+                                       atol=1e-12 * float(np.abs(ref.theta).max()))
+            assert divs[k] == pytest.approx(atom_divergence(fields, ref), rel=1e-12, abs=0.0)
 
 
 # ------------------------------------------------------------ weight solve
@@ -617,6 +645,28 @@ def test_pyramid_denoisers_reject_negative_data():
         cureshrink_denoise(-np.ones((8, 8)), 2.0)
     with pytest.raises(ValueError):
         haar_curelet_denoise(-np.ones((8, 8)), 2.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("denoise", [
+    uwt_curelet_denoise,
+    partial(uwt_curelet_denoise, transform="mixed"),
+    haar_curelet_denoise,
+    cureshrink_denoise,
+], ids=["uwt", "uwt-mixed", "haar", "cureshrink"])
+def test_denoisers_reject_non_finite_data(denoise, bad):
+    y = np.full((16, 16), 3.0)
+    y[5, 7] = bad
+    with pytest.raises(ValueError, match="data must be finite"):
+        denoise(y, 2.0)
+
+
+def test_uwt_denoise_names_the_band_whose_divergence_overflows():
+    # finite data whose squares overflow: the fused kernel's divergence is
+    # not finite, and the error says which band it came from
+    y = rng_of(43).uniform(0.0, 1e200, size=(16, 16))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"band haar-uwt-J3-2d/lh1 "):
+        uwt_curelet_denoise(y, 2.0)
 
 
 def spun_passes(y, spins):

@@ -260,3 +260,31 @@ def test_band_synthesis_is_scaled_adjoint_and_stacks(bank):
         assert stacked.shape == z.shape
         for k in range(len(z)):
             np.testing.assert_allclose(stacked[k], bank.synthesize_band(i, z[k]), rtol=0, atol=1e-14)
+
+
+def dense_tap_spectra(taps, powers, shape):
+    """The n-D reference: zero-embed taps ** p at offset zero, then rfftn."""
+    emb = np.zeros((len(powers),) + tuple(shape))
+    for k, p in enumerate(powers):
+        emb[(k,) + tuple(slice(0, t) for t in taps.shape)] = taps ** p
+    return np.fft.rfftn(emb, axes=tuple(range(1, len(shape) + 1)))
+
+
+SEPARABLE_BANKS = {f"haar-J{J}-{nd}d": tr.haar_uwt_bank(J, ndim=nd)
+                   for J in (1, 2, 3) for nd in (1, 2)} | {"bdct8": tr.bdct8_bank()}
+
+
+@pytest.mark.parametrize("bank", SEPARABLE_BANKS.values(), ids=SEPARABLE_BANKS.keys())
+def test_separable_tap_spectra_match_the_dense_transform(bank):
+    ndim = len(bank.bands[0].factors)
+    shapes = [(37,)] if ndim == 1 else [(256, 256), (12, 10), (117, 93)]
+    powers = (1, 2, 3, 4, 5)
+    for band in bank.bands:
+        assert len(band.factors) == ndim and all(f.ndim == 1 for f in band.factors)
+        outer = band.factors[0] if ndim == 1 else np.outer(*band.factors)
+        np.testing.assert_array_equal(band.taps, outer)
+        for shape in shapes:
+            np.testing.assert_allclose(
+                tr._tap_spectra(band.factors, powers, shape),
+                dense_tap_spectra(band.taps, powers, shape), rtol=0, atol=1e-12,
+                err_msg=f"{band.label} at {shape}")
