@@ -127,11 +127,7 @@ def write_field(path, data, semantics: str) -> None:
 def _lambdas(args: argparse.Namespace) -> tuple[float, float] | None:
     if (args.lambda1 is None) != (args.lambda2 is None):
         raise ConfigError("--lambda1 and --lambda2 must be given together")
-    if args.lambda1 is None:
-        return None
-    if args.lambda1 <= 0 or args.lambda2 <= 0:
-        raise ConfigError("--lambda1 and --lambda2 must be positive")
-    return (args.lambda1, args.lambda2)
+    return None if args.lambda1 is None else (args.lambda1, args.lambda2)
 
 
 def _print_config(args: argparse.Namespace, keys: tuple[str, ...]) -> None:

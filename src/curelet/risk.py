@@ -6,7 +6,7 @@ its unbiased target (y - K, or a Haar detail w), div the estimator's
 divergence and v the variance channel (y, or the scaling field s with
 K_j). A band's divergence dots theta's partials with five correlation
 fields (BandDivergenceFields): atom_divergence for one evaluated atom,
-shrinkage's fused keep-factor pass for all of a band's lambdas at once.
+shrinkage's fused ramp-atom kernel for every atom of both LET denoisers.
 The fields have two layouts, one constructor each: of_band for a
 filterbank band (correlations of y with the taps to the powers 2..5,
 scaled by the synthesis gain; no operator matrices) and of_subband for a

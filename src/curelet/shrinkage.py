@@ -1,12 +1,13 @@
 """Thresholding atoms, risk-optimal weight solves, and the denoisers.
 
-Estimators are linear expansions of fixed nonlinear atoms. Each atom is a
-smooth function of a coefficient and its variance channel (or scaling
-companion), with every diagonal partial derivative available in closed
-form so the unbiased risk estimate is exact. The risk of an expansion is
-a quadratic in its weights, so one fit (_fit_expansion) minimizes it by
-least squares on a tiny normal system and returns the risk at the
-minimizer; both expansion denoisers go through it.
+Estimators are linear expansions of fixed nonlinear atoms. Every LET
+atom is ramp(1 - 4 lam r) times a carrier, r a ratio of the coefficient
+and its variance channel with closed-form partials, so the unbiased risk
+estimate is exact. One fused kernel (_fused_atoms) gives both expansion
+denoisers every atom's theta and divergence, and one fit (_fit_expansion)
+minimizes the risk, a quadratic in the weights, on a tiny normal system.
+let_atom_pointwise and joint_let_atoms, which build the same atoms with
+all six partials, are the tested references.
 
 Three denoisers:
 
@@ -32,7 +33,6 @@ from .risk import (
     BandDivergenceFields,
     RiskReport,
     SubbandEvaluation,
-    atom_divergence,
     cure_expression,
     cure_subband,
 )
@@ -61,8 +61,7 @@ __all__ = [
 ]
 
 DEFAULT_BETA = 0.02
-POINTWISE_LAMBDAS = (3.0, 9.0)
-JOINT_LAMBDAS = POINTWISE_LAMBDAS
+LAMBDAS = (3.0, 9.0)
 # solve_weights: ridge above this condition estimate, at this fraction of
 # trace(M)/I, then drop eigenmodes below RCOND times the largest
 COND_LIMIT = 1e12
@@ -105,31 +104,34 @@ def smooth_pos(u, beta: float):
     return g, dg
 
 
-def _keep_factor(w, v, lam: float, eps: float):
-    """u = 1 - 4 lam v / (w^2 + eps) and its partials.
+def _inverse_energy(e, eps=None):
+    """1 / (e + eps) of an energy field e; eps defaults to 1e-12 (mean(e) + 1)."""
+    return 1.0 / (e + (1e-12 * (float(e.mean()) + 1.0) if eps is None else eps))
 
-    Returns (u, u_w, u_v, u_ww, u_vv, u_wv); u is linear in v, so u_vv = 0.
+
+def _keep_ratio(w, v, eps=None):
+    """The keep factor's ratio r = v / (w^2 + eps), u = 1 - 4 lam r, and its partials.
+
+    Returns (r, (r_w, r_v, r_ww, r_vv, r_wv)) with r_vv = 0; eps is
+    _inverse_energy's. r_ww is nan where w^2 overflows.
     """
-    q = w ** 2 + eps
-    u = 1.0 - 4.0 * lam * v / q
-    u_w = 8.0 * lam * v * w / q ** 2
-    u_v = -4.0 * lam / q
-    u_ww = 8.0 * lam * v * (eps - 3.0 * w ** 2) / q ** 3
-    u_wv = 8.0 * lam * w / q ** 2
-    return u, u_w, u_v, u_ww, 0.0, u_wv
+    w2 = w ** 2
+    iq = _inverse_energy(w2, eps)
+    r, r_wv = v * iq, -2.0 * w * iq ** 2
+    return r, (v * r_wv, iq, r * iq * (8.0 * w2 * iq - 2.0), 0.0, r_wv)
 
 
-def _ramp_atom(ramp, partials, carrier, own: bool) -> SubbandEvaluation:
-    """theta = ramp(u) * carrier with its six diagonal partials in (w, s).
+def _ramp_atom(r, partials, lam: float, c, own: bool,
+               beta: float = DEFAULT_BETA) -> SubbandEvaluation:
+    """theta = ramp(1 - 4 lam r) * c with its six diagonal partials in (w, s).
 
-    ramp is (g, g', g'') at u and partials is (u_w, u_s, u_ww, u_ss, u_ws).
-    own marks a carrier that is the coefficient w itself, which adds the
-    product-rule terms of the w-derivatives; any other carrier is held
-    fixed.
+    partials is (r_w, r_s, r_ww, r_ss, r_ws). own marks a carrier c that is
+    the coefficient w itself, which adds the product-rule terms of the
+    w-derivatives; any other carrier is held fixed. The reference for
+    _fused_atoms, which production code calls instead.
     """
-    g, dg, d2g = ramp
-    u_w, u_s, u_ww, u_ss, u_ws = partials
-    c = carrier
+    g, dg, d2g = _smooth_pos3(1.0 - 4.0 * lam * r, beta)
+    u_w, u_s, u_ww, u_ss, u_ws = (-4.0 * lam * d for d in partials)
     d1 = dg * u_w * c
     d11 = (d2g * u_w ** 2 + dg * u_ww) * c
     d12 = (d2g * u_w * u_s + dg * u_ws) * c
@@ -137,14 +139,38 @@ def _ramp_atom(ramp, partials, carrier, own: bool) -> SubbandEvaluation:
         d1 = d1 + g
         d11 = d11 + 2.0 * dg * u_w
         d12 = d12 + dg * u_s
-    return SubbandEvaluation(
-        theta=g * c,
-        d1=d1,
-        d2=dg * u_s * c,
-        d11=d11,
-        d22=(d2g * u_s ** 2 + dg * u_ss) * c,
-        d12=d12,
-    )
+    return SubbandEvaluation(theta=g * c, d1=d1, d2=dg * u_s * c, d11=d11,
+                             d22=(d2g * u_s ** 2 + dg * u_ss) * c, d12=d12)
+
+
+def _fused_atoms(r, partials, carriers, fields: BandDivergenceFields, lambdas):
+    """theta and divergence of every atom ramp(1 - 4 lam r) * c, at once.
+
+    The production kernel of both LET denoisers. carriers is [(c, own)]
+    as in _ramp_atom, partials those of r. Every partial of u = 1 - 4 lam r
+    is -4 lam times one of r, so an atom's divergence is [own] sum(z1 g)
+    + 4 lam sum(g' P) + 16 lam^2 sum(g'' Q), with P and Q formed once per
+    carrier and one ramp per lam; no partial field of an atom is formed.
+    Returns thetas (carriers, lambdas, *r.shape) and divergences
+    (carriers, lambdas), unchecked.
+    """
+    r_w, r_s, r_ww, r_ss, r_ws = partials
+    z = fields
+    # P = [own] 2 T - c A and Q = -c B, B = z11 r_w^2 + 2 z12 r_w r_s + z22 r_s^2
+    T = z.z11 * r_w + z.z12 * r_s
+    A = z.z1 * r_w + z.z2 * r_s - z.z11 * r_ww - z.z22 * r_ss - 2.0 * z.z12 * r_ws
+    B = r_w * T + r_s * (z.z12 * r_w + z.z22 * r_s)
+    PQ = [((2.0 * T if own else 0.0) - c * A, -c * B) for c, own in carriers]
+    del T, A, B  # fewer band-sized arrays alive through the ramps
+    thetas = np.empty((len(carriers), len(lambdas)) + np.shape(r))
+    divs = np.empty((len(carriers), len(lambdas)))
+    for k, lam in enumerate(lambdas):
+        g, dg, d2g = _smooth_pos3(1.0 - 4.0 * lam * r, DEFAULT_BETA)
+        for i, ((c, own), (P, Q)) in enumerate(zip(carriers, PQ)):
+            np.multiply(g, c, out=thetas[i, k])
+            divs[i, k] = ((np.vdot(z.z1, g) if own else 0.0) + 4.0 * lam * np.vdot(dg, P)
+                          + 16.0 * lam ** 2 * np.vdot(d2g, Q))
+    return thetas, divs
 
 
 def let_atom_pointwise(w, wbar, lam: float, beta: float = DEFAULT_BETA,
@@ -153,16 +179,14 @@ def let_atom_pointwise(w, wbar, lam: float, beta: float = DEFAULT_BETA,
 
     wbar is the variance channel of the band: 4(E[wbar] - K/2) estimates
     Var(w), so 4 lam wbar / w^2 compares coefficient energy to lam times
-    its noise level. All six diagonal partials are closed-form.
+    its noise level. All six diagonal partials are closed-form. The
+    tested reference for the filterbank denoiser's fused atoms.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
     w = np.asarray(w, dtype=np.float64)
-    v = np.asarray(wbar, dtype=np.float64)
-    if eps is None:
-        eps = 1e-12 * (float((w ** 2).mean()) + 1.0)
-    u, *partials = _keep_factor(w, v, lam, eps)
-    return _ramp_atom(_smooth_pos3(u, beta), partials, w, own=True)
+    r, partials = _keep_ratio(w, np.asarray(wbar, dtype=np.float64), eps)
+    return _ramp_atom(r, partials, lam, w, own=True, beta=beta)
 
 
 # --------------------------------------------------------- weight solving
@@ -223,6 +247,13 @@ def _nonnegative(y) -> np.ndarray:
     return y
 
 
+def _checked_lambdas(lambdas) -> tuple:
+    lambdas = tuple(float(lam) for lam in lambdas)
+    if not lambdas or not all(np.isfinite(lam) and lam > 0 for lam in lambdas):
+        raise ValueError(f"lambdas must be one or more finite positive numbers, got {lambdas!r}")
+    return lambdas
+
+
 def _fit_expansion(rows: np.ndarray, target: np.ndarray, div: np.ndarray,
                    half: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Risk-optimal weights of a linear expansion and the risk at them.
@@ -244,35 +275,8 @@ def _fit_expansion(rows: np.ndarray, target: np.ndarray, div: np.ndarray,
 # ------------------------------------------------- filterbank LET denoiser
 
 
-def _keep_factor_band(w, v, fields: BandDivergenceFields, lambdas):
-    """theta and divergence of let_atom_pointwise(w, v, lam), per lam.
-
-    Every partial of u = 1 - 4 lam v / (w^2 + eps) is 4 lam times a
-    lam-free field, so div = sum(z1 g) + 4 lam sum(g' P) + 16 lam^2
-    sum(g'' Q), with P and Q formed once per band and one ramp per lam.
-    Returns (thetas stacked over lambdas, divergences), unchecked.
-    """
-    w2 = w ** 2
-    eps = 1e-12 * (float(w2.mean()) + 1.0)  # let_atom_pointwise's default
-    iq = 1.0 / (w2 + eps)
-    r = v * iq  # u = 1 - 4 lam r
-    # _ramp_atom's partials with _keep_factor's u_w, u_v, u_ww, u_wv over 4 lam
-    # (2 r w iq, -iq, 2 r (eps - 3 w^2) iq^2, 2 w iq^2), grouped by field
-    wiq = w * iq
-    P = (2.0 * r * wiq * (fields.z1 * w - fields.z11 * (3.0 * eps - w2) * iq)
-         - fields.z2 * wiq - 2.0 * fields.z12 * (w2 - eps) * iq ** 2)
-    Q = -w * iq ** 2 * (4.0 * r ** 2 * w2 * fields.z11 + fields.z22 - 4.0 * r * w * fields.z12)
-    thetas, divs = np.empty((len(lambdas),) + w.shape), np.empty(len(lambdas))
-    for k, lam in enumerate(lambdas):
-        g, dg, d2g = _smooth_pos3(1.0 - 4.0 * lam * r, DEFAULT_BETA)
-        np.multiply(g, w, out=thetas[k])
-        divs[k] = (np.vdot(fields.z1, g) + 4.0 * lam * np.vdot(dg, P)
-                   + 16.0 * lam ** 2 * np.vdot(d2g, Q))
-    return thetas, divs
-
-
 def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
-                        lambdas=POINTWISE_LAMBDAS):
+                        lambdas=LAMBDAS):
     """Risk-optimal linear expansion over undecimated-band atoms.
 
     One walk over the bands of each bank. A band's correlations with its
@@ -280,8 +284,8 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
     and (2..5) its divergence fields. A lowpass band gets one bias atom,
     w - tap_sum K, which synthesizes to the unbiased lowpass of x; a
     highpass band gets one keep-factor atom per lambda, thetas and
-    divergences from one fused pass (_keep_factor_band). The band's
-    thetas are synthesized in one call into their rows of one
+    divergences from one fused pass (_fused_atoms, carrier w). The
+    band's thetas are synthesized in one call into their rows of one
     (atoms x pixels) matrix; nothing else of the band outlives it.
     _fit_expansion then solves the weights and scores the estimate of x.
     "mixed" pools the Haar-frame and block-DCT atoms into one joint
@@ -289,6 +293,7 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
     "<bank>/<band>:l<lambda>" to the atom's weight.
     """
     y = _nonnegative(y)
+    lambdas = _checked_lambdas(lambdas)
     names = {"haar-uwt", "bdct", "mixed"}
     if transform not in names:
         raise ValueError(f"transform must be one of {sorted(names)}")
@@ -309,7 +314,8 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
                 thetas, band_div = (corr[0] - band.tap_sum * K)[None], [fields.z1.sum()]
                 labels.append(f"{name}:bias")
             else:
-                thetas, band_div = _keep_factor_band(corr[0], corr[1], fields, lambdas)
+                thetas, band_div = (t[0] for t in _fused_atoms(
+                    *_keep_ratio(corr[0], corr[1]), [(corr[0], True)], fields, lambdas))
                 if not np.isfinite(band_div).all():
                     raise ValueError(f"divergence of band {name} is not finite")
                 labels.extend(f"{name}:l{lam:g}" for lam in lambdas)
@@ -443,11 +449,24 @@ def _gamma_fields(u: np.ndarray, g1: np.ndarray, delta: float):
     return gamma, g0 * u / absu, g0 * delta ** 2 / absu ** 3
 
 
-def _field_delta(u: np.ndarray) -> float:
-    return 1e-3 * float(np.sqrt((u ** 2).mean())) + 1e-12
+def _joint_modulators(w, s, p, deltas=None) -> list:
+    """(r, partials) of a subband's two modulators, each ramp(1 - 4 lam r).
+
+    The keep factor r = s / w^2 (_keep_ratio) and the parent energy
+    r = gamma(s) / gamma(p)^2, whose only dependence on (w_n, s_n) is
+    gamma(s)'s center kernel term. deltas = (d_s, d_p) smooths the
+    magnitudes inside gamma, by default 1e-3 times their RMS.
+    """
+    if deltas is None:
+        deltas = [1e-3 * float(np.sqrt((u ** 2).mean())) + 1e-12 for u in (s, p)]
+    g1 = gamma_kernel(ndim=1)
+    A, A_s, A_ss = _gamma_fields(s, g1, deltas[0])
+    Bp, _, _ = _gamma_fields(p, g1, deltas[1])
+    iqp = _inverse_energy(Bp ** 2)
+    return [_keep_ratio(w, s), (A * iqp, (0.0, A_s * iqp, 0.0, A_ss * iqp, 0.0))]
 
 
-def joint_let_atoms(w, s, p, lambdas=JOINT_LAMBDAS, deltas=None) -> list:
+def joint_let_atoms(w, s, p, lambdas=LAMBDAS, deltas=None) -> list:
     """The 8 inter-/intra-scale atoms of one subband.
 
     Two modulators per lambda: the pointwise keep factor
@@ -462,34 +481,15 @@ def joint_let_atoms(w, s, p, lambdas=JOINT_LAMBDAS, deltas=None) -> list:
     let_atom_pointwise(w, s, lam). The parent p is an exogenous predictor
     (built from neighboring scaling coefficients, never from (w_n, s_n)),
     so partials are taken w.r.t. (w_n, s_n) only; gamma's dependence on a
-    coordinate is exactly its center kernel term.
-    deltas = (d_w, d_s, d_p) smooths the magnitudes inside gamma; only
-    d_s and d_p are read, since no gamma of w is formed.
+    coordinate is exactly its center kernel term. deltas = (d_s, d_p)
+    smooths the magnitudes inside gamma. The tested reference for the
+    fused atoms of haar_curelet_denoise.
     """
-    w = np.asarray(w, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if deltas is None:
-        deltas = (None, _field_delta(s), _field_delta(p))
-    _, ds, dp = deltas
-
-    g1 = gamma_kernel(ndim=1)
-    A, A_s, A_ss = _gamma_fields(s, g1, ds)
-    Bp, _, _ = _gamma_fields(p, g1, dp)
-    eps_w = 1e-12 * (float((w ** 2).mean()) + 1.0)
-    qp = Bp ** 2 + 1e-12 * (float((Bp ** 2).mean()) + 1.0)
-
-    modulators = []
-    for lam in lambdas:
-        u, *partials = _keep_factor(w, s, lam, eps_w)
-        modulators.append((_smooth_pos3(u, DEFAULT_BETA), partials))
-    for lam in lambdas:
-        u = 1.0 - 4.0 * lam * A / qp
-        partials = (0.0, -4.0 * lam * A_s / qp, 0.0, -4.0 * lam * A_ss / qp, 0.0)
-        modulators.append((_smooth_pos3(u, DEFAULT_BETA), partials))
-    return [_ramp_atom(ramp, partials, carrier, own)
+    w, s, p = (np.asarray(u, dtype=np.float64) for u in (w, s, p))
+    modulators = _joint_modulators(w, s, p, deltas)
+    return [_ramp_atom(r, partials, lam, carrier, own)
             for carrier, own in ((w, True), (p, False))
-            for ramp, partials in modulators]
+            for r, partials in modulators for lam in lambdas]
 
 
 # ------------------------------------------------------- pyramid denoisers
@@ -541,15 +541,15 @@ def cureshrink_denoise(y, K: float, J: int = 3):
     return _denoise_pyramid(_nonnegative(y), K, J, fn)
 
 
-def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=JOINT_LAMBDAS, spins: int = 1):
+def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 1):
     """Per-subband 8-atom inter-/intra-scale expansion, weights by risk.
 
-    Each detail subband is its own expansion fitted by _fit_expansion.
-    The subband risk has the filterbank divergence form with the
-    subband field layout (BandDivergenceFields.of_subband), as in
-    cure_subband: the coefficient is its own band and s doubles as the
-    variance channel. The lowpass is unbiased by its accumulated dof
-    (4^J K in 2-D).
+    Each detail subband is one expansion of joint_let_atoms' atoms, their
+    thetas and divergences from one _fused_atoms call per modulator, fitted
+    by _fit_expansion. The subband risk has the filterbank divergence form
+    with the subband field layout (BandDivergenceFields.of_subband): the
+    coefficient is its own band and s doubles as the variance channel. The
+    lowpass is unbiased by its accumulated dof (4^J K in 2-D).
 
     spins (one of SPIN_COUNTS) cycle-spins the pyramid: y is padded
     periodically to a multiple of 2^J once, that padded field is rolled by
@@ -569,17 +569,21 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=JOINT_LAMBDAS, spins: 
         if j == 1 and (r, orient) in level1:
             theta, risk = level1[r, orient]
             return np.roll(theta, q, axis=axes), risk
-        atoms = joint_let_atoms(w, s, parent_field(s, orient), lambdas=lambdas)
+        p = parent_field(s, orient)
         fields = BandDivergenceFields.of_subband(w, s, kj)
+        fused = [_fused_atoms(ratio, partials, [(w, True), (p, False)], fields, lambdas)
+                 for ratio, partials in _joint_modulators(w, s, p)]
+        # atoms in joint_let_atoms' order: (carrier, modulator, lambda)
+        thetas, div = (np.stack(parts, axis=1) for parts in zip(*fused))
         _, theta, risk = _fit_expansion(
-            np.stack([ev.theta.ravel() for ev in atoms]), w.ravel(),
-            np.array([atom_divergence(fields, ev) for ev in atoms]), fields.z1)
+            thetas.reshape(div.size, -1), w.ravel(), div.ravel(), fields.z1)
         theta = theta.reshape(w.shape)
         if j == 1:
             level1[r, orient] = np.roll(theta, [-v for v in q], axis=axes), risk
         return theta, risk
 
     y = _nonnegative(y)
+    lambdas = _checked_lambdas(lambdas)
     axes = tuple(range(y.ndim))
     yp = _pad_to_multiple(y, 2 ** J)
     shifts = list(dict.fromkeys(shift[: y.ndim] for shift in SPIN_SHIFTS[:spins]))

@@ -136,7 +136,7 @@ def test_criterion_02_subband_risk_unbiased():
                 omega = clean.detail[j - 1][orient]
                 ev = cureshrink_evaluation(w, s, 1.0, beta=0.5, delta=1e-3)
                 atoms = joint_let_atoms(w, s, parent_field(s, orient),
-                                        deltas=(0.5, 0.5, 0.5))
+                                        deltas=(0.5, 0.5))
                 comb = combine_evaluations(atoms, JOINT_FIXED)
                 for kind, e in (("plain", ev), ("joint", comb)):
                     pair = (cure_subband(w, s, kj, e),
@@ -282,7 +282,7 @@ def test_criterion_08_declared_partials_match_finite_differences():
     pf = rng.normal(scale=2.0, size=shape)
 
     def build(w2, s2):
-        return joint_let_atoms(w2, s2, pf, deltas=(0.05, 0.05, 0.05))
+        return joint_let_atoms(w2, s2, pf, deltas=(0.05, 0.05))
 
     base = build(wf, sf)
     h = 1e-4

@@ -284,6 +284,14 @@ def test_exit_code_half_lambda_override(phantom_files, tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+def test_exit_code_negative_lambda_override(phantom_files, tmp_path, capsys):
+    code = run("denoise", "--in", phantom_files["noisy"],
+               "--out", str(tmp_path / "o.pgm"), "--sigma", "20",
+               "--lambda1", "-1", "--lambda2", "3")
+    assert code == 1
+    assert "lambda" in capsys.readouterr().err
+
+
 def test_exit_code_invalid_blend(phantom_files, tmp_path, capsys):
     code = run("denoise", "--in", phantom_files["noisy"],
                "--out", str(tmp_path / "o.pgm"), "--sigma", "20",

@@ -202,7 +202,7 @@ def test_joint_partials_match_finite_differences():
     w = rng.normal(scale=3.0, size=shape)
     s = rng.uniform(2.0, 30.0, size=shape)
     p = rng.normal(scale=2.0, size=shape)
-    deltas = (0.05, 0.05, 0.05)
+    deltas = (0.05, 0.05)
 
     def build(wf, sf):
         return joint_let_atoms(wf, sf, p, deltas=deltas)
@@ -245,29 +245,56 @@ def test_joint_intra_scale_atoms_are_pointwise_keep_factors():
                 atol=1e-12 * (float(np.abs(want).max()) + 1.0), err_msg=name)
 
 
+def fused_and_reference_atoms(source, y, K, lambdas):
+    """Per band of source (a FilterBank, or "haar-dwt"/"haar-dwt-p0" for the
+    level-1 subbands of a Haar DWT, the latter with parent p = 0): its
+    coefficients and fields, the fused thetas and divergences, and the
+    reference atoms in the same order. Some coefficients are set to
+    exactly 0."""
+    if isinstance(source, FilterBank):
+        for band, corr in zip(source.bands, source.walk(y, range(1, 6))):
+            if band.kind == "lowpass":
+                continue
+            w, v = corr[0].copy(), corr[1]
+            w[::5, ::3] = 0.0
+            fields = BandDivergenceFields.of_band(band, K, corr[1:])
+            thetas, divs = shrinkage._fused_atoms(
+                *shrinkage._keep_ratio(w, v), [(w, True)], fields, lambdas)
+            for lam in lambdas:
+                u = 1.0 - 4.0 * lam * v / (w ** 2 + 1e-12 * (float((w ** 2).mean()) + 1.0))
+                assert (u < -1e6).any() and (u > 0.5).any()
+            yield w, fields, thetas[0], divs[0], [let_atom_pointwise(w, v, lam) for lam in lambdas]
+        return
+    pyr = haar_dwt_analyze(y, 2, dof=K)
+    s = pyr.smooth_levels[0]
+    for orient, w in pyr.detail[0].items():
+        w = w.copy()
+        w[::5, ::3] = 0.0
+        p = np.zeros_like(w) if source == "haar-dwt-p0" else parent_field(s, orient)
+        fields = BandDivergenceFields.of_subband(w, s, pyr.dof(1))
+        fused = [shrinkage._fused_atoms(r, partials, [(w, True), (p, False)], fields, lambdas)
+                 for r, partials in shrinkage._joint_modulators(w, s, p)]
+        thetas, divs = (np.stack(parts, axis=1) for parts in zip(*fused))
+        yield (w, fields, thetas.reshape(-1, *w.shape), divs.ravel(),
+               joint_let_atoms(w, s, p, lambdas=lambdas))
+
+
 @pytest.mark.parametrize("lambdas", [(3.0, 9.0), (5.0,)], ids=["3-9", "5"])
-@pytest.mark.parametrize("bank", [haar_uwt_bank(3), bdct8_bank()], ids=["haar-J3", "bdct8"])
-def test_fused_keep_factor_band_matches_the_reference_atoms(bank, lambdas):
+@pytest.mark.parametrize("source", [haar_uwt_bank(3), bdct8_bank(), "haar-dwt", "haar-dwt-p0"],
+                         ids=["haar-J3", "bdct8", "haar-dwt", "haar-dwt-p0"])
+def test_fused_keep_factor_band_matches_the_reference_atoms(source, lambdas):
     # every highpass band of chi-square data, with some coefficients
-    # exactly 0 and many deep in the ramp's negative tail (u << 0)
+    # exactly 0 and many deep in the ramp's negative tail (u << 0); on a
+    # Haar DWT subband, all joint atoms against joint_let_atoms
     K = 2.0
     x = make_phantom("shepp-logan", 64) * 3.0 + 5.0
     y = sample_chi2(x, K, seed=41).samples
-    for band, corr in zip(bank.bands, bank.walk(y, range(1, 6))):
-        if band.kind == "lowpass":
-            continue
-        w, v = corr[0].copy(), corr[1]
-        w[::5, ::3] = 0.0
-        fields = BandDivergenceFields.of_band(band, K, corr[1:])
-        thetas, divs = shrinkage._keep_factor_band(w, v, fields, lambdas)
-        assert thetas.shape == (len(lambdas),) + w.shape and divs.shape == (len(lambdas),)
-        for k, lam in enumerate(lambdas):
-            u = 1.0 - 4.0 * lam * v / (w ** 2 + 1e-12 * (float((w ** 2).mean()) + 1.0))
-            assert (u < -1e6).any() and (u > 0.5).any()
-            ref = let_atom_pointwise(w, v, lam)
-            np.testing.assert_allclose(thetas[k], ref.theta, rtol=1e-12,
+    for w, fields, thetas, divs, refs in fused_and_reference_atoms(source, y, K, lambdas):
+        assert thetas.shape == (len(refs),) + w.shape and divs.shape == (len(refs),)
+        for theta, div, ref in zip(thetas, divs, refs):
+            np.testing.assert_allclose(theta, ref.theta, rtol=1e-12,
                                        atol=1e-12 * float(np.abs(ref.theta).max()))
-            assert divs[k] == pytest.approx(atom_divergence(fields, ref), rel=1e-12, abs=0.0)
+            assert div == pytest.approx(atom_divergence(fields, ref), rel=1e-12, abs=0.0)
 
 
 # ------------------------------------------------------------ weight solve
@@ -661,6 +688,17 @@ def test_denoisers_reject_non_finite_data(denoise, bad):
         denoise(y, 2.0)
 
 
+@pytest.mark.parametrize("lambdas", [(), (-1.0, 3.0), (0.0,), (3.0, np.nan), (np.inf,)],
+                         ids=["empty", "negative", "zero", "nan", "inf"])
+@pytest.mark.parametrize("denoise", [uwt_curelet_denoise, haar_curelet_denoise],
+                         ids=["uwt", "haar"])
+def test_denoisers_reject_bad_lambdas(denoise, lambdas):
+    # a negative lambda once gave a finite but meaningless cure, and no
+    # lambda at all failed deep inside the expansion
+    with pytest.raises(ValueError, match="lambdas"):
+        denoise(*rescaled_shepp_logan(64, 20.0, seed=0), lambdas=lambdas)
+
+
 def test_uwt_denoise_names_the_band_whose_divergence_overflows():
     # finite data whose squares overflow: the fused kernel's divergence is
     # not finite, and the error says which band it came from
@@ -740,13 +778,13 @@ def test_haar_spins_fit_each_level1_subband_once_per_shift_residue(monkeypatch):
     # level 1 is fitted once per shift mod 2 and orientation, coarser levels
     # once per spin
     calls = []
-    atoms = shrinkage.joint_let_atoms
+    fit = shrinkage._fit_expansion
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return atoms(*args, **kwargs)
+        return fit(*args, **kwargs)
 
-    monkeypatch.setattr(shrinkage, "joint_let_atoms", counting)
+    monkeypatch.setattr(shrinkage, "_fit_expansion", counting)
     haar_curelet_denoise(noisy_uniform((32, 32), 3), 2.0, J=3, spins=16)
     assert len(calls) == 4 * 3 + 16 * 3 * 2
     calls.clear()
