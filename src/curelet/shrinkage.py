@@ -82,17 +82,21 @@ GAMMA_SIGMA = 1.0
 def _smooth_pos3(u, beta: float):
     """(u + sqrt(u^2 + beta^2)) / 2 with first and second derivatives.
 
-    The negative tail uses u + root = beta^2 / (root - u) (and likewise
-    for the slope), since the direct sum cancels catastrophically there.
+    With root = sqrt(u^2 + beta^2), g = max(u, 0) + beta^2 / (2 (root + |u|)),
+    g' = g / root and g'' = beta^2 / (2 root^3): one branch; neither tail cancels.
     """
     u = np.asarray(u, dtype=np.float64)
-    root = np.sqrt(u ** 2 + beta ** 2)
-    neg = u < 0
-    # root - min(u, 0) never cancels and stays >= beta on both branches
-    safe = root - np.minimum(u, 0.0)
-    g = np.where(neg, 0.5 * beta ** 2 / safe, 0.5 * (u + root))
-    dg = np.where(neg, 0.5 * beta ** 2 / (root * safe), 0.5 * (1.0 + u / root))
-    d2g = 0.5 * beta ** 2 / root ** 3
+    d2g = np.multiply(u, u, out=np.empty_like(u))  # root^2 until root^3 is formed
+    d2g += beta ** 2
+    root = np.sqrt(d2g)
+    g = np.abs(u, out=np.empty_like(u))
+    g += root
+    np.divide(0.5 * beta ** 2, g, out=g)
+    dg = np.maximum(u, 0.0, out=np.empty_like(u))
+    g += dg
+    np.divide(g, root, out=dg)
+    d2g *= root
+    np.divide(0.5 * beta ** 2, d2g, out=d2g)
     return g, dg, d2g
 
 
@@ -200,7 +204,7 @@ def solve_weights(M, c) -> np.ndarray:
     where the estimated gradient is dominated by sampling noise and the
     formal minimizer runs far from zero without lowering the true risk.
     Eigenmodes below RCOND * (largest eigenvalue) are therefore solved to
-    zero weight. When the condition estimate exceeds COND_LIMIT,
+    zero weight. When cond(M), read off the eigenvalues, exceeds COND_LIMIT,
     RIDGE * trace(M)/I is added to the diagonal first; the returned
     weights satisfy the regularized normal equations restricted to the
     kept subspace to 1e-8 * (|c| + 1).
@@ -209,10 +213,10 @@ def solve_weights(M, c) -> np.ndarray:
     c = np.asarray(c, dtype=np.float64)
     if not (np.isfinite(M).all() and np.isfinite(c).all()):
         raise ValueError("non-finite entries in the normal system")
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        M = M + (RIDGE * np.trace(M) / c.size) * np.eye(c.size)
     lam, V = np.linalg.eigh((M + M.T) / 2.0)
+    if not np.abs(lam).max() <= COND_LIMIT * np.abs(lam).min():  # cond(M) > COND_LIMIT, or inf
+        ridge = RIDGE * np.trace(M) / c.size  # eigh(M + ridge I) is (lam + ridge, V)
+        M, lam = M + ridge * np.eye(c.size), lam + ridge
     keep = lam > RCOND * max(lam.max(), 0.0)
     if not keep.any():
         return np.zeros(c.size)

@@ -8,8 +8,9 @@ Two transform families back the denoisers:
   factors, and synthesis is the adjoint correlation scaled by a per-band
   gain. FilterBank owns the spectral format (no other module calls
   numpy.fft): walk streams each band's correlations with powers of its
-  taps from one transform of the image, and synthesize_band maps a stack
-  of fields through one kernel spectrum, an outer product of 1-D FFTs.
+  taps from one transform of the image, bands with equal leading factors
+  sharing one leading-axis inverse transform, and synthesize_band maps a
+  stack of fields through one kernel spectrum, an outer product of 1-D FFTs.
 * The unnormalized Haar DWT: critically sampled pairwise sums/differences
   whose scaling chain preserves the chi-square family (sums of independent
   chi-squares stay chi-square, doubling the dof per 1-D split).
@@ -38,12 +39,13 @@ __all__ = [
 ]
 
 
-def _tap_spectra(factors, powers, shape) -> np.ndarray:
+def _tap_spectra(factors, powers, shape, axes=None) -> np.ndarray:
     """rfftn of outer(*factors) ** p zero-embedded in a field of the given
     shape, stacked over powers: the outer product of the 1-D spectra of
-    factors ** p (rfft along the last axis, fft along the others)."""
+    factors ** p (rfft on the last axis, fft on the others) along axes, or all."""
     spectra = np.ones((len(powers),) + (1,) * len(shape))
-    for axis, (f, n) in enumerate(zip(factors, shape)):
+    for axis in range(len(shape)) if axes is None else axes:
+        f, n = factors[axis], shape[axis]
         fft = np.fft.rfft if axis == len(shape) - 1 else np.fft.fft
         spec = fft(np.stack([f ** p for p in powers]), n=n)
         spectra = spectra * np.expand_dims(spec, [1 + a for a in range(len(shape)) if a != axis])
@@ -81,10 +83,10 @@ class FilterBank:
     is a per-band correlation of the image with a power of the band's
     taps, and walk streams them: it transforms the image once and yields
     one band's stacked correlations at a time, so only the current band
-    is alive. Synthesis convolves a coefficient field (or a stack of them)
-    with ``synth_gain * taps``; synthesize sums the bands. Kernel spectra
-    come from the bands' 1-D factors (_tap_spectra). A bank holds only
-    its bands and caches nothing, so it is safe to share.
+    and its shared leading-axis stack are alive. Synthesis convolves a
+    coefficient field (or a stack) with ``synth_gain * taps``; synthesize
+    sums the bands. Kernel spectra come from the bands' 1-D factors
+    (_tap_spectra). A bank caches nothing, so it is safe to share.
     """
 
     def __init__(self, name: str, bands):
@@ -106,16 +108,20 @@ class FilterBank:
 
         y is transformed once; each yielded array has shape
         (len(powers), *y.shape) and row k is the periodic correlation
-        out[n] = sum_m taps[m] ** powers[k] * y[(n + m) mod shape].
+        out[n] = sum_m taps[m] ** powers[k] * y[(n + m) mod shape]. A band
+        with the previous band's leading factors reuses its leading-axis
+        inverse transform: bdct8_bank's 64 bands make 8.
         """
         y = np.asarray(y, dtype=np.float64)
         self._check_size(y.shape)
         y_fft = np.fft.rfftn(y)
-        for band in self.bands:
-            # no local holds the kernel spectra, so they are freed before the band is consumed
-            yield np.fft.irfftn(
-                y_fft * np.conj(_tap_spectra(band.factors, powers, y.shape)),
-                s=y.shape, axes=range(-y.ndim, 0))
+        *lead, last = range(y.ndim)
+        for band, prev in zip(self.bands, (None,) + self.bands):
+            if prev is None or not all(map(np.array_equal, band.factors[:-1], prev.factors[:-1])):
+                stack = y_fft * np.conj(_tap_spectra(band.factors, powers, y.shape, lead))
+                np.fft.ifftn(stack, axes=[1 + a for a in lead], out=stack)
+            yield np.fft.irfft(stack * np.conj(_tap_spectra(band.factors, powers, y.shape, [last])),
+                               n=y.shape[-1])
 
     def analyze(self, y: np.ndarray) -> list[np.ndarray]:
         """Per-band coefficient fields w_b = correlation(y, taps_b)."""

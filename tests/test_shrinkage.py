@@ -117,6 +117,33 @@ def test_smooth_pos_antisymmetric_part_is_linear(u):
     assert gp >= 0.0
 
 
+def two_branch_smooth_pos3(u, beta):
+    """The two-branch reference ramp: np.where picks a branch per sign of u."""
+    u = np.asarray(u, dtype=np.float64)
+    root = np.sqrt(u ** 2 + beta ** 2)
+    neg = u < 0
+    safe = root - np.minimum(u, 0.0)
+    g = np.where(neg, 0.5 * beta ** 2 / safe, 0.5 * (u + root))
+    dg = np.where(neg, 0.5 * beta ** 2 / (root * safe), 0.5 * (1.0 + u / root))
+    d2g = 0.5 * beta ** 2 / root ** 3
+    return g, dg, d2g
+
+
+def test_smooth_pos3_matches_the_two_branch_reference():
+    beta = 0.02
+    rng = np.random.default_rng(41)
+    u = np.concatenate([
+        [0.0, 1e-30, -1e-30, beta, -beta, 3.0, -3.0, 1e8, -1e8, -1e14],
+        *(scale * rng.normal(size=200) for scale in (1e-3, 1.0, 1e3)),
+    ])
+    for got, ref in zip(shrinkage._smooth_pos3(u, beta), two_branch_smooth_pos3(u, beta)):
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+    for got, ref in zip(shrinkage._smooth_pos3(np.float64(-2.5), beta),
+                        two_branch_smooth_pos3(-2.5, beta)):
+        assert np.ndim(got) == 0
+        assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+
 # ------------------------------------------------------- pointwise atoms
 
 
@@ -320,6 +347,20 @@ def test_solve_weights_rejects_nonfinite():
 def test_solve_weights_zero_system_returns_zero():
     a = solve_weights(np.zeros((3, 3)), np.zeros(3))
     np.testing.assert_allclose(a, np.zeros(3))
+
+
+def test_solve_weights_ridges_from_the_eigenvalues_without_an_svd(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_weights must not run an SVD")
+
+    monkeypatch.setattr(np.linalg, "cond", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    # condition 1e13 > COND_LIMIT: ridge, then the 1e-13 mode falls below RCOND
+    M, c = np.diag([1.0, 1e-13]), np.array([2.0, 3.0])
+    ridge = shrinkage.RIDGE * np.trace(M) / 2
+    a = solve_weights(M, c)
+    np.testing.assert_allclose(a, [2.0 / (1.0 + ridge), 0.0], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(solve_weights(np.diag([2.0, 1e-3]), c), [1.0, 3e3], rtol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -288,3 +288,51 @@ def test_separable_tap_spectra_match_the_dense_transform(bank):
                 tr._tap_spectra(band.factors, powers, shape),
                 dense_tap_spectra(band.taps, powers, shape), rtol=0, atol=1e-12,
                 err_msg=f"{band.label} at {shape}")
+
+
+def direct_periodic_correlations(taps, powers, y):
+    """sum_m taps[m] ** p * roll(y, -m), stacked over powers."""
+    out = np.zeros((len(powers),) + y.shape)
+    for m in np.ndindex(*taps.shape):
+        rolled = np.roll(y, [-k for k in m], axis=range(y.ndim))
+        for k, p in enumerate(powers):
+            out[k] += taps[m] ** p * rolled
+    return out
+
+
+@pytest.mark.parametrize("bank", SEPARABLE_BANKS.values(), ids=SEPARABLE_BANKS.keys())
+def test_walk_matches_direct_periodic_correlation(bank):
+    rng = np.random.default_rng(29)
+    ndim = len(bank.bands[0].factors)
+    for shape in [(37,)] if ndim == 1 else [(12, 10), (117, 93)]:
+        y = rng.normal(size=shape)
+        for powers in [(1, 2, 3, 4, 5), (2,)]:
+            for band, corr in zip(bank.bands, bank.walk(y, powers)):
+                assert corr.shape == (len(powers),) + shape
+                ref = direct_periodic_correlations(band.taps, powers, y)
+                for k, p in enumerate(powers):
+                    np.testing.assert_allclose(
+                        corr[k], ref[k], rtol=0, atol=1e-12 * float(np.abs(ref[k]).max()),
+                        err_msg=f"{band.label}, power {p}, at {shape}")
+
+
+@pytest.mark.parametrize("bank, passes", [(tr.bdct8_bank(), 8), (tr.haar_uwt_bank(3), 10)],
+                         ids=["bdct8", "haar-J3-2d"])
+def test_walk_shares_leading_axis_inverse_transforms(bank, passes, monkeypatch):
+    # bdct8's bands run u-major, so its 64 bands share 8 leading factors;
+    # consecutive Haar bands never share theirs
+    calls = {"ifftn": 0, "irfft": 0}
+
+    def counting(name):
+        inner = getattr(np.fft, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counting(name))
+    y = np.random.default_rng(3).normal(size=(64, 64))
+    assert sum(1 for _ in bank.walk(y, range(1, 6))) == len(bank.bands)
+    assert calls == {"ifftn": passes, "irfft": len(bank.bands)}
