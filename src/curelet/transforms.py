@@ -119,7 +119,7 @@ class FilterBank:
         for band, prev in zip(self.bands, (None,) + self.bands):
             if prev is None or not all(map(np.array_equal, band.factors[:-1], prev.factors[:-1])):
                 stack = y_fft * np.conj(_tap_spectra(band.factors, powers, y.shape, lead))
-                np.fft.ifftn(stack, axes=[1 + a for a in lead], out=stack)
+                stack = np.fft.ifftn(stack, axes=[1 + a for a in lead])
             yield np.fft.irfft(stack * np.conj(_tap_spectra(band.factors, powers, y.shape, [last])),
                                n=y.shape[-1])
 
