@@ -190,23 +190,21 @@ class BandDivergenceFields:
     z12: np.ndarray
 
     @classmethod
-    def of_band(cls, band: Band, K: float, corr) -> "BandDivergenceFields":
+    def of_band(cls, band: Band, K: float, corr, out=None) -> "BandDivergenceFields":
         """Fields of a band with analysis taps d and synthesis taps g*d.
 
         corr holds the correlations of y with d^p for p = 2..5 (d^2 are
         the variance taps). The divergence sums need them scaled by g;
         correlation is linear, so the (y - K/2) variants subtract K/2
-        times the kernel sum.
+        times the kernel sum. out, a (5, *shape) stack, receives the fields.
         """
         g = band.synth_gain
-        c2, c3, c4, c5 = (g * c for c in corr)
-        return cls(
-            z1=c2 - 0.5 * K * g * float((band.taps ** 2).sum()),
-            z2=c3 - 0.5 * K * g * float((band.taps ** 3).sum()),
-            z11=c3,
-            z22=c5,
-            z12=c4,
-        )
+        z = np.empty((5,) + np.shape(corr[0])) if out is None else out
+        np.multiply(corr[0], g, out=z[0])
+        np.multiply(corr[1:], g, out=z[2:])  # z11, z12, z22
+        z[0] -= 0.5 * K * g * float((band.taps ** 2).sum())
+        np.subtract(z[2], 0.5 * K * g * float((band.taps ** 3).sum()), out=z[1])
+        return cls(z1=z[0], z2=z[1], z11=z[2], z22=z[4], z12=z[3])
 
     @classmethod
     def of_subband(cls, w, s, K_j: float) -> "BandDivergenceFields":

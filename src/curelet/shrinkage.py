@@ -13,8 +13,8 @@ Three denoisers:
 
 * uwt_curelet_denoise: pointwise shrinkage atoms per undecimated band
   (Haar frame, overlapping block DCT, or both pooled), built band by band
-  and kept only as synthesized rows; weights solved globally in the image
-  domain.
+  and kept only as Parseval rows of their synthesis; weights solved
+  globally from those rows' dot products, which are the image domain's.
 * cureshrink_denoise: per-subband soft thresholding in the unnormalized
   Haar DWT, threshold = a * sqrt(s) with scalar a picked by risk search.
 * haar_curelet_denoise: per-subband 8-atom expansion mixing the
@@ -39,6 +39,7 @@ from .risk import (
 from .transforms import (
     SPIN_COUNTS,
     SPIN_SHIFTS,
+    FilterBank,
     _pad_to_multiple,
     bdct8_bank,
     haar_dwt_analyze,
@@ -79,20 +80,32 @@ GAMMA_SIGMA = 1.0
 # ------------------------------------------------------------ smooth atoms
 
 
-def _smooth_pos3(u, beta: float):
+def _buffers(work, key: str, n: int, shape) -> list:
+    """n new buffers of the given shape, or the rows of the (n, *shape) stack
+    that the dict work keeps under (key, shape) for reuse."""
+    if work is None:
+        return [np.empty(shape) for _ in range(n)]
+    shape = tuple(shape)
+    if (key, shape) not in work:
+        work[key, shape] = np.empty((n,) + shape)
+    return [work[key, shape][k, ...] for k in range(n)]
+
+
+def _smooth_pos3(u, beta: float, work=None):
     """(u + sqrt(u^2 + beta^2)) / 2 with first and second derivatives.
 
     With root = sqrt(u^2 + beta^2), g = max(u, 0) + beta^2 / (2 (root + |u|)),
     g' = g / root and g'' = beta^2 / (2 root^3): one branch; neither tail cancels.
     """
     u = np.asarray(u, dtype=np.float64)
-    d2g = np.multiply(u, u, out=np.empty_like(u))  # root^2 until root^3 is formed
+    g, dg, d2g, root = _buffers(work, "ramp", 4, u.shape)
+    np.multiply(u, u, out=d2g)  # root^2 until root^3 is formed
     d2g += beta ** 2
-    root = np.sqrt(d2g)
-    g = np.abs(u, out=np.empty_like(u))
+    np.sqrt(d2g, out=root)
+    np.abs(u, out=g)
     g += root
     np.divide(0.5 * beta ** 2, g, out=g)
-    dg = np.maximum(u, 0.0, out=np.empty_like(u))
+    np.maximum(u, 0.0, out=dg)
     g += dg
     np.divide(g, root, out=dg)
     d2g *= root
@@ -108,21 +121,31 @@ def smooth_pos(u, beta: float):
     return g, dg
 
 
-def _inverse_energy(e, eps=None):
+def _inverse_energy(e, eps=None, out=None):
     """1 / (e + eps) of an energy field e; eps defaults to 1e-12 (mean(e) + 1)."""
-    return 1.0 / (e + (1e-12 * (float(e.mean()) + 1.0) if eps is None else eps))
+    out = np.add(e, 1e-12 * (float(e.mean()) + 1.0) if eps is None else eps, out=out)
+    return np.divide(1.0, out, out=out)
 
 
-def _keep_ratio(w, v, eps=None):
+def _keep_ratio(w, v, eps=None, work=None):
     """The keep factor's ratio r = v / (w^2 + eps), u = 1 - 4 lam r, and its partials.
 
-    Returns (r, (r_w, r_v, r_ww, r_vv, r_wv)) with r_vv = 0; eps is
-    _inverse_energy's. r_ww is nan where w^2 overflows.
+    Returns (r, (r_w, r_v, r_ww, r_vv, r_wv)) with r_vv = 0, in work's
+    buffers (_buffers); eps is _inverse_energy's. r_ww is nan where w^2
+    overflows.
     """
-    w2 = w ** 2
-    iq = _inverse_energy(w2, eps)
-    r, r_wv = v * iq, -2.0 * w * iq ** 2
-    return r, (v * r_wv, iq, r * iq * (8.0 * w2 * iq - 2.0), 0.0, r_wv)
+    w2, iq, r, r_wv, r_w, r_ww = _buffers(work, "keep", 6, np.shape(w))
+    _inverse_energy(np.square(w, out=w2), eps, out=iq)
+    np.multiply(v, iq, out=r)
+    np.multiply(-2.0, w, out=r_wv)  # r_wv = -2 w iq^2
+    r_wv *= np.square(iq, out=r_w)
+    np.multiply(v, r_wv, out=r_w)
+    np.multiply(8.0, w2, out=w2)  # r_ww = r iq (8 w2 iq - 2)
+    w2 *= iq
+    w2 -= 2.0
+    np.multiply(r, iq, out=r_ww)
+    r_ww *= w2
+    return r, (r_w, iq, r_ww, 0.0, r_wv)
 
 
 def _ramp_atom(r, partials, lam: float, c, own: bool,
@@ -147,30 +170,51 @@ def _ramp_atom(r, partials, lam: float, c, own: bool,
                              d22=(d2g * u_s ** 2 + dg * u_ss) * c, d12=d12)
 
 
-def _fused_atoms(r, partials, carriers, fields: BandDivergenceFields, lambdas):
+def _signed_sum(out, tmp, terms):
+    """out = sum of k f p over terms (k, f, p), in order, with k 1, -1 or -2
+    (exact scalings); a p that is the scalar 0 makes no pass. tmp holds the
+    later terms, and neither out nor tmp may be an f or a p."""
+    live = [(k, f, p) for k, f, p in terms if np.ndim(p) or p != 0.0] or terms[:1]
+    for i, (k, f, p) in enumerate(live):
+        term = np.multiply(f, p, out=tmp if i else out)
+        if abs(k) != 1 or (i == 0 and k < 0):
+            term *= abs(k) if i else k
+        if i:
+            (np.add if k > 0 else np.subtract)(out, term, out=out)
+    return out
+
+
+def _fused_atoms(r, partials, carriers, fields: BandDivergenceFields, lambdas, work=None):
     """theta and divergence of every atom ramp(1 - 4 lam r) * c, at once.
 
     The production kernel of both LET denoisers. carriers is [(c, own)]
     as in _ramp_atom, partials those of r. Every partial of u = 1 - 4 lam r
     is -4 lam times one of r, so an atom's divergence is [own] sum(z1 g)
     + 4 lam sum(g' P) + 16 lam^2 sum(g'' Q), with P and Q formed once per
-    carrier and one ramp per lam; no partial field of an atom is formed.
+    carrier and one ramp per lam, in work's buffers (_buffers); no partial
+    field of an atom is formed, and a scalar-0 partial costs no pass.
     Returns thetas (carriers, lambdas, *r.shape) and divergences
     (carriers, lambdas), unchecked.
     """
     r_w, r_s, r_ww, r_ss, r_ws = partials
     z = fields
-    # P = [own] 2 T - c A and Q = -c B, B = z11 r_w^2 + 2 z12 r_w r_s + z22 r_s^2
-    T = z.z11 * r_w + z.z12 * r_s
-    A = z.z1 * r_w + z.z2 * r_s - z.z11 * r_ww - z.z22 * r_ss - 2.0 * z.z12 * r_ws
-    B = r_w * T + r_s * (z.z12 * r_w + z.z22 * r_s)
-    PQ = [((2.0 * T if own else 0.0) - c * A, -c * B) for c, own in carriers]
-    del T, A, B  # fewer band-sized arrays alive through the ramps
-    thetas = np.empty((len(carriers), len(lambdas)) + np.shape(r))
+    shape = np.shape(r)
+    T, A, B, tmp, u, *PQ = _buffers(work, "fused", 5 + 2 * len(carriers), shape)
+    # P = [own] 2 T - c A and Q = -c B, B = r_w T + r_s (z12 r_w + z22 r_s)
+    _signed_sum(T, tmp, [(1, z.z11, r_w), (1, z.z12, r_s)])
+    _signed_sum(A, tmp, [(1, z.z1, r_w), (1, z.z2, r_s), (-1, z.z11, r_ww),
+                         (-1, z.z22, r_ss), (-2, z.z12, r_ws)])
+    _signed_sum(u, tmp, [(1, z.z12, r_w), (1, z.z22, r_s)])  # u is free until the ramps
+    _signed_sum(B, tmp, [(1, u, r_s), (1, T, r_w)])  # a two-term sum rounds alike either way
+    for (c, own), P, Q in zip(carriers, PQ[0::2], PQ[1::2]):
+        _signed_sum(P, tmp, [(1, T, 2.0), (-1, c, A)] if own else [(-1, c, A)])
+        _signed_sum(Q, tmp, [(-1, c, B)])
+    thetas, = _buffers(work, "thetas", 1, (len(carriers), len(lambdas)) + shape)
     divs = np.empty((len(carriers), len(lambdas)))
     for k, lam in enumerate(lambdas):
-        g, dg, d2g = _smooth_pos3(1.0 - 4.0 * lam * r, DEFAULT_BETA)
-        for i, ((c, own), (P, Q)) in enumerate(zip(carriers, PQ)):
+        np.subtract(1.0, np.multiply(4.0 * lam, r, out=u), out=u)
+        g, dg, d2g = _smooth_pos3(u, DEFAULT_BETA, work)
+        for i, ((c, own), P, Q) in enumerate(zip(carriers, PQ[0::2], PQ[1::2])):
             np.multiply(g, c, out=thetas[i, k])
             divs[i, k] = ((np.vdot(z.z1, g) if own else 0.0) + 4.0 * lam * np.vdot(dg, P)
                           + 16.0 * lam ** 2 * np.vdot(d2g, Q))
@@ -258,22 +302,22 @@ def _checked_lambdas(lambdas) -> tuple:
     return lambdas
 
 
-def _fit_expansion(rows: np.ndarray, target: np.ndarray, div: np.ndarray,
-                   half: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Risk-optimal weights of a linear expansion and the risk at them.
+def _fit_expansion(rows: np.ndarray, target: np.ndarray,
+                   div: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Risk-optimal weights a of a linear expansion, and a @ rows.
 
     The risk of a @ rows is cure_expression(a @ rows - target, a'div, half),
     minimized by (rows rows') a = rows target - 4 div over the live atoms
-    (dead ones get weight zero). The data fit comes from the residual
-    itself, so no large terms cancel. Returns (a, estimate, cure).
+    (dead ones get weight zero). Only the rows' and target's dot products
+    enter (FilterBank.synthesis_rows keeps them); the caller forms the
+    risk from the image-domain residual, so no large terms cancel.
     """
     a = np.zeros(rows.shape[0])
     live = _live_atoms(np.einsum("ij,ij->i", rows, rows), float(target @ target))
     if live.any():
         kept = rows if live.all() else rows[live]
         a[live] = solve_weights(kept @ kept.T, kept @ target - 4.0 * div[live])
-    estimate = a @ rows
-    return a, estimate, cure_expression(estimate - target, float(a @ div), half)
+    return a, a @ rows
 
 
 # ------------------------------------------------- filterbank LET denoiser
@@ -288,13 +332,14 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
     and (2..5) its divergence fields. A lowpass band gets one bias atom,
     w - tap_sum K, which synthesizes to the unbiased lowpass of x; a
     highpass band gets one keep-factor atom per lambda, thetas and
-    divergences from one fused pass (_fused_atoms, carrier w). The
-    band's thetas are synthesized in one call into their rows of one
-    (atoms x pixels) matrix; nothing else of the band outlives it.
-    _fit_expansion then solves the weights and scores the estimate of x.
-    "mixed" pools the Haar-frame and block-DCT atoms into one joint
-    system. The report's per_band maps "<bank>/<band>:bias" and
-    "<bank>/<band>:l<lambda>" to the atom's weight.
+    divergences from one fused pass (_fused_atoms, carrier w) in buffers
+    that every band reuses. The band's thetas become their rows of one
+    matrix of Parseval rows (FilterBank.synthesis_rows); nothing else of
+    the band outlives it. _fit_expansion solves the weights on those rows,
+    one inverse transform gives the estimate of x, and cure_expression
+    scores its residual. "mixed" pools the Haar-frame and block-DCT atoms
+    into one joint system. The report's per_band maps "<bank>/<band>:bias"
+    and "<bank>/<band>:l<lambda>" to the atom's weight.
     """
     y = _nonnegative(y)
     lambdas = _checked_lambdas(lambdas)
@@ -308,27 +353,32 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
         banks.append(bdct8_bank())
     n_atoms = sum(1 if band.kind == "lowpass" else len(lambdas)
                   for bank in banks for band in bank.bands)
-    rows = np.empty((n_atoms, y.size))
-    div, labels = np.empty(n_atoms), []
+    target = banks[0].synthesis_rows(None, y - K)
+    rows = np.empty((n_atoms, target.size))
+    div, labels, work = np.empty(n_atoms), [], {}
     for bank in banks:
         for i, (band, corr) in enumerate(zip(bank.bands, bank.walk(y, range(1, 6)))):
-            fields = BandDivergenceFields.of_band(band, K, corr[1:])
+            fields = BandDivergenceFields.of_band(band, K, corr[1:],
+                                                  _buffers(work, "fields", 1, (5,) + y.shape)[0])
             name = f"{bank.name}/{band.label}"
             if band.kind == "lowpass":
                 thetas, band_div = (corr[0] - band.tap_sum * K)[None], [fields.z1.sum()]
                 labels.append(f"{name}:bias")
             else:
                 thetas, band_div = (t[0] for t in _fused_atoms(
-                    *_keep_ratio(corr[0], corr[1]), [(corr[0], True)], fields, lambdas))
+                    *_keep_ratio(corr[0], corr[1], work=work), [(corr[0], True)], fields,
+                    lambdas, work))
                 if not np.isfinite(band_div).all():
                     raise ValueError(f"divergence of band {name} is not finite")
                 labels.extend(f"{name}:l{lam:g}" for lam in lambdas)
             at = slice(len(labels) - len(thetas), len(labels))
             div[at] = band_div
-            rows[at] = bank.synthesize_band(i, thetas).reshape(len(thetas), -1)
-    a, estimate, cure = _fit_expansion(rows, (y - K).ravel(), div, y - K / 2)
+            bank.synthesis_rows(i, thetas, out=rows[at])
+    a, combined = _fit_expansion(rows, target, div)
+    estimate = FilterBank.field_of_rows(combined, y.shape)
+    cure = cure_expression(estimate - (y - K), float(a @ div), y - K / 2)
     weights = {label: float(ak) for label, ak in zip(labels, a)}
-    return estimate.reshape(y.shape), RiskReport(cure=cure, per_band=weights)
+    return estimate, RiskReport(cure=cure, per_band=weights)
 
 
 # ------------------------------------------------------ subband CUREshrink
@@ -549,8 +599,9 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
     """Per-subband 8-atom inter-/intra-scale expansion, weights by risk.
 
     Each detail subband is one expansion of joint_let_atoms' atoms, their
-    thetas and divergences from one _fused_atoms call per modulator, fitted
-    by _fit_expansion. The subband risk has the filterbank divergence form
+    thetas and divergences from one _fused_atoms call per modulator (its
+    buffers kept per subband shape for the whole call), fitted by
+    _fit_expansion. The subband risk has the filterbank divergence form
     with the subband field layout (BandDivergenceFields.of_subband): the
     coefficient is its own band and s doubles as the variance channel. The
     lowpass is unbiased by its accumulated dof (4^J K in 2-D).
@@ -568,6 +619,7 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
     if spins not in SPIN_COUNTS:
         raise ValueError(f"spins must be one of {SPIN_COUNTS}, got {spins!r}")
     level1 = {}  # (r, orientation) -> (level-1 theta of shift r, its risk)
+    work = {}
 
     def fn(w, s, kj, orient, j, r, q):
         if j == 1 and (r, orient) in level1:
@@ -575,12 +627,13 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
             return np.roll(theta, q, axis=axes), risk
         p = parent_field(s, orient)
         fields = BandDivergenceFields.of_subband(w, s, kj)
-        fused = [_fused_atoms(ratio, partials, [(w, True), (p, False)], fields, lambdas)
-                 for ratio, partials in _joint_modulators(w, s, p)]
         # atoms in joint_let_atoms' order: (carrier, modulator, lambda)
-        thetas, div = (np.stack(parts, axis=1) for parts in zip(*fused))
-        _, theta, risk = _fit_expansion(
-            thetas.reshape(div.size, -1), w.ravel(), div.ravel(), fields.z1)
+        thetas, div = np.empty((2, 2, len(lambdas)) + w.shape), np.empty((2, 2, len(lambdas)))
+        for m, (ratio, partials) in enumerate(_joint_modulators(w, s, p)):
+            thetas[:, m], div[:, m] = _fused_atoms(ratio, partials, [(w, True), (p, False)],
+                                                   fields, lambdas, work)
+        a, theta = _fit_expansion(thetas.reshape(div.size, -1), w.ravel(), div.ravel())
+        risk = cure_expression(theta - w.ravel(), float(a @ div.ravel()), fields.z1)
         theta = theta.reshape(w.shape)
         if j == 1:
             level1[r, orient] = np.roll(theta, [-v for v in q], axis=axes), risk

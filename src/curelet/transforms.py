@@ -8,9 +8,9 @@ Two transform families back the denoisers:
   factors, and synthesis is the adjoint correlation scaled by a per-band
   gain. FilterBank owns the spectral format (no other module calls
   numpy.fft): walk streams each band's correlations with powers of its
-  taps from one transform of the image, bands with equal leading factors
-  sharing one leading-axis inverse transform, and synthesize_band maps a
-  stack of fields through one kernel spectrum, an outer product of 1-D FFTs.
+  taps from one transform of the image, and synthesis_rows gives a band's
+  synthesis as Parseval-weighted half spectra, real rows with the image
+  domain's dot products, so a fit over all bands inverts only its result.
 * The unnormalized Haar DWT: critically sampled pairwise sums/differences
   whose scaling chain preserves the chi-square family (sums of independent
   chi-squares stay chi-square, doubling the dof per 1-D split).
@@ -52,6 +52,12 @@ def _tap_spectra(factors, powers, shape, axes=None) -> np.ndarray:
     return spectra
 
 
+def _parseval_weight(shape) -> np.ndarray:
+    """sqrt(w / N) over the last axis of a real field's half spectrum: w = 2,
+    but 1 on the DC and (even last axis) Nyquist columns, which have no mirror."""
+    return np.sqrt((2.0 - (2 * np.arange(shape[-1] // 2 + 1) % shape[-1] == 0)) / np.prod(shape))
+
+
 @dataclass(frozen=True)
 class Band:
     """One analysis band: 1-D tap factors, synthesis gain, and metadata.
@@ -81,12 +87,11 @@ class FilterBank:
 
     bands[0] is the lowpass (bias-carrying) band. Every analysis quantity
     is a per-band correlation of the image with a power of the band's
-    taps, and walk streams them: it transforms the image once and yields
-    one band's stacked correlations at a time, so only the current band
-    and its shared leading-axis stack are alive. Synthesis convolves a
-    coefficient field (or a stack) with ``synth_gain * taps``; synthesize
-    sums the bands. Kernel spectra come from the bands' 1-D factors
-    (_tap_spectra). A bank caches nothing, so it is safe to share.
+    taps, and walk streams them one band at a time. Synthesis convolves a
+    coefficient field (or a stack) with ``synth_gain * taps``:
+    synthesis_rows gives it as Parseval rows, field_of_rows inverts rows,
+    and synthesize sums the bands. Kernel spectra come from the bands' 1-D
+    factors (_tap_spectra). A bank caches nothing, so it is safe to share.
     """
 
     def __init__(self, name: str, bands):
@@ -110,18 +115,28 @@ class FilterBank:
         (len(powers), *y.shape) and row k is the periodic correlation
         out[n] = sum_m taps[m] ** powers[k] * y[(n + m) mod shape]. A band
         with the previous band's leading factors reuses its leading-axis
-        inverse transform: bdct8_bank's 64 bands make 8.
+        inverse transform: bdct8_bank's 64 bands make 8. When every band's
+        taps have one magnitude c (the Haar frame), only powers 1 and 2 are
+        transformed: taps^p = c^(p - b) taps^b, b = 1 for odd p, 2 for even.
         """
         y = np.asarray(y, dtype=np.float64)
         self._check_size(y.shape)
         y_fft = np.fft.rfftn(y)
         *lead, last = range(y.ndim)
+        base, pick = list(powers), None
+        if set(base) - {1, 2} and all(np.unique(np.abs(b.taps)).size == 1 for b in self.bands):
+            pick = [2 - p % 2 for p in powers]
+            base, exps = sorted(set(pick)), np.subtract(powers, pick).reshape((-1,) + (1,) * y.ndim)
         for band, prev in zip(self.bands, (None,) + self.bands):
             if prev is None or not all(map(np.array_equal, band.factors[:-1], prev.factors[:-1])):
-                stack = y_fft * np.conj(_tap_spectra(band.factors, powers, y.shape, lead))
+                stack = y_fft * np.conj(_tap_spectra(band.factors, base, y.shape, lead))
                 stack = np.fft.ifftn(stack, axes=[1 + a for a in lead])
-            yield np.fft.irfft(stack * np.conj(_tap_spectra(band.factors, powers, y.shape, [last])),
-                               n=y.shape[-1])
+            corr = np.fft.irfft(stack * np.conj(_tap_spectra(band.factors, base, y.shape, [last])),
+                                n=y.shape[-1])
+            if pick is not None:
+                corr = corr[[base.index(b) for b in pick]]
+                corr *= np.abs(band.taps).flat[0] ** exps
+            yield corr
 
     def analyze(self, y: np.ndarray) -> list[np.ndarray]:
         """Per-band coefficient fields w_b = correlation(y, taps_b)."""
@@ -135,15 +150,32 @@ class FilterBank:
         """
         return [corr[0] for corr in self.walk(y, (2,))]
 
-    def synthesize_band(self, i: int, coeffs: np.ndarray) -> np.ndarray:
+    def synthesis_rows(self, i, coeffs, out=None) -> np.ndarray:
         """Band i's synthesis of a coefficient field, or of a stack of them
-        along leading axes, all through one transform of the band's kernel."""
+        along leading axes (for i None, the fields themselves), as real rows
+        with the same dot products: the half spectrum rfftn(coeffs) times
+        the band's kernel spectrum and _parseval_weight, viewed as reals
+        (Parseval). out, if given, receives them."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        band = self.bands[i]
-        shape = coeffs.shape[coeffs.ndim - len(band.factors):]
-        axes = range(-len(shape), 0)
-        kernel = band.synth_gain * _tap_spectra(band.factors, (1,), shape)[0]
-        return np.fft.irfftn(np.fft.rfftn(coeffs, axes=axes) * kernel, s=shape, axes=axes)
+        shape = coeffs.shape[coeffs.ndim - self.bands[0].taps.ndim:]
+        spectrum = np.fft.rfftn(coeffs, axes=range(-len(shape), 0))
+        kernel = _parseval_weight(shape) * (1.0 if i is None else self.bands[i].synth_gain
+                                            * _tap_spectra(self.bands[i].factors, (1,), shape)[0])
+        dest = spectrum if out is None else out.view(np.complex128).reshape(spectrum.shape)
+        return np.multiply(spectrum, kernel, out=dest).view(np.float64).reshape(
+            spectrum.shape[:coeffs.ndim - len(shape)] + (-1,))
+
+    @staticmethod
+    def field_of_rows(rows, shape) -> np.ndarray:
+        """The field, or stack of fields, whose synthesis_rows(None, .) are rows."""
+        spectrum = np.ascontiguousarray(rows, dtype=np.float64).view(np.complex128)
+        spectrum = spectrum.reshape(spectrum.shape[:-1] + tuple(shape[:-1]) + (-1,))
+        return np.fft.irfftn(spectrum / _parseval_weight(shape), s=shape, axes=range(-len(shape), 0))
+
+    def synthesize_band(self, i: int, coeffs: np.ndarray) -> np.ndarray:
+        """Band i's synthesis of a coefficient field, or of a stack of them."""
+        shape = np.shape(coeffs)[np.ndim(coeffs) - self.bands[0].taps.ndim:]
+        return self.field_of_rows(self.synthesis_rows(i, coeffs), shape)
 
     def synthesize(self, coeffs: list[np.ndarray]) -> np.ndarray:
         if len(coeffs) != len(self.bands):

@@ -21,7 +21,9 @@ from curelet.risk import (
     BandDivergenceFields,
     SubbandEvaluation,
     atom_divergence,
+    band_divergence_fields,
     combine_evaluations,
+    cure_expression,
     cure_filterbank_divergence,
     cure_subband,
 )
@@ -654,6 +656,82 @@ def test_uwt_mixed_keeps_only_the_row_matrix():
         tracemalloc.stop()
     assert len(report.per_band) == n_atoms
     assert peak <= 2 * n_atoms * y.size * 8
+
+
+def image_domain_fit(banks, y, K):
+    """The risk minimizer fitted in the image domain: every atom of
+    uwt_curelet_denoise's expansion, built by the reference atom and
+    synthesized with bank.synthesize_band, is one row of an (atoms x
+    pixels) matrix; _fit_expansion solves on those rows and y - K, and
+    the cure comes from the image-domain residual."""
+    rows, div = [], []
+    for bank in banks:
+        for i, (band, fields, w, wbar) in enumerate(zip(
+                bank.bands, band_divergence_fields(y, K, bank), bank.analyze(y),
+                bank.analyze_variance(y))):
+            if band.kind == "lowpass":
+                evs = [SubbandEvaluation(theta=w - band.tap_sum * K, d1=1.0, d2=0.0,
+                                         d11=0.0, d22=0.0, d12=0.0)]
+            else:
+                evs = [let_atom_pointwise(w, wbar, lam) for lam in shrinkage.LAMBDAS]
+            rows += [bank.synthesize_band(i, ev.theta).ravel() for ev in evs]
+            div += [atom_divergence(fields, ev) for ev in evs]
+    rows, div, target = np.array(rows), np.array(div), (y - K).ravel()
+    a, estimate = shrinkage._fit_expansion(rows, target, div)
+    return a, estimate.reshape(y.shape), cure_expression(estimate - target, float(a @ div),
+                                                         y - K / 2)
+
+
+def piecewise_1d(n, seed):
+    x = np.repeat([40.0, 400.0, 90.0, 900.0], -(-n // 4))[:n]
+    return sample_chi2(x, 2.0, seed=seed).samples, 2.0
+
+
+def shepp_logan_crop(rows, cols):
+    y, K = rescaled_shepp_logan(128, 20.0)
+    return y[:rows, :cols], K
+
+
+@pytest.mark.parametrize("transform, data", [
+    ("haar-uwt", partial(shepp_logan_crop, 64, 64)),
+    ("mixed", partial(shepp_logan_crop, 64, 64)),
+    ("haar-uwt", partial(shepp_logan_crop, 117, 93)),
+    ("mixed", partial(shepp_logan_crop, 117, 93)),
+    ("haar-uwt", partial(shepp_logan_crop, 120, 100)),
+    ("mixed", partial(shepp_logan_crop, 120, 100)),
+    ("haar-uwt", partial(piecewise_1d, 37, 5)),
+    ("haar-uwt", partial(piecewise_1d, 64, 6)),
+], ids=["haar-64x64", "mixed-64x64", "haar-117x93", "mixed-117x93", "haar-120x100",
+        "mixed-120x100", "haar-1d-37", "haar-1d-64"])
+def test_uwt_fit_is_the_image_domain_risk_minimizer(transform, data):
+    # the half-spectrum rows must give the Gram and right-hand side of the
+    # image-domain rows: same weights, estimate and cure; a wrong Parseval
+    # weight on the DC or Nyquist column moves all three
+    y, K = data()
+    est, report = uwt_curelet_denoise(y, K, transform=transform)
+    banks = [haar_uwt_bank(3, ndim=y.ndim)] + ([bdct8_bank()] if transform == "mixed" else [])
+    a, ref, cure = image_domain_fit(banks, y, K)
+    weights = np.array(list(report.per_band.values()))
+    np.testing.assert_allclose(weights, a, rtol=0.0, atol=1e-8 * float(np.abs(a).max()))
+    np.testing.assert_allclose(est, ref, rtol=0.0, atol=1e-10 * float(np.abs(ref).max()))
+    assert report.cure == pytest.approx(cure, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("transform", ["haar-uwt", "bdct", "mixed"])
+def test_uwt_denoise_makes_one_inverse_transform(transform, monkeypatch):
+    # the fit runs on half spectra, so only its result goes back to the
+    # image domain
+    calls = []
+    irfftn = np.fft.irfftn
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return irfftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfftn", counting)
+    y, K = rescaled_shepp_logan(32, 20.0)
+    uwt_curelet_denoise(y, K, transform=transform)
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------- pyramid denoisers

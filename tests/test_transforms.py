@@ -336,3 +336,28 @@ def test_walk_shares_leading_axis_inverse_transforms(bank, passes, monkeypatch):
     y = np.random.default_rng(3).normal(size=(64, 64))
     assert sum(1 for _ in bank.walk(y, range(1, 6))) == len(bank.bands)
     assert calls == {"ifftn": passes, "irfft": len(bank.bands)}
+
+
+@pytest.mark.parametrize("bank", [tr.haar_uwt_bank(3), tr.haar_uwt_bank(3, ndim=1)],
+                         ids=["haar-J3-2d", "haar-J3-1d"])
+def test_walk_transforms_two_power_rows_per_haar_band(bank, monkeypatch):
+    # every Haar-frame tap has one magnitude c per band, so taps^3..5 are
+    # c^2 taps, c^2 taps^2 and c^4 taps: each inverse transform sees 2 rows
+    rows = {"ifftn": [], "irfft": []}
+
+    def recording(name):
+        inner = getattr(np.fft, name)
+
+        def wrapped(a, *args, **kwargs):
+            rows[name].append(len(a))
+            return inner(a, *args, **kwargs)
+        return wrapped
+
+    for name in rows:
+        monkeypatch.setattr(np.fft, name, recording(name))
+    shape = (64, 64)[: len(bank.bands[0].factors)]
+    y = np.random.default_rng(5).normal(size=shape)
+    assert all(corr.shape == (5,) + shape for corr in bank.walk(y, range(1, 6)))
+    # a 1-D bank has no leading axis to refresh: its one ifftn is the first
+    assert rows["ifftn"] == [2] * (len(bank.bands) if len(shape) == 2 else 1)
+    assert rows["irfft"] == [2] * len(bank.bands)
