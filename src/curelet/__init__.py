@@ -34,13 +34,9 @@ from .pipeline import (
     ssim_mean,
 )
 from .risk import (
-    EstimatorEvaluation,
     RiskReport,
     SubbandEvaluation,
-    cure_filterbank_divergence,
-    cure_image,
     cure_subband,
-    mse_oracle,
 )
 from .shrinkage import (
     cureshrink_denoise,
@@ -61,7 +57,6 @@ __all__ = [
     "METHODS",
     "SIGMA_GRID",
     "DenoiseResult",
-    "EstimatorEvaluation",
     "ExperimentProtocol",
     "FilterBank",
     "HaarPyramid",
@@ -72,8 +67,6 @@ __all__ = [
     "SubbandEvaluation",
     "bdct8_bank",
     "cipsnr",
-    "cure_filterbank_divergence",
-    "cure_image",
     "cure_subband",
     "cureshrink_denoise",
     "cureshrink_subband",
@@ -85,7 +78,6 @@ __all__ = [
     "make_phantom",
     "moments",
     "monte_carlo_experiment",
-    "mse_oracle",
     "parent_field",
     "psnr",
     "quality_report",

@@ -198,8 +198,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     protocol = ExperimentProtocol(
         phantom=args.phantom,
         size=args.size,
-        sigmas=args.sigmas or SIGMA_GRID,
-        methods=args.methods or METHODS,
+        sigmas=SIGMA_GRID if args.sigmas is None else args.sigmas,
+        methods=METHODS if args.methods is None else args.methods,
         seeds=tuple(range(args.seeds)),
         lam=args.lam,
         J=args.levels,
@@ -341,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     bm.add_argument("--phantom", choices=("shepp-logan", "piecewise",
                                           "constant"), default="shepp-logan")
     bm.add_argument("--size", type=int, default=128)
-    bm.add_argument("--sigmas", type=_float_tuple, default=(),
+    bm.add_argument("--sigmas", type=_float_tuple, default=None,
                     help="comma-separated noise levels")
-    bm.add_argument("--methods", type=_name_tuple, default=(),
+    bm.add_argument("--methods", type=_name_tuple, default=None,
                     help="comma-separated method names")
     bm.add_argument("--seeds", type=_AT_LEAST_ONE, default=10,
                     help="number of noise realizations per cell")

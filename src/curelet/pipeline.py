@@ -340,6 +340,11 @@ class ExperimentProtocol:
         for mth in self.methods:
             if mth not in METHODS:
                 raise ValueError(f"unknown method {mth!r}")
+        # runs are keyed by (method, float(sigma), seed): a repeat would be counted twice
+        for name, values in (("sigma", [float(s) for s in self.sigmas]),
+                             ("method", self.methods), ("seed", self.seeds)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"protocol repeats a {name}: {tuple(values)}")
         make_phantom(self.phantom, self.size)
 
 

@@ -13,19 +13,13 @@ scaled by the synthesis gain; no operator matrices) and of_subband for a
 Haar DWT subband, whose s doubles as the variance channel:
 (s - K_j/2, w, w, w, s).
 The LET denoisers in shrinkage fit their weights from per-atom
-divergences and score through the same expression. The evaluators score
-a given estimate and are the references the tests trust:
-
-* cure_image: image-domain risk of any smooth estimator of the
-  noncentrality field, from the estimate and its diagonal derivatives.
-* cure_filterbank_divergence: the same risk for band-wise processing
-  inside an undecimated filterbank, its fields formed from y.
-* cure_subband: per-subband risk in the unnormalized Haar DWT, valid for
-  any subband whose coefficient is a +-1 combination of a disjoint block
-  of input samples summing to s (the 2-D LH/HL/HH bands, K_j = 4^j K).
-
-Each evaluator's expectation equals the corresponding mean squared error;
-the Monte Carlo tests pin this down to standard-error tolerances.
+divergences and score through the same expression. cure_subband scores
+a given estimate: the per-subband risk in the unnormalized Haar DWT,
+valid for any subband whose coefficient is a +-1 combination of a
+disjoint block of input samples summing to s (the 2-D LH/HL/HH bands,
+K_j = 4^j K). Its expectation equals the subband's mean squared error.
+The image-domain and filterbank evaluators the tests trust as
+references live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -34,28 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import Band, FilterBank
+from .transforms import Band
 
 __all__ = [
-    "EstimatorEvaluation",
     "SubbandEvaluation",
     "RiskReport",
     "BandDivergenceFields",
     "cure_expression",
-    "cure_image",
-    "mse_oracle",
     "cure_subband",
-    "band_divergence_fields",
     "atom_divergence",
-    "cure_filterbank_divergence",
-    "combine_evaluations",
 ]
-
-
-def _samples(y) -> np.ndarray:
-    if hasattr(y, "samples"):
-        return y.samples
-    return np.asarray(y, dtype=np.float64)
 
 
 def _full(value, shape) -> np.ndarray:
@@ -63,23 +45,6 @@ def _full(value, shape) -> np.ndarray:
     if arr.shape != shape:
         arr = np.broadcast_to(arr, shape).copy()
     return arr
-
-
-@dataclass(frozen=True)
-class EstimatorEvaluation:
-    """An estimate f(y) of x with its diagonal derivatives d f_n / d y_n."""
-
-    f: np.ndarray
-    df: np.ndarray
-    d2f: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=np.float64)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "df", _full(self.df, f.shape))
-        object.__setattr__(self, "d2f", _full(self.d2f, f.shape))
-        if not (np.isfinite(self.df).all() and np.isfinite(self.d2f).all()):
-            raise ValueError("derivatives must be finite")
 
 
 @dataclass(frozen=True)
@@ -103,17 +68,6 @@ class SubbandEvaluation:
             object.__setattr__(self, name, arr)
 
 
-def combine_evaluations(evs, weights) -> SubbandEvaluation:
-    """Linear combination sum_k a_k * ev_k (all fields are linear in theta)."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(evs) != weights.size:
-        raise ValueError("one weight per evaluation required")
-    fields = {}
-    for name in ("theta", "d1", "d2", "d11", "d22", "d12"):
-        fields[name] = sum(a * getattr(ev, name) for a, ev in zip(weights, evs))
-    return SubbandEvaluation(**fields)
-
-
 @dataclass(frozen=True)
 class RiskReport:
     """Estimated risk and an optional per-band breakdown."""
@@ -134,30 +88,6 @@ def cure_expression(resid: np.ndarray, div: float, half: np.ndarray) -> float:
     """
     resid = resid.ravel()
     return (float(resid @ resid) + 8.0 * div - 4.0 * float(half.sum())) / resid.size
-
-
-def cure_image(y, K: float, ev: EstimatorEvaluation) -> float:
-    """Image-domain unbiased risk estimate of ev.f as an estimate of x.
-
-    The divergence is (y - K/2)' df - y' d2f.
-    """
-    y = _samples(y)
-    if ev.f.shape != y.shape:
-        raise ValueError("estimate and observation shapes differ")
-    if not K > 0:
-        raise ValueError("K must be positive")
-    half = y - K / 2
-    div = float((half * ev.df).sum()) - float((y * ev.d2f).sum())
-    return cure_expression(ev.f - (y - K), div, half)
-
-
-def mse_oracle(f, x) -> float:
-    """(1/N) |f - x|^2 against the known clean field."""
-    f = np.asarray(f, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if f.shape != x.shape:
-        raise ValueError("shape mismatch")
-    return float(((f - x) ** 2).mean())
 
 
 def cure_subband(w, s, K_j: float, ev: SubbandEvaluation) -> float:
@@ -213,12 +143,6 @@ class BandDivergenceFields:
         return cls(z1=s - K_j / 2, z2=w, z11=w, z22=w, z12=s)
 
 
-def band_divergence_fields(y, K: float, bank: FilterBank) -> list[BandDivergenceFields]:
-    """Divergence correlation fields of every band of the bank."""
-    return [BandDivergenceFields.of_band(band, K, corr)
-            for band, corr in zip(bank.bands, bank.walk(_samples(y), range(2, 6)))]
-
-
 def atom_divergence(fields: BandDivergenceFields, ev: SubbandEvaluation) -> float:
     """Divergence of one atom (or band estimate): first - second order terms.
 
@@ -231,19 +155,3 @@ def atom_divergence(fields: BandDivergenceFields, ev: SubbandEvaluation) -> floa
         + 2.0 * float((fields.z12 * ev.d12).sum())
     )
     return first - second
-
-
-def cure_filterbank_divergence(y, K: float, evs, bank: FilterBank) -> float:
-    """Image-domain risk of the full filterbank estimator f = sum_b R_b theta_b.
-
-    evs holds one SubbandEvaluation per band (lowpass included), with
-    partials taken w.r.t. that band's (w_b, wbar_b). The divergence sums
-    reduce to per-band correlations (band_divergence_fields of y).
-    """
-    y = _samples(y)
-    if len(evs) != len(bank.bands):
-        raise ValueError("one evaluation per band required")
-    f = bank.synthesize([ev.theta for ev in evs])
-    div = sum(atom_divergence(fl, ev)
-              for fl, ev in zip(band_divergence_fields(y, K, bank), evs))
-    return cure_expression(f - (y - K), div, y - K / 2)

@@ -6,8 +6,7 @@ and its variance channel with closed-form partials, so the unbiased risk
 estimate is exact. One fused kernel (_fused_atoms) gives both expansion
 denoisers every atom's theta and divergence, and one fit (_fit_expansion)
 minimizes the risk, a quadratic in the weights, on a tiny normal system.
-let_atom_pointwise and joint_let_atoms, which build the same atoms with
-all six partials, are the tested references.
+The reference atoms, built with all six partials, are in tests/oracles.py.
 
 Three denoisers:
 
@@ -49,15 +48,12 @@ from .transforms import (
 )
 
 __all__ = [
-    "smooth_pos",
-    "let_atom_pointwise",
     "solve_weights",
     "uwt_curelet_denoise",
     "cureshrink_evaluation",
     "cureshrink_subband",
     "cureshrink_denoise",
     "gamma_kernel",
-    "joint_let_atoms",
     "haar_curelet_denoise",
 ]
 
@@ -113,14 +109,6 @@ def _smooth_pos3(u, beta: float, work=None):
     return g, dg, d2g
 
 
-def smooth_pos(u, beta: float):
-    """Smooth ramp approximating max(u, 0); returns (value, derivative)."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    g, dg, _ = _smooth_pos3(np.asarray(u, dtype=np.float64), beta)
-    return g, dg
-
-
 def _inverse_energy(e, eps=None, out=None):
     """1 / (e + eps) of an energy field e; eps defaults to 1e-12 (mean(e) + 1)."""
     out = np.add(e, 1e-12 * (float(e.mean()) + 1.0) if eps is None else eps, out=out)
@@ -148,28 +136,6 @@ def _keep_ratio(w, v, eps=None, work=None):
     return r, (r_w, iq, r_ww, 0.0, r_wv)
 
 
-def _ramp_atom(r, partials, lam: float, c, own: bool,
-               beta: float = DEFAULT_BETA) -> SubbandEvaluation:
-    """theta = ramp(1 - 4 lam r) * c with its six diagonal partials in (w, s).
-
-    partials is (r_w, r_s, r_ww, r_ss, r_ws). own marks a carrier c that is
-    the coefficient w itself, which adds the product-rule terms of the
-    w-derivatives; any other carrier is held fixed. The reference for
-    _fused_atoms, which production code calls instead.
-    """
-    g, dg, d2g = _smooth_pos3(1.0 - 4.0 * lam * r, beta)
-    u_w, u_s, u_ww, u_ss, u_ws = (-4.0 * lam * d for d in partials)
-    d1 = dg * u_w * c
-    d11 = (d2g * u_w ** 2 + dg * u_ww) * c
-    d12 = (d2g * u_w * u_s + dg * u_ws) * c
-    if own:
-        d1 = d1 + g
-        d11 = d11 + 2.0 * dg * u_w
-        d12 = d12 + dg * u_s
-    return SubbandEvaluation(theta=g * c, d1=d1, d2=dg * u_s * c, d11=d11,
-                             d22=(d2g * u_s ** 2 + dg * u_ss) * c, d12=d12)
-
-
 def _signed_sum(out, tmp, terms):
     """out = sum of k f p over terms (k, f, p), in order, with k 1, -1 or -2
     (exact scalings); a p that is the scalar 0 makes no pass. tmp holds the
@@ -187,8 +153,10 @@ def _signed_sum(out, tmp, terms):
 def _fused_atoms(r, partials, carriers, fields: BandDivergenceFields, lambdas, work=None):
     """theta and divergence of every atom ramp(1 - 4 lam r) * c, at once.
 
-    The production kernel of both LET denoisers. carriers is [(c, own)]
-    as in _ramp_atom, partials those of r. Every partial of u = 1 - 4 lam r
+    The production kernel of both LET denoisers. carriers is [(c, own)],
+    own marking a carrier that is the coefficient w itself (it adds the
+    product-rule terms of the w-derivatives; any other carrier is held
+    fixed), and partials are r's. Every partial of u = 1 - 4 lam r
     is -4 lam times one of r, so an atom's divergence is [own] sum(z1 g)
     + 4 lam sum(g' P) + 16 lam^2 sum(g'' Q), with P and Q formed once per
     carrier and one ramp per lam, in work's buffers (_buffers); no partial
@@ -219,22 +187,6 @@ def _fused_atoms(r, partials, carriers, fields: BandDivergenceFields, lambdas, w
             divs[i, k] = ((np.vdot(z.z1, g) if own else 0.0) + 4.0 * lam * np.vdot(dg, P)
                           + 16.0 * lam ** 2 * np.vdot(d2g, Q))
     return thetas, divs
-
-
-def let_atom_pointwise(w, wbar, lam: float, beta: float = DEFAULT_BETA,
-                       eps: float | None = None) -> SubbandEvaluation:
-    """Keep-factor atom theta = ramp(1 - 4 lam wbar / w^2) * w.
-
-    wbar is the variance channel of the band: 4(E[wbar] - K/2) estimates
-    Var(w), so 4 lam wbar / w^2 compares coefficient energy to lam times
-    its noise level. All six diagonal partials are closed-form. The
-    tested reference for the filterbank denoiser's fused atoms.
-    """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    w = np.asarray(w, dtype=np.float64)
-    r, partials = _keep_ratio(w, np.asarray(wbar, dtype=np.float64), eps)
-    return _ramp_atom(r, partials, lam, w, own=True, beta=beta)
 
 
 # --------------------------------------------------------- weight solving
@@ -293,6 +245,16 @@ def _nonnegative(y) -> np.ndarray:
     if (y < 0).any():
         raise ValueError("squared-magnitude data must be nonnegative")
     return y
+
+
+def _check_levels(shape, J: int) -> None:
+    """A J-level Haar pyramid pads each side to a multiple of 2^J, so it
+    needs 2^J at most the smallest side; the undecimated bank's support
+    check (FilterBank.walk) asks the same of the same J."""
+    most = min(shape).bit_length() - 1  # no power of 2 is formed for a huge J
+    if J > most:
+        raise ValueError(f"J={J} needs 2^J at most the image's smallest side: "
+                         f"shape {tuple(shape)} holds at most J={most}")
 
 
 def _checked_lambdas(lambdas) -> tuple:
@@ -520,32 +482,6 @@ def _joint_modulators(w, s, p, deltas=None) -> list:
     return [_keep_ratio(w, s), (A * iqp, (0.0, A_s * iqp, 0.0, A_ss * iqp, 0.0))]
 
 
-def joint_let_atoms(w, s, p, lambdas=LAMBDAS, deltas=None) -> list:
-    """The 8 inter-/intra-scale atoms of one subband.
-
-    Two modulators per lambda: the pointwise keep factor
-    ramp(1 - 4 lam s / w^2), which reads the exact variance channel s of
-    each coefficient (4(E[s] - K_j/2) = Var(w)) so one large coefficient
-    survives among noisy neighbors, and the parent-energy factor
-    ramp(1 - 4 lam gamma(s) / gamma(p)^2), with gamma the local magnitude
-    smoothed by gamma_kernel. Every ramp is smoothed with DEFAULT_BETA.
-    Carriers are w and p; atoms are ordered (modulator=w, carrier=w),
-    (modulator=p, carrier=w), (modulator=w, carrier=p), (modulator=p,
-    carrier=p), both lambdas within each. The first two atoms are exactly
-    let_atom_pointwise(w, s, lam). The parent p is an exogenous predictor
-    (built from neighboring scaling coefficients, never from (w_n, s_n)),
-    so partials are taken w.r.t. (w_n, s_n) only; gamma's dependence on a
-    coordinate is exactly its center kernel term. deltas = (d_s, d_p)
-    smooths the magnitudes inside gamma. The tested reference for the
-    fused atoms of haar_curelet_denoise.
-    """
-    w, s, p = (np.asarray(u, dtype=np.float64) for u in (w, s, p))
-    modulators = _joint_modulators(w, s, p, deltas)
-    return [_ramp_atom(r, partials, lam, carrier, own)
-            for carrier, own in ((w, True), (p, False))
-            for r, partials in modulators for lam in lambdas]
-
-
 # ------------------------------------------------------- pyramid denoisers
 
 
@@ -592,19 +528,24 @@ def cureshrink_denoise(y, K: float, J: int = 3):
         theta, _, risk = cureshrink_subband(w, s, kj)
         return theta, risk
 
-    return _denoise_pyramid(_nonnegative(y), K, J, fn)
+    y = _nonnegative(y)
+    _check_levels(y.shape, J)
+    return _denoise_pyramid(y, K, J, fn)
 
 
 def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 1):
     """Per-subband 8-atom inter-/intra-scale expansion, weights by risk.
 
-    Each detail subband is one expansion of joint_let_atoms' atoms, their
-    thetas and divergences from one _fused_atoms call per modulator (its
-    buffers kept per subband shape for the whole call), fitted by
-    _fit_expansion. The subband risk has the filterbank divergence form
-    with the subband field layout (BandDivergenceFields.of_subband): the
-    coefficient is its own band and s doubles as the variance channel. The
-    lowpass is unbiased by its accumulated dof (4^J K in 2-D).
+    Each detail subband is one expansion of 8 atoms: each modulator of
+    _joint_modulators, ramped per lambda, carried by w and by the parent
+    p (parent_field). Their thetas and divergences come from one
+    _fused_atoms call per modulator (its buffers kept per subband shape
+    for the whole call), fitted by _fit_expansion. The subband risk has
+    the filterbank divergence form with the subband field layout
+    (BandDivergenceFields.of_subband): the coefficient is its own band and
+    s doubles as the variance channel. The lowpass is unbiased by its
+    accumulated dof (4^J K in 2-D). J may not exceed log2 of y's smallest
+    side.
 
     spins (one of SPIN_COUNTS) cycle-spins the pyramid: y is padded
     periodically to a multiple of 2^J once, that padded field is rolled by
@@ -627,7 +568,7 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
             return np.roll(theta, q, axis=axes), risk
         p = parent_field(s, orient)
         fields = BandDivergenceFields.of_subband(w, s, kj)
-        # atoms in joint_let_atoms' order: (carrier, modulator, lambda)
+        # atoms ordered (carrier, modulator, lambda)
         thetas, div = np.empty((2, 2, len(lambdas)) + w.shape), np.empty((2, 2, len(lambdas)))
         for m, (ratio, partials) in enumerate(_joint_modulators(w, s, p)):
             thetas[:, m], div[:, m] = _fused_atoms(ratio, partials, [(w, True), (p, False)],
@@ -640,6 +581,7 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
         return theta, risk
 
     y = _nonnegative(y)
+    _check_levels(y.shape, J)
     lambdas = _checked_lambdas(lambdas)
     axes = tuple(range(y.ndim))
     yp = _pad_to_multiple(y, 2 ** J)

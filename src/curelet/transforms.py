@@ -89,9 +89,10 @@ class FilterBank:
     is a per-band correlation of the image with a power of the band's
     taps, and walk streams them one band at a time. Synthesis convolves a
     coefficient field (or a stack) with ``synth_gain * taps``:
-    synthesis_rows gives it as Parseval rows, field_of_rows inverts rows,
-    and synthesize sums the bands. Kernel spectra come from the bands' 1-D
-    factors (_tap_spectra). A bank caches nothing, so it is safe to share.
+    synthesis_rows gives it as Parseval rows and field_of_rows inverts
+    rows. Kernel spectra come from the bands' 1-D factors (_tap_spectra).
+    A bank caches nothing, so it is safe to share. The per-band analysis
+    and full synthesis references live in tests/oracles.py.
     """
 
     def __init__(self, name: str, bands):
@@ -101,11 +102,12 @@ class FilterBank:
             raise ValueError("bands[0] must be the lowpass band")
 
     def _check_size(self, shape) -> None:
-        support = np.max([b.taps.shape for b in self.bands], axis=0)
+        # support and dimensionality come from the 1-D factors: no n-D taps
+        support = np.max([[len(f) for f in b.factors] for b in self.bands], axis=0)
         if any(s < t for s, t in zip(shape, support)):
             raise ValueError(f"image shape {shape} smaller than filter support "
                              f"{tuple(support.tolist())}")
-        if len(shape) != self.bands[0].taps.ndim:
+        if len(shape) != len(self.bands[0].factors):
             raise ValueError("image dimensionality does not match the band taps")
 
     def walk(self, y: np.ndarray, powers):
@@ -138,18 +140,6 @@ class FilterBank:
                 corr *= np.abs(band.taps).flat[0] ** exps
             yield corr
 
-    def analyze(self, y: np.ndarray) -> list[np.ndarray]:
-        """Per-band coefficient fields w_b = correlation(y, taps_b)."""
-        return [corr[0] for corr in self.walk(y, (1,))]
-
-    def analyze_variance(self, y: np.ndarray) -> list[np.ndarray]:
-        """Variance-channel fields: correlation with the squared taps.
-
-        For chi-square data these estimate coefficient variances via
-        Var(w) = 4 (E[wbar] - K/2).
-        """
-        return [corr[0] for corr in self.walk(y, (2,))]
-
     def synthesis_rows(self, i, coeffs, out=None) -> np.ndarray:
         """Band i's synthesis of a coefficient field, or of a stack of them
         along leading axes (for i None, the fields themselves), as real rows
@@ -157,7 +147,7 @@ class FilterBank:
         the band's kernel spectrum and _parseval_weight, viewed as reals
         (Parseval). out, if given, receives them."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        shape = coeffs.shape[coeffs.ndim - self.bands[0].taps.ndim:]
+        shape = coeffs.shape[coeffs.ndim - len(self.bands[0].factors):]
         spectrum = np.fft.rfftn(coeffs, axes=range(-len(shape), 0))
         kernel = _parseval_weight(shape) * (1.0 if i is None else self.bands[i].synth_gain
                                             * _tap_spectra(self.bands[i].factors, (1,), shape)[0])
@@ -171,16 +161,6 @@ class FilterBank:
         spectrum = np.ascontiguousarray(rows, dtype=np.float64).view(np.complex128)
         spectrum = spectrum.reshape(spectrum.shape[:-1] + tuple(shape[:-1]) + (-1,))
         return np.fft.irfftn(spectrum / _parseval_weight(shape), s=shape, axes=range(-len(shape), 0))
-
-    def synthesize_band(self, i: int, coeffs: np.ndarray) -> np.ndarray:
-        """Band i's synthesis of a coefficient field, or of a stack of them."""
-        shape = np.shape(coeffs)[np.ndim(coeffs) - self.bands[0].taps.ndim:]
-        return self.field_of_rows(self.synthesis_rows(i, coeffs), shape)
-
-    def synthesize(self, coeffs: list[np.ndarray]) -> np.ndarray:
-        if len(coeffs) != len(self.bands):
-            raise ValueError(f"expected {len(self.bands)} bands, got {len(coeffs)}")
-        return sum(self.synthesize_band(i, c) for i, c in enumerate(coeffs))
 
 
 def _haar_cumulative_1d(levels: int) -> tuple[list[np.ndarray], np.ndarray]:

@@ -1,19 +1,25 @@
-"""Dense and written-out reference implementations used only by the tests.
+"""Reference implementations used only by the tests.
 
-The package computes filterbank risk divergences through FFT correlations
-with tap-product kernels. These helpers rebuild the same quantities from
-explicit circulant matrices and the image-domain chain rule, providing an
-independent arbiter: D[k, l] = taps[l - k] (periodic), Dbar uses squared
-taps, R = synth_gain * D.T. The subband weight solve is likewise rebuilt
-from normal equations written out term by term.
+The package scores every atom through one fused kernel and FFT
+correlations. These rebuild the same quantities the long way, as
+independent arbiters: atoms with all six partials, the image-domain and
+filterbank risk evaluators with per-band analysis and full synthesis,
+explicit circulant matrices with the image-domain chain rule
+(D[k, l] = taps[l - k] periodic, Dbar with squared taps,
+R = synth_gain * D.T), and the subband weight solve written out.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from curelet.risk import EstimatorEvaluation, SubbandEvaluation, combine_evaluations, cure_image
-from curelet.shrinkage import let_atom_pointwise, solve_weights
+from curelet.risk import (BandDivergenceFields, SubbandEvaluation, _full, atom_divergence,
+                          cure_expression)
+from curelet.shrinkage import (DEFAULT_BETA, LAMBDAS, _joint_modulators, _keep_ratio,
+                               _smooth_pos3, solve_weights)
+from curelet.transforms import FilterBank
 
 POINTWISE_LAMBDAS = (3.0, 9.0)
 
@@ -124,8 +130,8 @@ def pointwise_let_evaluations(bank, y, K, weights):
     combine_evaluations.
     """
     atoms = []
-    for i, (band, w, wbar) in enumerate(zip(bank.bands, bank.analyze(y),
-                                            bank.analyze_variance(y))):
+    for i, (band, w, wbar) in enumerate(zip(bank.bands, analyze(bank, y),
+                                            analyze(bank, y, 2))):
         if band.kind == "lowpass":
             atoms.append((i, f"{band.label}:bias", SubbandEvaluation(
                 theta=w - band.tap_sum * K, d1=1.0, d2=0.0, d11=0.0, d22=0.0, d12=0.0)))
@@ -136,3 +142,160 @@ def pointwise_let_evaluations(bank, y, K, weights):
     band_of = np.array([i for i, _, _ in atoms])
     return [combine_evaluations([ev for j, _, ev in atoms if j == i], a[band_of == i])
             for i in range(len(bank.bands))]
+
+
+def smooth_pos(u, beta: float):
+    """Smooth ramp approximating max(u, 0); returns (value, derivative)."""
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    g, dg, _ = _smooth_pos3(np.asarray(u, dtype=np.float64), beta)
+    return g, dg
+
+
+def _ramp_atom(r, partials, lam: float, c, own: bool,
+               beta: float = DEFAULT_BETA) -> SubbandEvaluation:
+    """theta = ramp(1 - 4 lam r) * c with its six diagonal partials in (w, s).
+
+    partials is (r_w, r_s, r_ww, r_ss, r_ws). own marks a carrier c that is
+    the coefficient w itself, which adds the product-rule terms of the
+    w-derivatives; any other carrier is held fixed. The reference for
+    shrinkage._fused_atoms, which the denoisers call instead.
+    """
+    g, dg, d2g = _smooth_pos3(1.0 - 4.0 * lam * r, beta)
+    u_w, u_s, u_ww, u_ss, u_ws = (-4.0 * lam * d for d in partials)
+    d1 = dg * u_w * c
+    d11 = (d2g * u_w ** 2 + dg * u_ww) * c
+    d12 = (d2g * u_w * u_s + dg * u_ws) * c
+    if own:
+        d1 = d1 + g
+        d11 = d11 + 2.0 * dg * u_w
+        d12 = d12 + dg * u_s
+    return SubbandEvaluation(theta=g * c, d1=d1, d2=dg * u_s * c, d11=d11,
+                             d22=(d2g * u_s ** 2 + dg * u_ss) * c, d12=d12)
+
+
+def let_atom_pointwise(w, wbar, lam: float, beta: float = DEFAULT_BETA,
+                       eps: float | None = None) -> SubbandEvaluation:
+    """Keep-factor atom theta = ramp(1 - 4 lam wbar / w^2) * w.
+
+    wbar is the variance channel of the band: 4(E[wbar] - K/2) estimates
+    Var(w), so 4 lam wbar / w^2 compares coefficient energy to lam times
+    its noise level. All six diagonal partials are closed-form. The
+    reference for the filterbank denoiser's fused atoms.
+    """
+    if not lam > 0:
+        raise ValueError("lam must be positive")
+    w = np.asarray(w, dtype=np.float64)
+    r, partials = _keep_ratio(w, np.asarray(wbar, dtype=np.float64), eps)
+    return _ramp_atom(r, partials, lam, w, own=True, beta=beta)
+
+
+def joint_let_atoms(w, s, p, lambdas=LAMBDAS, deltas=None) -> list:
+    """The 8 inter-/intra-scale atoms of one subband.
+
+    Two modulators per lambda: the pointwise keep factor
+    ramp(1 - 4 lam s / w^2), which reads the exact variance channel s of
+    each coefficient (4(E[s] - K_j/2) = Var(w)) so one large coefficient
+    survives among noisy neighbors, and the parent-energy factor
+    ramp(1 - 4 lam gamma(s) / gamma(p)^2), with gamma the local magnitude
+    smoothed by gamma_kernel. Every ramp is smoothed with DEFAULT_BETA.
+    Carriers are w and p; atoms are ordered (modulator=w, carrier=w),
+    (modulator=p, carrier=w), (modulator=w, carrier=p), (modulator=p,
+    carrier=p), both lambdas within each. The first two atoms are exactly
+    let_atom_pointwise(w, s, lam). The parent p is an exogenous predictor
+    (built from neighboring scaling coefficients, never from (w_n, s_n)),
+    so partials are taken w.r.t. (w_n, s_n) only; gamma's dependence on a
+    coordinate is exactly its center kernel term. deltas = (d_s, d_p)
+    smooths the magnitudes inside gamma. The reference for the fused atoms
+    of haar_curelet_denoise.
+    """
+    w, s, p = (np.asarray(u, dtype=np.float64) for u in (w, s, p))
+    modulators = _joint_modulators(w, s, p, deltas)
+    return [_ramp_atom(r, partials, lam, carrier, own)
+            for carrier, own in ((w, True), (p, False))
+            for r, partials in modulators for lam in lambdas]
+
+
+def combine_evaluations(evs, weights) -> SubbandEvaluation:
+    """Linear combination sum_k a_k * ev_k (all fields are linear in theta)."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if len(evs) != weights.size:
+        raise ValueError("one weight per evaluation required")
+    return SubbandEvaluation(**{name: sum(a * getattr(ev, name) for a, ev in zip(weights, evs))
+                                for name in ("theta", "d1", "d2", "d11", "d22", "d12")})
+
+
+@dataclass(frozen=True)
+class EstimatorEvaluation:
+    """An estimate f(y) of x with its diagonal derivatives d f_n / d y_n."""
+
+    f: np.ndarray
+    df: np.ndarray
+    d2f: np.ndarray
+
+    def __post_init__(self):
+        f = np.asarray(self.f, dtype=np.float64)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "df", _full(self.df, f.shape))
+        object.__setattr__(self, "d2f", _full(self.d2f, f.shape))
+        if not (np.isfinite(self.df).all() and np.isfinite(self.d2f).all()):
+            raise ValueError("derivatives must be finite")
+
+
+def cure_image(y, K: float, ev: EstimatorEvaluation) -> float:
+    """Image-domain unbiased risk estimate of ev.f as an estimate of x.
+
+    The divergence is (y - K/2)' df - y' d2f.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if ev.f.shape != y.shape:
+        raise ValueError("estimate and observation shapes differ")
+    if not K > 0:
+        raise ValueError("K must be positive")
+    half = y - K / 2
+    div = float((half * ev.df).sum()) - float((y * ev.d2f).sum())
+    return cure_expression(ev.f - (y - K), div, half)
+
+
+def mse_oracle(f, x) -> float:
+    """(1/N) |f - x|^2 against the known clean field."""
+    f = np.asarray(f, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if f.shape != x.shape:
+        raise ValueError("shape mismatch")
+    return float(((f - x) ** 2).mean())
+
+
+def analyze(bank, y, power=1) -> list[np.ndarray]:
+    """Per-band correlations of y with taps ** power: the coefficients w_b
+    for power 1, the variance channel wbar_b for power 2 (for chi-square
+    data, Var(w) = 4 (E[wbar] - K/2))."""
+    return [corr[0] for corr in bank.walk(y, (power,))]
+
+
+def synthesize(bank, coeffs) -> np.ndarray:
+    """sum_b R_b coeffs_b: the bands' synthesis rows added, inverted once."""
+    return FilterBank.field_of_rows(
+        sum(bank.synthesis_rows(i, c) for i, c in enumerate(coeffs)), np.shape(coeffs[0]))
+
+
+def band_divergence_fields(y, K: float, bank) -> list[BandDivergenceFields]:
+    """Divergence correlation fields of every band of the bank."""
+    return [BandDivergenceFields.of_band(band, K, corr)
+            for band, corr in zip(bank.bands, bank.walk(y, range(2, 6)))]
+
+
+def cure_filterbank_divergence(y, K: float, evs, bank) -> float:
+    """Image-domain risk of the full filterbank estimator f = sum_b R_b theta_b.
+
+    evs holds one SubbandEvaluation per band (lowpass included), with
+    partials taken w.r.t. that band's (w_b, wbar_b). The divergence sums
+    reduce to per-band correlations (band_divergence_fields of y).
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if len(evs) != len(bank.bands):
+        raise ValueError("one evaluation per band required")
+    f = synthesize(bank, [ev.theta for ev in evs])
+    div = sum(atom_divergence(fl, ev)
+              for fl, ev in zip(band_divergence_fields(y, K, bank), evs))
+    return cure_expression(f - (y - K), div, y - K / 2)

@@ -15,18 +15,11 @@ from curelet.chi2model import (
     sample_rician,
 )
 from curelet.pipeline import denoise_mr, make_phantom, psnr
-from curelet.risk import (
-    combine_evaluations,
-    cure_filterbank_divergence,
-    cure_subband,
-    mse_oracle,
-)
+from curelet.risk import cure_subband
 from curelet.shrinkage import (
     cureshrink_denoise,
     cureshrink_evaluation,
     cureshrink_subband,
-    joint_let_atoms,
-    let_atom_pointwise,
 )
 from curelet.transforms import (
     bdct8_bank,
@@ -35,7 +28,18 @@ from curelet.transforms import (
     haar_uwt_bank,
     parent_field,
 )
-from oracles import dense_band_matrices, dense_filterbank_cure, pointwise_let_evaluations
+from oracles import (
+    analyze,
+    combine_evaluations,
+    cure_filterbank_divergence,
+    dense_band_matrices,
+    dense_filterbank_cure,
+    joint_let_atoms,
+    let_atom_pointwise,
+    mse_oracle,
+    pointwise_let_evaluations,
+    synthesize,
+)
 
 
 def rng_of(seed):
@@ -108,7 +112,7 @@ def test_criterion_01_image_risk_unbiased():
             bank, y, 2.0, lambda atoms: [POINTWISE_FIXED[label.rsplit(":", 1)[1]]
                                          for _, label in atoms])
         cures.append(cure_filterbank_divergence(y, 2.0, evs, bank))
-        mses.append(mse_oracle(bank.synthesize([ev.theta for ev in evs]),
+        mses.append(mse_oracle(synthesize(bank, [ev.theta for ev in evs]),
                                MC_X))
     wall = time.time() - t0
     cures, mses = np.asarray(cures), np.asarray(mses)
@@ -184,13 +188,13 @@ def test_criterion_04_perfect_reconstruction():
         for levels in (1, 2, 3):
             bank = haar_uwt_bank(levels)
             worst = max(worst,
-                        float(np.abs(bank.synthesize(bank.analyze(y)) - y).max()))
+                        float(np.abs(synthesize(bank, analyze(bank, y)) - y).max()))
             pyr = haar_dwt_analyze(y, levels)
             worst = max(worst,
                         float(np.abs(haar_dwt_synthesize(pyr) - y).max()))
         bank = bdct8_bank()
         worst = max(worst,
-                    float(np.abs(bank.synthesize(bank.analyze(y)) - y).max()))
+                    float(np.abs(synthesize(bank, analyze(bank, y)) - y).max()))
     ok = worst <= 1e-10
     report(4, "perfect reconstruction", ok, f"max round-trip error {worst:.2e}")
     assert worst <= 1e-10

@@ -276,6 +276,16 @@ def test_exit_code_spins_method_mismatch(phantom_files, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_more_levels_than_the_image_holds(phantom_files, tmp_path, capsys):
+    # 2^7 = 128 exceeds the 64x64 phantom's side
+    code = run("denoise", "--in", phantom_files["noisy"],
+               "--out", str(tmp_path / "o.pgm"), "--sigma", "20",
+               "--method", "haar-cs1", "--levels", "7")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "J=7" in err
+
+
 def test_exit_code_half_lambda_override(phantom_files, tmp_path, capsys):
     code = run("denoise", "--in", phantom_files["noisy"],
                "--out", str(tmp_path / "o.pgm"), "--sigma", "20",
@@ -315,6 +325,18 @@ def test_benchmark_maps_a_rejected_protocol_to_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "(128, 128)" in err
+
+
+@pytest.mark.parametrize("flag", ["--sigmas", "--methods"])
+def test_benchmark_rejects_an_empty_list(flag, tmp_path, capsys):
+    # an explicitly empty list is not the default grid
+    values = {"--sigmas": "10", "--methods": "haar-cs1", flag: ""}
+    code = run("benchmark", "--size", "32", "--seeds", "1",
+               *[tok for item in values.items() for tok in item],
+               "--out", str(tmp_path / "b.csv"))
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_benchmark_rejects_a_non_integer_thread_cap(tmp_path, capsys, monkeypatch):

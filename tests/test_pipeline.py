@@ -1,6 +1,7 @@
 """Metric hand cases, phantom regressions, and end-to-end denoising runs."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,6 +262,15 @@ def test_denoise_mr_accepts_image_buffer():
     assert res.estimate.shape == (32, 32)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_denoise_mr_rejects_more_levels_than_the_image_holds(method):
+    # 2^7 = 128 exceeds a 64x64 image's side: the Haar pyramid would pad
+    # it to 128x128, the undecimated bank's support would not fit
+    m = sample_rician(make_phantom("shepp-logan", 64), 20.0, seed=29)
+    with pytest.raises(ValueError, match=r"J=7|\(128, 128\)"):
+        denoise_mr(m, sigma=20.0, method=method, J=7)
+
+
 def test_cycle_spin_method_runs_and_reports_mean_cure():
     mu = make_phantom("shepp-logan", 32)
     m = sample_rician(mu, 20.0, seed=23)
@@ -289,6 +299,15 @@ def test_protocol_validation():
     with pytest.raises(ValueError):
         ExperimentProtocol(phantom="brain").validate()
     small_protocol().validate()
+
+
+@pytest.mark.parametrize("repeat", [{"seeds": (0, 0, 1)}, {"sigmas": (20.0, 20)},
+                                    {"methods": ("haar-cs1", "haar-cs1")}],
+                         ids=["seeds", "sigmas", "methods"])
+def test_protocol_rejects_repeated_entries(repeat):
+    # runs are keyed by (method, sigma, seed): a repeat would be counted twice
+    with pytest.raises(ValueError, match="repeats"):
+        replace(small_protocol(), **repeat).validate()
 
 
 def test_monte_carlo_rows_and_schema():

@@ -9,20 +9,25 @@ from hypothesis import strategies as st
 from curelet.chi2model import sample_chi2
 from curelet.risk import (
     BandDivergenceFields,
-    EstimatorEvaluation,
     RiskReport,
     SubbandEvaluation,
     atom_divergence,
+    cure_subband,
+)
+from curelet.transforms import bdct8_bank, haar_dwt_analyze, haar_uwt_bank
+
+from oracles import (
+    EstimatorEvaluation,
+    analyze,
     band_divergence_fields,
     combine_evaluations,
     cure_filterbank_divergence,
     cure_image,
-    cure_subband,
+    dense_band_matrices,
+    dense_filterbank_cure,
     mse_oracle,
+    synthesize,
 )
-from curelet.transforms import bdct8_bank, haar_dwt_analyze, haar_uwt_bank
-
-from oracles import dense_filterbank_cure, dense_band_matrices
 
 
 def rng_of(seed):
@@ -217,7 +222,7 @@ def test_filterbank_identity_estimator_reduces_to_linear_term(make_bank):
     rng = rng_of(31)
     K = 2.0
     y = rng.uniform(0.5, 30.0, size=(16, 16))
-    evs = identity_evaluations(bank, bank.analyze(y), K)
+    evs = identity_evaluations(bank, analyze(bank, y), K)
     value = cure_filterbank_divergence(y, K, evs, bank)
     expect = 4.0 * (y - K / 2).sum() / y.size
     assert value == pytest.approx(expect, rel=1e-10)
@@ -260,8 +265,8 @@ def test_filterbank_divergence_matches_dense_matrices(make_bank, shape):
     rng = rng_of(hash(shape) % (2 ** 31))
     x = rng.uniform(0.0, 25.0, size=shape)
     y = sample_chi2(x, 2.0, seed=9).samples
-    coeffs = bank.analyze(y)
-    variances = bank.analyze_variance(y)
+    coeffs = analyze(bank, y)
+    variances = analyze(bank, y, 2)
     evs = [nonlinear_evaluation(w, v) for w, v in zip(coeffs, variances)]
     fast = cure_filterbank_divergence(y, 2.0, evs, bank)
     dense = dense_filterbank_cure(y, 2.0, evs, bank)
@@ -273,8 +278,8 @@ def test_dense_matrices_agree_with_fft_analysis():
     rng = rng_of(13)
     y = rng.uniform(0.0, 10.0, size=(8, 8))
     mats = dense_band_matrices(bank, y.shape)
-    coeffs = bank.analyze(y)
-    variances = bank.analyze_variance(y)
+    coeffs = analyze(bank, y)
+    variances = analyze(bank, y, 2)
     for (D, Dbar, R), w, v, band in zip(mats, coeffs, variances, bank.bands):
         np.testing.assert_allclose(D @ y.ravel(), w.ravel(), atol=1e-10)
         np.testing.assert_allclose(Dbar @ y.ravel(), v.ravel(), atol=1e-10)
@@ -286,7 +291,7 @@ def test_atom_divergence_matches_dot_products():
     rng = rng_of(17)
     y = rng.uniform(0.5, 20.0, size=(8, 8))
     fields = band_divergence_fields(y, 2.0, bank)
-    ev = nonlinear_evaluation(bank.analyze(y)[3], bank.analyze_variance(y)[3])
+    ev = nonlinear_evaluation(analyze(bank, y)[3], analyze(bank, y, 2)[3])
     manual_first = (fields[3].z1 * ev.d1).sum() + (fields[3].z2 * ev.d2).sum()
     manual_second = (
         (fields[3].z11 * ev.d11).sum()
@@ -392,8 +397,8 @@ def test_cure_filterbank_unbiased_fixed_shrinker():
     deltas = np.empty(draws)
     for i in range(draws):
         y = sample_chi2(x, K, seed=120_000 + i).samples
-        coeffs = bank.analyze(y)
-        variances = bank.analyze_variance(y)
+        coeffs = analyze(bank, y)
+        variances = analyze(bank, y, 2)
         evs = []
         for band, w, v in zip(bank.bands, coeffs, variances):
             if band.kind == "lowpass":
@@ -405,7 +410,7 @@ def test_cure_filterbank_unbiased_fixed_shrinker():
                 )
             else:
                 evs.append(nonlinear_evaluation(w, v))
-        f = bank.synthesize([ev.theta for ev in evs])
+        f = synthesize(bank, [ev.theta for ev in evs])
         deltas[i] = cure_filterbank_divergence(y, K, evs, bank) - mse_oracle(f, x)
     se = deltas.std(ddof=1) / np.sqrt(draws)
     assert abs(deltas.mean()) <= 4.0 * se
@@ -425,7 +430,7 @@ def test_identity_reduction_property(h, w, seed):
     rng = rng_of(seed)
     y = rng.uniform(0.1, 50.0, size=(h, w))
     K = 2.0
-    evs = identity_evaluations(bank, bank.analyze(y), K)
+    evs = identity_evaluations(bank, analyze(bank, y), K)
     value = cure_filterbank_divergence(y, K, evs, bank)
     expect = 4.0 * (y - K / 2).sum() / y.size
     assert value == pytest.approx(expect, rel=1e-9)

@@ -21,10 +21,7 @@ from curelet.risk import (
     BandDivergenceFields,
     SubbandEvaluation,
     atom_divergence,
-    band_divergence_fields,
-    combine_evaluations,
     cure_expression,
-    cure_filterbank_divergence,
     cure_subband,
 )
 from curelet.shrinkage import (
@@ -33,9 +30,6 @@ from curelet.shrinkage import (
     cureshrink_subband,
     gamma_kernel,
     haar_curelet_denoise,
-    joint_let_atoms,
-    let_atom_pointwise,
-    smooth_pos,
     solve_weights,
     uwt_curelet_denoise,
 )
@@ -49,7 +43,18 @@ from curelet.transforms import (
     parent_field,
 )
 
-from oracles import pointwise_let_evaluations, subband_normal_weights
+from oracles import (
+    analyze,
+    band_divergence_fields,
+    combine_evaluations,
+    cure_filterbank_divergence,
+    joint_let_atoms,
+    let_atom_pointwise,
+    pointwise_let_evaluations,
+    smooth_pos,
+    subband_normal_weights,
+    synthesize,
+)
 
 
 def rng_of(seed):
@@ -563,6 +568,14 @@ def test_cureshrink_subband_value_when_a_grid_point_wins():
     assert (a, value) == (0.0, 0.0)
 
 
+def test_pyramid_denoisers_reject_more_levels_than_the_image_holds():
+    # 2^6 = 64 exceeds the short side: the pyramid would pad 48 to 64
+    y = sample_chi2(np.full((64, 48), 20.0), 2.0, seed=3).samples
+    for denoise in (cureshrink_denoise, haar_curelet_denoise):
+        with pytest.raises(ValueError, match="J=6"):
+            denoise(y, 2.0, J=6)
+
+
 # --------------------------------------------------------- uwt denoiser
 
 
@@ -638,7 +651,7 @@ def test_uwt_fit_matches_filterbank_evaluator(transform, sigma):
     evs = pointwise_let_evaluations(bank, y, K, reported_weights)
     assert report.cure == pytest.approx(
         cure_filterbank_divergence(y, K, evs, bank), rel=1e-10, abs=0.0)
-    ref = bank.synthesize([ev.theta for ev in evs])
+    ref = synthesize(bank, [ev.theta for ev in evs])
     np.testing.assert_allclose(est, ref, rtol=0.0,
                                atol=1e-10 * float(np.abs(ref).max()))
 
@@ -661,20 +674,22 @@ def test_uwt_mixed_keeps_only_the_row_matrix():
 def image_domain_fit(banks, y, K):
     """The risk minimizer fitted in the image domain: every atom of
     uwt_curelet_denoise's expansion, built by the reference atom and
-    synthesized with bank.synthesize_band, is one row of an (atoms x
-    pixels) matrix; _fit_expansion solves on those rows and y - K, and
-    the cure comes from the image-domain residual."""
+    synthesized to the image domain (field_of_rows of its synthesis_rows),
+    is one row of an (atoms x pixels) matrix; _fit_expansion solves on
+    those rows and y - K, and the cure comes from the image-domain
+    residual."""
     rows, div = [], []
     for bank in banks:
         for i, (band, fields, w, wbar) in enumerate(zip(
-                bank.bands, band_divergence_fields(y, K, bank), bank.analyze(y),
-                bank.analyze_variance(y))):
+                bank.bands, band_divergence_fields(y, K, bank), analyze(bank, y),
+                analyze(bank, y, 2))):
             if band.kind == "lowpass":
                 evs = [SubbandEvaluation(theta=w - band.tap_sum * K, d1=1.0, d2=0.0,
                                          d11=0.0, d22=0.0, d12=0.0)]
             else:
                 evs = [let_atom_pointwise(w, wbar, lam) for lam in shrinkage.LAMBDAS]
-            rows += [bank.synthesize_band(i, ev.theta).ravel() for ev in evs]
+            rows += [FilterBank.field_of_rows(bank.synthesis_rows(i, ev.theta), y.shape).ravel()
+                     for ev in evs]
             div += [atom_divergence(fields, ev) for ev in evs]
     rows, div, target = np.array(rows), np.array(div), (y - K).ravel()
     a, estimate = shrinkage._fit_expansion(rows, target, div)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ import hypothesis.extra.numpy as hnp
 
 from curelet.chi2model import sample_chi2
 from curelet import transforms as tr
+
+from oracles import analyze, synthesize
 
 
 PR_SIZES = [(8, 8), (16, 16), (64, 64), (17, 13)]
@@ -17,7 +21,7 @@ def test_uwt_round_trip(shape, levels):
     rng = np.random.default_rng(levels * 100 + shape[0])
     y = rng.normal(size=shape)
     bank = tr.haar_uwt_bank(levels)
-    assert np.max(np.abs(bank.synthesize(bank.analyze(y)) - y)) <= 1e-10
+    assert np.max(np.abs(synthesize(bank, analyze(bank, y)) - y)) <= 1e-10
 
 
 @pytest.mark.parametrize("shape", PR_SIZES)
@@ -27,7 +31,7 @@ def test_bdct_round_trip(shape, levels=None):
     rng = np.random.default_rng(shape[0])
     y = rng.normal(size=shape)
     bank = tr.bdct8_bank()
-    assert np.max(np.abs(bank.synthesize(bank.analyze(y)) - y)) <= 1e-10
+    assert np.max(np.abs(synthesize(bank, analyze(bank, y)) - y)) <= 1e-10
 
 
 @pytest.mark.parametrize("shape", PR_SIZES)
@@ -51,7 +55,7 @@ def test_band_norms_and_tap_sums(bank):
 def test_uwt_constant_image():
     c = 3.0
     bank = tr.haar_uwt_bank(2)
-    coeffs = bank.analyze(np.full((8, 8), c))
+    coeffs = analyze(bank, np.full((8, 8), c))
     # 2-D lowpass tap sum is 2^J, so the band carries 2^J * c
     np.testing.assert_allclose(coeffs[0], 4 * c, atol=1e-12)
     for w in coeffs[1:]:
@@ -60,24 +64,38 @@ def test_uwt_constant_image():
 
 def test_uwt_level1_row_example():
     bank = tr.haar_uwt_bank(1, ndim=1)
-    low, high = bank.analyze(np.array([3.0, 5.0]))
+    low, high = analyze(bank, np.array([3.0, 5.0]))
     assert high[0] == pytest.approx(np.sqrt(2.0))
     assert low[0] == pytest.approx(8.0 / np.sqrt(2.0))
 
 
 def test_uwt_rejects_too_small_image():
     with pytest.raises(ValueError):
-        tr.haar_uwt_bank(3).analyze(np.ones((4, 4)))
+        analyze(tr.haar_uwt_bank(3), np.ones((4, 4)))
 
 
 def test_bdct_rejects_small_image():
     with pytest.raises(ValueError):
-        tr.bdct8_bank().analyze(np.ones((4, 4)))
+        analyze(tr.bdct8_bank(), np.ones((4, 4)))
+
+
+def test_support_check_forms_no_band_taps():
+    # twelve levels need a 4096-wide support: the check reads it off the
+    # 1-D factors, where a band's 4096x4096 taps would take 134 MB
+    bank = tr.haar_uwt_bank(12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="smaller than filter support"):
+            next(bank.walk(np.zeros((64, 64)), (1,)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_bdct_constant_image():
     c = 2.0
-    coeffs = tr.bdct8_bank().analyze(np.full((8, 8), c))
+    coeffs = analyze(tr.bdct8_bank(), np.full((8, 8), c))
     np.testing.assert_allclose(coeffs[0], 8 * c, atol=1e-10)
     for w in coeffs[1:]:
         np.testing.assert_allclose(w, 0.0, atol=1e-10)
@@ -87,19 +105,19 @@ def test_bdct_parseval():
     # tight frame with constant 64: sum of band energies = 64 * ||y||^2
     rng = np.random.default_rng(5)
     y = rng.normal(size=(8, 8))
-    coeffs = tr.bdct8_bank().analyze(y)
+    coeffs = analyze(tr.bdct8_bank(), y)
     total = sum(float((w ** 2).sum()) for w in coeffs)
     assert total == pytest.approx(64 * float((y ** 2).sum()), rel=1e-12)
 
 
 def test_variance_channel_examples():
     bank = tr.haar_uwt_bank(1, ndim=1)
-    wbar = bank.analyze_variance(np.array([3.0, 5.0]))
+    wbar = analyze(bank, np.array([3.0, 5.0]), 2)
     # squared taps are [1/2, 1/2]: wbar = 4 on both bands here
     assert wbar[1][0] == pytest.approx(4.0)
     # variance estimate 4(wbar - K/2) = 12 for K=2
     assert 4 * (wbar[1][0] - 1.0) == pytest.approx(12.0)
-    const = tr.haar_uwt_bank(2).analyze_variance(np.full((8, 8), 7.0))
+    const = analyze(tr.haar_uwt_bank(2), np.full((8, 8), 7.0), 2)
     for v in const:
         np.testing.assert_allclose(v, 7.0, atol=1e-12)
 
@@ -118,8 +136,8 @@ def test_variance_channel_monte_carlo():
         emb2[: band.taps.shape[0], : band.taps.shape[1]] = band.taps ** 2
         Wbar = np.fft.irfft2(Y * np.conj(np.fft.rfft2(emb2))[None], s=(8, 8), axes=(-2, -1))
         # tie the batch path to the library path on one draw
-        np.testing.assert_allclose(W[0], bank.analyze(y[0])[i], atol=1e-9)
-        np.testing.assert_allclose(Wbar[0], bank.analyze_variance(y[0])[i], atol=1e-9)
+        np.testing.assert_allclose(W[0], analyze(bank, y[0])[i], atol=1e-9)
+        np.testing.assert_allclose(Wbar[0], analyze(bank, y[0], 2)[i], atol=1e-9)
         var_emp = W.var(axis=0)
         predicted = 4 * (Wbar.mean(axis=0) - K / 2)
         # SE of a sample variance from the empirical fourth moment
@@ -231,7 +249,7 @@ def test_spin_shift_schedule():
 @settings(max_examples=25, deadline=None)
 def test_uwt_round_trip_property(y, levels):
     bank = tr.haar_uwt_bank(levels)
-    np.testing.assert_allclose(bank.synthesize(bank.analyze(y)), y, atol=1e-9)
+    np.testing.assert_allclose(synthesize(bank, analyze(bank, y)), y, atol=1e-9)
 
 
 @given(
@@ -251,15 +269,16 @@ def test_band_synthesis_is_scaled_adjoint_and_stacks(bank):
     shape = (12, 10)[: bank.bands[0].taps.ndim]
     y = rng.normal(size=shape)
     z = rng.normal(size=(3,) + shape)
-    for i, (band, w) in enumerate(zip(bank.bands, bank.analyze(y))):
+    for i, (band, w) in enumerate(zip(bank.bands, analyze(bank, y))):
         # <R_i z, y> == g_i <z, A_i y>
-        lhs = float((bank.synthesize_band(i, z[0]) * y).sum())
+        lhs = float((tr.FilterBank.field_of_rows(bank.synthesis_rows(i, z[0]), shape) * y).sum())
         rhs = band.synth_gain * float((z[0] * w).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-        stacked = bank.synthesize_band(i, z)
+        stacked = tr.FilterBank.field_of_rows(bank.synthesis_rows(i, z), shape)
         assert stacked.shape == z.shape
         for k in range(len(z)):
-            np.testing.assert_allclose(stacked[k], bank.synthesize_band(i, z[k]), rtol=0, atol=1e-14)
+            single = tr.FilterBank.field_of_rows(bank.synthesis_rows(i, z[k]), shape)
+            np.testing.assert_allclose(stacked[k], single, rtol=0, atol=1e-14)
 
 
 def dense_tap_spectra(taps, powers, shape):
