@@ -37,6 +37,18 @@ __all__ = [
 MIN_BACKGROUND_PIXELS = 16
 
 
+def _checked_sigma(sigma) -> float:
+    sigma = float(sigma)
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
+    return sigma
+
+
+def _check_blend(lam: float) -> None:
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lambda must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class NoisyField:
     """Chi-square samples bundled with their common degrees of freedom.
@@ -86,11 +98,9 @@ class ComplexImage:
         im = np.asarray(self.im, dtype=np.float64)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "sigma", _checked_sigma(self.sigma))
         if re.shape != im.shape:
             raise ValueError("re and im must have the same shape")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
 
     @property
     def magnitude(self) -> np.ndarray:
@@ -155,10 +165,9 @@ def sample_complex(mu_magnitude, sigma: float, seed: int) -> ComplexImage:
     mu = np.asarray(mu_magnitude, dtype=np.float64)
     if mu.size and np.min(mu) < 0:
         raise ValueError("clean magnitudes must be nonnegative")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    sigma = _checked_sigma(sigma)
     g = _rng(seed).standard_normal((2,) + mu.shape)
-    return ComplexImage(re=mu + sigma * g[0], im=sigma * g[1], sigma=float(sigma))
+    return ComplexImage(re=mu + sigma * g[0], im=sigma * g[1], sigma=sigma)
 
 
 def sample_rician(mu_magnitude, sigma: float, seed: int) -> np.ndarray:
@@ -169,8 +178,7 @@ def sample_rician(mu_magnitude, sigma: float, seed: int) -> np.ndarray:
 def rescale_squared(m_magnitude, sigma: float) -> NoisyField:
     """Map magnitudes to the unitless chi-square domain: y = |m|^2 / sigma^2, K=2."""
     m = np.asarray(m_magnitude, dtype=np.float64)
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    sigma = _checked_sigma(sigma)
     return NoisyField(samples=(m * m) / (sigma * sigma), dof=2.0)
 
 
@@ -182,10 +190,8 @@ def reconstruct_magnitude(xhat, sigma: float, lam: float = 0.5) -> np.ndarray:
     versus clip to zero (lam=0).
     """
     xhat = np.asarray(xhat, dtype=np.float64)
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
+    sigma = _checked_sigma(sigma)
+    _check_blend(lam)
     return sigma * (lam * np.sqrt(np.abs(xhat)) + (1.0 - lam) * np.sqrt(np.maximum(xhat, 0.0)))
 
 

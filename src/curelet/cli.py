@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--size", type=int, default=128,
                      help="phantom side length")
     sim.add_argument("--sigma", required=True,
-                     type=_checked(float, lambda v: v > 0, "be a positive number"))
+                     type=_checked(float, lambda v: 0 < v < np.inf, "be a finite positive number"))
     sim.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "be nonnegative"),
                      default=0)
     sim.add_argument("--out", dest="output_path", type=_PATH, required=True,

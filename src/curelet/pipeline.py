@@ -19,6 +19,7 @@ import numpy as np
 from scipy.signal import convolve2d
 
 from .chi2model import (
+    _check_blend,
     estimate_sigma_background,
     reconstruct_magnitude,
     rescale_squared,
@@ -289,6 +290,7 @@ def denoise_mr(m, sigma="auto", method: str = "uwt-bdct", lam: float = 0.5,
     m = _as_image(m)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_blend(lam)
     if (m < 0).any():
         raise ValueError("magnitude image must be nonnegative")
     if isinstance(sigma, str):
@@ -298,8 +300,6 @@ def denoise_mr(m, sigma="auto", method: str = "uwt-bdct", lam: float = 0.5,
             raise ValueError("sigma='auto' requires a background mask")
         sigma = estimate_sigma_background(m, _as_image(mask) != 0)
     sigma = float(sigma)
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
     start = time.perf_counter()
     noisy = rescale_squared(m, sigma)
     y = noisy.samples.reshape(m.shape)

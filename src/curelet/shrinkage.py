@@ -15,15 +15,13 @@ Three denoisers:
   and kept only as Parseval rows of their synthesis; weights solved
   globally from those rows' dot products, which are the image domain's.
 * cureshrink_denoise: per-subband soft thresholding in the unnormalized
-  Haar DWT, threshold = a * sqrt(s) with scalar a picked by risk search.
-* haar_curelet_denoise: per-subband 8-atom expansion mixing the
-  coefficient's pointwise keep factor, its parent's smoothed local
-  energy, and the parent predictor itself, optionally cycle-spun.
+  Haar DWT (_denoise_pyramid), threshold a sqrt(s), a picked by risk search.
+* haar_curelet_denoise: the same pyramid, per-subband 8-atom expansions
+  mixing the coefficient's pointwise keep factor, its parent's smoothed
+  local energy and the parent predictor, cycle-spun by recursion over levels.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 from scipy import ndimage
@@ -39,10 +37,10 @@ from .transforms import (
     SPIN_COUNTS,
     SPIN_SHIFTS,
     FilterBank,
+    _haar_step,
+    _haar_unstep,
     _pad_to_multiple,
     bdct8_bank,
-    haar_dwt_analyze,
-    haar_dwt_synthesize,
     haar_uwt_bank,
     parent_field,
 )
@@ -251,7 +249,7 @@ def _check_levels(shape, J: int) -> None:
     """A J-level Haar pyramid pads each side to a multiple of 2^J, so it
     needs 2^J at most the smallest side; the undecimated bank's support
     check (FilterBank.walk) asks the same of the same J."""
-    most = min(shape).bit_length() - 1  # no power of 2 is formed for a huge J
+    most = min(shape, default=0).bit_length() - 1  # no power of 2 is formed for a huge J
     if J > most:
         raise ValueError(f"J={J} needs 2^J at most the image's smallest side: "
                          f"shape {tuple(shape)} holds at most J={most}")
@@ -310,6 +308,7 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
         raise ValueError(f"transform must be one of {sorted(names)}")
     banks = []
     if transform in ("haar-uwt", "mixed"):
+        _check_levels(y.shape, J)
         banks.append(haar_uwt_bank(J, ndim=y.ndim))
     if transform in ("bdct", "mixed"):
         banks.append(bdct8_bank())
@@ -485,36 +484,53 @@ def _joint_modulators(w, s, p, deltas=None) -> list:
 # ------------------------------------------------------- pyramid denoisers
 
 
-def _denoise_pyramid(y: np.ndarray, K: float, J: int, subband_fn):
-    """Shared pyramid loop: process details, unbias the lowpass, invert.
+def _denoise_pyramid(y, K: float, J: int, subband_fn, shifts):
+    """y's J-level Haar denoise, averaged over the periodic shifts.
 
-    subband_fn(w, s, K_j, orientation, j) -> (theta, per-coefficient risk)
-    for a level-j subband of y, which the caller has checked nonnegative.
-    The report's total risk recombines subband risks with the synthesis
-    energy weights (each 2-D level carries 1/4 of the finer level's
-    energy) plus the unbiased lowpass error estimate 4 sum(s - K_J/2).
+    subband_fn(w, s, K_j, orientation) -> (theta, per-coefficient risk)
+    fits one detail subband. y (1-D or 2-D) is padded periodically to a
+    multiple of 2^J once. A shift r + 2q is r = shift mod 2, then q one
+    level coarser, so a recursion over levels steps the field rolled by
+    each residue r once (_haar_step), fits its details, recurses on its
+    sums with the shifts q at dof 2^ndim K, unsteps, rolls back and
+    weights by r's share of the shifts. The last sums are unbiased, s - K_J,
+    with risk 4 sum(s - K_J/2). cure and per_band are the shift-weighted
+    means of the padded field's risk; neither is the risk of the average.
     """
-    pyr = haar_dwt_analyze(y, J, dof=K)
-    branch = 4.0 if pyr.ndim == 2 else 2.0
-    per_band = {}
-    total_sse = 0.0
-    for j in range(1, J + 1):
-        s = pyr.smooth_levels[j - 1]
-        kj = pyr.dof(j)
-        for orient, w in list(pyr.detail[j - 1].items()):
-            theta, risk_j = subband_fn(w, s, kj, orient, j)
-            pyr.detail[j - 1][orient] = theta
-            per_band[f"{orient}{j}"] = risk_j
-            total_sse += branch ** -j * w.size * risk_j
-    s_top = pyr.smooth_levels[-1]
-    k_top = pyr.dof(J)
-    lowpass_sse = 4.0 * float((s_top - k_top / 2).sum())
-    per_band["lowpass"] = lowpass_sse / s_top.size
-    pyr.smooth_levels[-1] = s_top - k_top
-    total_sse += branch ** -J * lowpass_sse
-    n_pad = s_top.size * branch ** J
-    estimate = haar_dwt_synthesize(pyr)
-    return estimate, RiskReport(cure=total_sse / n_pad, per_band=per_band)
+    y = _nonnegative(y)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"the Haar pyramid takes 1-D or 2-D data, got {y.ndim}-D")
+    _check_levels(y.shape, J)
+    padded = _pad_to_multiple(y, 2 ** J)
+    estimate, cure, per_band = _pyramid_levels(padded, K, 1, J, subband_fn, shifts)
+    return estimate[tuple(map(slice, y.shape))], RiskReport(cure=cure, per_band=per_band)
+
+
+def _pyramid_levels(c, K: float, j: int, J: int, subband_fn, shifts):
+    """Levels j..J of _denoise_pyramid on field c of dof K, weighted over
+    the shifts: (estimate, cure per entry of c, per_band). Not a closure:
+    one recursing on itself is a reference cycle, and would keep
+    subband_fn's buffers alive until the cycle collector runs."""
+    if j > J:
+        lowpass = 4.0 * float((c - K / 2).sum()) / c.size
+        return c - K, lowpass, {"lowpass": lowpass}
+    axes, branch = tuple(range(c.ndim)), 2 ** c.ndim
+    coarse = {}
+    for sh in shifts:
+        coarse.setdefault(tuple(v % 2 for v in sh), []).append(tuple(v // 2 for v in sh))
+    out, cure, per_band = 0.0, 0.0, {}
+    for r, qs in coarse.items():
+        weight = len(qs) / len(shifts)
+        s, details = _haar_step(np.roll(c, r, axis=axes))
+        risks = {}
+        for orient, w in details.items():
+            details[orient], risks[f"{orient}{j}"] = subband_fn(w, s, K * branch, orient)
+        s_hat, s_cure, rest = _pyramid_levels(s, K * branch, j + 1, J, subband_fn, qs)
+        out = out + weight * np.roll(_haar_unstep(s_hat, details), [-v for v in r], axis=axes)
+        cure += weight * (sum(risks.values()) + s_cure) / branch ** 2
+        for key, risk in {**risks, **rest}.items():
+            per_band[key] = per_band.get(key, 0.0) + weight * risk
+    return out, cure, per_band
 
 
 def cureshrink_denoise(y, K: float, J: int = 3):
@@ -524,13 +540,11 @@ def cureshrink_denoise(y, K: float, J: int = 3):
     periodically padded field, not of the cropped estimate returned.
     """
 
-    def fn(w, s, kj, orient, j):
+    def fn(w, s, kj, orient):
         theta, _, risk = cureshrink_subband(w, s, kj)
         return theta, risk
 
-    y = _nonnegative(y)
-    _check_levels(y.shape, J)
-    return _denoise_pyramid(y, K, J, fn)
+    return _denoise_pyramid(y, K, J, fn, [(0,) * np.ndim(y)])
 
 
 def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 1):
@@ -547,25 +561,21 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
     accumulated dof (4^J K in 2-D). J may not exceed log2 of y's smallest
     side.
 
-    spins (one of SPIN_COUNTS) cycle-spins the pyramid: y is padded
-    periodically to a multiple of 2^J once, that padded field is rolled by
-    each distinct shift among SPIN_SHIFTS[:spins] (truncated to y's axes),
-    denoised and rolled back, and the cropped average is returned. cure
-    is the mean of the per-spin risks (of the padded field, for a shape
-    that is not a multiple of 2^J) and per_band the per-key mean; neither
-    is the risk of the averaged, cropped estimate. Level-1 fits are shared
-    by shift residue: the level-1 subbands of shift r + 2q (r = shift mod
-    2) are those of shift r rolled by q, and the whole fit is periodic.
+    spins (one of SPIN_COUNTS) cycle-spins the pyramid over the distinct
+    shifts among SPIN_SHIFTS[:spins], truncated to y's axes, by
+    _denoise_pyramid's recursion over levels: each level's subbands are
+    fitted once per shift residue, not once per shift. The result is the
+    cropped average of the periodically padded field denoised at each
+    shift. cure is the mean of the per-shift risks (of the padded field,
+    for a shape that is not a multiple of 2^J) and per_band the per-key
+    mean; neither is the risk of the averaged, cropped estimate.
     """
     if spins not in SPIN_COUNTS:
         raise ValueError(f"spins must be one of {SPIN_COUNTS}, got {spins!r}")
-    level1 = {}  # (r, orientation) -> (level-1 theta of shift r, its risk)
+    lambdas = _checked_lambdas(lambdas)
     work = {}
 
-    def fn(w, s, kj, orient, j, r, q):
-        if j == 1 and (r, orient) in level1:
-            theta, risk = level1[r, orient]
-            return np.roll(theta, q, axis=axes), risk
+    def fn(w, s, kj, orient):
         p = parent_field(s, orient)
         fields = BandDivergenceFields.of_subband(w, s, kj)
         # atoms ordered (carrier, modulator, lambda)
@@ -575,24 +585,7 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
                                                    fields, lambdas, work)
         a, theta = _fit_expansion(thetas.reshape(div.size, -1), w.ravel(), div.ravel())
         risk = cure_expression(theta - w.ravel(), float(a @ div.ravel()), fields.z1)
-        theta = theta.reshape(w.shape)
-        if j == 1:
-            level1[r, orient] = np.roll(theta, [-v for v in q], axis=axes), risk
-        return theta, risk
+        return theta.reshape(w.shape), risk
 
-    y = _nonnegative(y)
-    _check_levels(y.shape, J)
-    lambdas = _checked_lambdas(lambdas)
-    axes = tuple(range(y.ndim))
-    yp = _pad_to_multiple(y, 2 ** J)
-    shifts = list(dict.fromkeys(shift[: y.ndim] for shift in SPIN_SHIFTS[:spins]))
-    out, reports = np.zeros_like(yp), []
-    for sh in shifts:
-        r, q = tuple(v % 2 for v in sh), tuple(v // 2 for v in sh)
-        est, report = _denoise_pyramid(np.roll(yp, sh, axis=axes), K, J, partial(fn, r=r, q=q))
-        out += np.roll(est, tuple(-v for v in sh), axis=axes)
-        reports.append(report)
-    per_band = {key: float(np.mean([rep.per_band[key] for rep in reports]))
-                for key in reports[0].per_band}
-    return out[tuple(map(slice, y.shape))] / len(shifts), RiskReport(
-        cure=float(np.mean([rep.cure for rep in reports])), per_band=per_band)
+    shifts = dict.fromkeys(shift[: np.ndim(y)] for shift in SPIN_SHIFTS[:spins])
+    return _denoise_pyramid(y, K, J, fn, list(shifts))

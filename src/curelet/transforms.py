@@ -13,7 +13,8 @@ Two transform families back the denoisers:
   domain's dot products, so a fit over all bands inverts only its result.
 * The unnormalized Haar DWT: critically sampled pairwise sums/differences
   whose scaling chain preserves the chi-square family (sums of independent
-  chi-squares stay chi-square, doubling the dof per 1-D split).
+  chi-squares stay chi-square, doubling the dof per 1-D split). One level
+  step (_haar_step, inverted by _haar_unstep) serves 1-D and 2-D alike.
 
 Boundaries are periodic everywhere; the analysis operators are circulant.
 """
@@ -259,41 +260,30 @@ class HaarPyramid:
         return self.dof0 * branch ** level
 
 
-def _dwt_step_1d(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s = c[0::2] + c[1::2]
-    w = c[1::2] - c[0::2]
-    return s, w
+# detail keys of one level, in the order _haar_step makes them
+_DETAIL_KEYS = {1: ("w",), 2: ("lh", "hl", "hh")}
 
 
-def _idwt_step_1d(s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    c = np.empty(2 * s.size)
-    c[0::2] = (s - w) / 2
-    c[1::2] = (s + w) / 2
-    return c
+def _haar_step(c: np.ndarray) -> tuple[np.ndarray, dict]:
+    """One level: sums and odd - even differences along the last axis, then
+    along each earlier axis. Returns the sums s and the details, keyed "w"
+    in 1-D and "lh"/"hl"/"hh" in 2-D."""
+    bands = [c]
+    for axis in reversed(range(c.ndim)):
+        lead = (slice(None),) * axis
+        even, odd = lead + (slice(0, None, 2),), lead + (slice(1, None, 2),)
+        bands = [f for b in bands for f in (b[even] + b[odd], b[odd] - b[even])]
+    return bands[0], dict(zip(_DETAIL_KEYS[c.ndim], bands[1:]))
 
 
-def _dwt_step_2d(c: np.ndarray):
-    sc = c[:, 0::2] + c[:, 1::2]
-    dc = c[:, 1::2] - c[:, 0::2]
-    ll = sc[0::2] + sc[1::2]
-    lh = sc[1::2] - sc[0::2]
-    hl = dc[0::2] + dc[1::2]
-    hh = dc[1::2] - dc[0::2]
-    return ll, {"lh": lh, "hl": hl, "hh": hh}
-
-
-def _idwt_step_2d(ll: np.ndarray, bands: dict) -> np.ndarray:
-    lh, hl, hh = bands["lh"], bands["hl"], bands["hh"]
-    sc = np.empty((2 * ll.shape[0], ll.shape[1]))
-    dc = np.empty_like(sc)
-    sc[0::2] = (ll - lh) / 2
-    sc[1::2] = (ll + lh) / 2
-    dc[0::2] = (hl - hh) / 2
-    dc[1::2] = (hl + hh) / 2
-    c = np.empty((sc.shape[0], 2 * sc.shape[1]))
-    c[:, 0::2] = (sc - dc) / 2
-    c[:, 1::2] = (sc + dc) / 2
-    return c
+def _haar_unstep(s: np.ndarray, details: dict) -> np.ndarray:
+    """Exact inverse of _haar_step."""
+    bands = [s] + [details[key] for key in _DETAIL_KEYS[s.ndim]]
+    for axis in range(s.ndim):  # interleave (t - d) / 2 and (t + d) / 2 along axis
+        stacks = [np.stack([(t - d) / 2, (t + d) / 2], axis + 1)
+                  for t, d in zip(bands[0::2], bands[1::2])]
+        bands = [p.reshape(p.shape[:axis] + (-1,) + p.shape[axis + 2:]) for p in stacks]
+    return bands[0]
 
 
 def _pad_to_multiple(y: np.ndarray, multiple: int) -> np.ndarray:
@@ -307,7 +297,7 @@ def haar_dwt_analyze(y, levels: int, dof: float | None = None) -> HaarPyramid:
     """Unnormalized Haar DWT: per level, pairwise sums (s) and differences (w).
 
     1-D pairs (2i, 2i+1): s_i = y[2i] + y[2i+1], w_i = y[2i+1] - y[2i];
-    2-D applies the split separably (columns then rows). Non-dyadic sizes
+    2-D applies the split separably, last axis first (_haar_step). Non-dyadic sizes
     are padded periodically to the next multiple of 2^levels and cropped
     back on synthesis. Accepts a NoisyField (dof taken from it) or a plain
     array.
@@ -324,12 +314,8 @@ def haar_dwt_analyze(y, levels: int, dof: float | None = None) -> HaarPyramid:
     c = _pad_to_multiple(y, 2 ** levels)
     detail, smooth_levels = [], []
     for _ in range(levels):
-        if y.ndim == 1:
-            c, w = _dwt_step_1d(c)
-            detail.append({"w": w})
-        else:
-            c, bands = _dwt_step_2d(c)
-            detail.append(bands)
+        c, bands = _haar_step(c)
+        detail.append(bands)
         smooth_levels.append(c)
     return HaarPyramid(levels=levels, detail=detail, smooth_levels=smooth_levels,
                        orig_shape=orig_shape, dof0=dof)
@@ -338,12 +324,8 @@ def haar_dwt_analyze(y, levels: int, dof: float | None = None) -> HaarPyramid:
 def haar_dwt_synthesize(pyramid: HaarPyramid) -> np.ndarray:
     """Exact inverse of haar_dwt_analyze, cropped to the original shape."""
     c = pyramid.smooth
-    for j in range(pyramid.levels, 0, -1):
-        bands = pyramid.detail[j - 1]
-        if pyramid.ndim == 1:
-            c = _idwt_step_1d(c, bands["w"])
-        else:
-            c = _idwt_step_2d(c, bands)
+    for bands in reversed(pyramid.detail):
+        c = _haar_unstep(c, bands)
     crop = tuple(slice(0, s) for s in pyramid.orig_shape)
     return c[crop]
 

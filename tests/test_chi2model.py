@@ -134,8 +134,9 @@ def test_rescale_squared_scale_identity(m, sigma):
 
 
 def test_rescale_squared_rejects_bad_sigma():
-    with pytest.raises(ValueError):
-        rescale_squared(np.array([1.0]), 0.0)
+    for sigma in (0.0, np.inf):
+        with pytest.raises(ValueError):
+            rescale_squared(np.array([1.0]), sigma)
 
 
 def test_reconstruct_magnitude_examples():

@@ -160,7 +160,7 @@ def test_simulate_from_reference_file(phantom_files, tmp_path):
 
 def test_simulate_rejects_bad_sigma(tmp_path, capsys):
     out = str(tmp_path / "x.pgm")
-    for sigma in ("0", "-3", "auto"):
+    for sigma in ("0", "-3", "auto", "inf"):
         code = run("simulate", "--phantom", "constant", "--sigma", sigma,
                    "--out", out)
         assert code == 1
@@ -302,6 +302,14 @@ def test_exit_code_negative_lambda_override(phantom_files, tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+def test_exit_code_infinite_sigma(phantom_files, tmp_path, capsys):
+    # an infinite sigma once ran to an all-NaN estimate and exit code 3
+    code = run("denoise", "--in", phantom_files["noisy"],
+               "--out", str(tmp_path / "o.pgm"), "--sigma", "inf", "--method", "uwt")
+    assert code == 1
+    assert "sigma" in capsys.readouterr().err
+
+
 def test_exit_code_invalid_blend(phantom_files, tmp_path, capsys):
     code = run("denoise", "--in", phantom_files["noisy"],
                "--out", str(tmp_path / "o.pgm"), "--sigma", "20",
@@ -324,7 +332,7 @@ def test_benchmark_maps_a_rejected_protocol_to_a_config_error(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "config error" in err
-    assert "(128, 128)" in err
+    assert "J=7" in err
 
 
 @pytest.mark.parametrize("flag", ["--sigmas", "--methods"])

@@ -1,5 +1,6 @@
 """Metric hand cases, phantom regressions, and end-to-end denoising runs."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curelet import pipeline
 from curelet.chi2model import sample_rician
 from curelet.pipeline import (
     CSV_COLUMNS,
@@ -269,6 +271,42 @@ def test_denoise_mr_rejects_more_levels_than_the_image_holds(method):
     m = sample_rician(make_phantom("shepp-logan", 64), 20.0, seed=29)
     with pytest.raises(ValueError, match=r"J=7|\(128, 128\)"):
         denoise_mr(m, sigma=20.0, method=method, J=7)
+
+
+def test_denoise_mr_checks_the_levels_before_building_the_haar_bank():
+    # haar_uwt_bank(20) would form factors of 2^20 taps before walk refused J
+    m = sample_rician(make_phantom("shepp-logan", 64), 20.0, seed=29)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="J=20"):
+            denoise_mr(m, sigma=20.0, method="uwt", J=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_denoise_mr_rejects_a_3d_image():
+    with pytest.raises(ValueError, match="3-D"):
+        denoise_mr(np.ones((8, 8, 8)), sigma=1.0, method="haar-cs1", J=1)
+
+
+def test_denoise_mr_rejects_a_sigma_that_is_not_finite_and_positive():
+    # sigma=inf once returned an all-NaN estimate with a finite cure
+    m = sample_rician(make_phantom("constant", 32), 10.0, seed=19)
+    for sigma in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            denoise_mr(m, sigma=sigma, method="uwt")
+
+
+def test_denoise_mr_checks_the_blend_before_it_denoises(monkeypatch):
+    def denoiser_must_not_run(*args, **kwargs):
+        raise AssertionError("denoised before checking lambda")
+
+    monkeypatch.setattr(pipeline, "uwt_curelet_denoise", denoiser_must_not_run)
+    m = sample_rician(make_phantom("constant", 32), 10.0, seed=19)
+    with pytest.raises(ValueError, match="lambda"):
+        denoise_mr(m, sigma=10.0, method="uwt-bdct", lam=2.0)
 
 
 def test_cycle_spin_method_runs_and_reports_mean_cure():
