@@ -14,7 +14,7 @@ from curelet.chi2model import sample_chi2
 from curelet.pipeline import make_phantom
 from curelet.risk import cure_subband
 from curelet.shrinkage import cureshrink_evaluation
-from curelet.transforms import haar_dwt_analyze
+from curelet.transforms import haar_step
 
 
 def main(argv=None) -> int:
@@ -29,15 +29,17 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=41,
                         help="grid points on a in [0, 4]")
     args = parser.parse_args(argv)
+    if args.level < 1 or args.size % 2 ** args.level:
+        parser.error("--level must be at least 1, with --size a multiple of 2^level")
 
     x = (make_phantom("shepp-logan", args.size) / args.scale) ** 2
     y = sample_chi2(x, 2, seed=args.seed).samples
-    pyr = haar_dwt_analyze(y, args.level, dof=2)
-    clean = haar_dwt_analyze(x, args.level)
-    w = pyr.detail[args.level - 1][args.orientation]
-    s = pyr.smooth_levels[args.level - 1]
-    kj = pyr.dof(args.level)
-    omega = clean.detail[args.level - 1][args.orientation]
+    s, clean = y, x
+    for _ in range(args.level):  # level j: the sums of level j - 1 split again
+        s, details = haar_step(s)
+        clean, clean_details = haar_step(clean)
+    w, omega = details[args.orientation], clean_details[args.orientation]
+    kj = 2.0 * 4 ** args.level  # the level's sums add 4^level pixels of dof 2
 
     grid = np.linspace(0.0, 4.0, args.steps)
     risks, mses = [], []

@@ -47,7 +47,6 @@ from .shrinkage import (
 )
 from .transforms import (
     FilterBank,
-    HaarPyramid,
     bdct8_bank,
     haar_uwt_bank,
     parent_field,
@@ -59,7 +58,6 @@ __all__ = [
     "DenoiseResult",
     "ExperimentProtocol",
     "FilterBank",
-    "HaarPyramid",
     "ImageBuffer",
     "NoisyField",
     "QualityReport",

@@ -25,7 +25,7 @@ from .chi2model import (
     rescale_squared,
     sample_rician,
 )
-from .shrinkage import haar_curelet_denoise, uwt_curelet_denoise
+from .shrinkage import _check_levels, haar_curelet_denoise, uwt_curelet_denoise
 
 __all__ = [
     "ImageBuffer",
@@ -345,7 +345,8 @@ class ExperimentProtocol:
                              ("method", self.methods), ("seed", self.seeds)):
             if len(set(values)) != len(values):
                 raise ValueError(f"protocol repeats a {name}: {tuple(values)}")
-        make_phantom(self.phantom, self.size)
+        _check_blend(self.lam)
+        _check_levels(make_phantom(self.phantom, self.size).shape, self.J)
 
 
 def _max_workers(n_jobs: int) -> int:

@@ -23,6 +23,8 @@ Three denoisers:
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from scipy import ndimage
 
@@ -37,10 +39,9 @@ from .transforms import (
     SPIN_COUNTS,
     SPIN_SHIFTS,
     FilterBank,
-    _haar_step,
-    _haar_unstep,
-    _pad_to_multiple,
     bdct8_bank,
+    haar_step,
+    haar_unstep,
     haar_uwt_bank,
     parent_field,
 )
@@ -236,7 +237,11 @@ def _live_atoms(energies: np.ndarray, data_energy: float) -> np.ndarray:
     return energies > 1e-12 * scale
 
 
-def _nonnegative(y) -> np.ndarray:
+def _checked_data(y, K) -> np.ndarray:
+    """y as float64 once it is finite and nonnegative, and its chi-square
+    dof K finite and positive: the entry check of every denoiser."""
+    if not (np.isfinite(K) and K > 0):
+        raise ValueError(f"the chi-square dof K must be finite and positive, got K={K!r}")
     y = np.asarray(y, dtype=np.float64)
     if not np.isfinite(y).all():
         raise ValueError("squared-magnitude data must be finite")
@@ -245,14 +250,17 @@ def _nonnegative(y) -> np.ndarray:
     return y
 
 
-def _check_levels(shape, J: int) -> None:
-    """A J-level Haar pyramid pads each side to a multiple of 2^J, so it
-    needs 2^J at most the smallest side; the undecimated bank's support
-    check (FilterBank.walk) asks the same of the same J."""
+def _check_levels(shape, J) -> int:
+    """J as an int, the one check of a level count: a whole number, at least
+    1, with 2^J at most the smallest side. A J-level Haar pyramid pads each
+    side to a multiple of 2^J, and the undecimated bank's support check
+    (FilterBank.walk) asks the same of the same J."""
     most = min(shape, default=0).bit_length() - 1  # no power of 2 is formed for a huge J
-    if J > most:
-        raise ValueError(f"J={J} needs 2^J at most the image's smallest side: "
-                         f"shape {tuple(shape)} holds at most J={most}")
+    if not (isinstance(J, numbers.Real) and float(J).is_integer() and 1 <= J <= most):
+        raise ValueError(f"J={J} must be a whole number of levels, at least 1 and with 2^J "
+                         f"at most the image's smallest side: shape {tuple(shape)} holds "
+                         f"at most J={most}")
+    return int(J)
 
 
 def _checked_lambdas(lambdas) -> tuple:
@@ -301,15 +309,14 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
     into one joint system. The report's per_band maps "<bank>/<band>:bias"
     and "<bank>/<band>:l<lambda>" to the atom's weight.
     """
-    y = _nonnegative(y)
+    y = _checked_data(y, K)
     lambdas = _checked_lambdas(lambdas)
     names = {"haar-uwt", "bdct", "mixed"}
     if transform not in names:
         raise ValueError(f"transform must be one of {sorted(names)}")
     banks = []
     if transform in ("haar-uwt", "mixed"):
-        _check_levels(y.shape, J)
-        banks.append(haar_uwt_bank(J, ndim=y.ndim))
+        banks.append(haar_uwt_bank(_check_levels(y.shape, J), ndim=y.ndim))
     if transform in ("bdct", "mixed"):
         banks.append(bdct8_bank())
     n_atoms = sum(1 if band.kind == "lowpass" else len(lambdas)
@@ -491,17 +498,18 @@ def _denoise_pyramid(y, K: float, J: int, subband_fn, shifts):
     fits one detail subband. y (1-D or 2-D) is padded periodically to a
     multiple of 2^J once. A shift r + 2q is r = shift mod 2, then q one
     level coarser, so a recursion over levels steps the field rolled by
-    each residue r once (_haar_step), fits its details, recurses on its
+    each residue r once (haar_step), fits its details, recurses on its
     sums with the shifts q at dof 2^ndim K, unsteps, rolls back and
     weights by r's share of the shifts. The last sums are unbiased, s - K_J,
     with risk 4 sum(s - K_J/2). cure and per_band are the shift-weighted
     means of the padded field's risk; neither is the risk of the average.
     """
-    y = _nonnegative(y)
+    y = _checked_data(y, K)
     if y.ndim not in (1, 2):
         raise ValueError(f"the Haar pyramid takes 1-D or 2-D data, got {y.ndim}-D")
-    _check_levels(y.shape, J)
-    padded = _pad_to_multiple(y, 2 ** J)
+    J = _check_levels(y.shape, J)
+    pads = [(0, -n % 2 ** J) for n in y.shape]
+    padded = np.pad(y, pads, mode="wrap") if any(p for _, p in pads) else y
     estimate, cure, per_band = _pyramid_levels(padded, K, 1, J, subband_fn, shifts)
     return estimate[tuple(map(slice, y.shape))], RiskReport(cure=cure, per_band=per_band)
 
@@ -521,12 +529,12 @@ def _pyramid_levels(c, K: float, j: int, J: int, subband_fn, shifts):
     out, cure, per_band = 0.0, 0.0, {}
     for r, qs in coarse.items():
         weight = len(qs) / len(shifts)
-        s, details = _haar_step(np.roll(c, r, axis=axes))
+        s, details = haar_step(np.roll(c, r, axis=axes))
         risks = {}
         for orient, w in details.items():
             details[orient], risks[f"{orient}{j}"] = subband_fn(w, s, K * branch, orient)
         s_hat, s_cure, rest = _pyramid_levels(s, K * branch, j + 1, J, subband_fn, qs)
-        out = out + weight * np.roll(_haar_unstep(s_hat, details), [-v for v in r], axis=axes)
+        out = out + weight * np.roll(haar_unstep(s_hat, details), [-v for v in r], axis=axes)
         cure += weight * (sum(risks.values()) + s_cure) / branch ** 2
         for key, risk in {**risks, **rest}.items():
             per_band[key] = per_band.get(key, 0.0) + weight * risk
@@ -558,8 +566,8 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
     the filterbank divergence form with the subband field layout
     (BandDivergenceFields.of_subband): the coefficient is its own band and
     s doubles as the variance channel. The lowpass is unbiased by its
-    accumulated dof (4^J K in 2-D). J may not exceed log2 of y's smallest
-    side.
+    accumulated dof (4^J K in 2-D). J is a whole number from 1 to log2 of
+    y's smallest side.
 
     spins (one of SPIN_COUNTS) cycle-spins the pyramid over the distinct
     shifts among SPIN_SHIFTS[:spins], truncated to y's axes, by

@@ -13,8 +13,11 @@ Two transform families back the denoisers:
   domain's dot products, so a fit over all bands inverts only its result.
 * The unnormalized Haar DWT: critically sampled pairwise sums/differences
   whose scaling chain preserves the chi-square family (sums of independent
-  chi-squares stay chi-square, doubling the dof per 1-D split). One level
-  step (_haar_step, inverted by _haar_unstep) serves 1-D and 2-D alike.
+  chi-squares stay chi-square, doubling the dof per 1-D split). haar_step,
+  inverted by haar_unstep, is the one pyramid step, in 1-D and 2-D alike;
+  level j is haar_step chained j times, and the pyramid denoisers
+  (shrinkage._denoise_pyramid) own the padding, the crop and the dof
+  2^(ndim j) K of the level-j sums.
 
 Boundaries are periodic everywhere; the analysis operators are circulant.
 """
@@ -29,11 +32,10 @@ import numpy as np
 __all__ = [
     "Band",
     "FilterBank",
-    "HaarPyramid",
     "haar_uwt_bank",
     "bdct8_bank",
-    "haar_dwt_analyze",
-    "haar_dwt_synthesize",
+    "haar_step",
+    "haar_unstep",
     "parent_field",
     "SPIN_SHIFTS",
     "SPIN_COUNTS",
@@ -227,47 +229,17 @@ def bdct8_bank() -> FilterBank:
     return FilterBank("bdct8", bands)
 
 
-@dataclass
-class HaarPyramid:
-    """Unnormalized Haar DWT of a nonnegative field.
-
-    detail[j-1] holds the level-j wavelet subbands ("lh"/"hl"/"hh" in 2-D,
-    "w" in 1-D); smooth_levels[j-1] holds the same-scale scaling field s^j,
-    which doubles as the variance channel of the level-j details. dof0 is
-    the chi-square dof of the input when it is model data (None otherwise);
-    s^j then carries dof0 * 4^j (2-D) or dof0 * 2^j (1-D) degrees of
-    freedom, and its entries stay nonnegative.
-    """
-
-    levels: int
-    detail: list
-    smooth_levels: list
-    orig_shape: tuple
-    dof0: float | None = None
-
-    @property
-    def smooth(self) -> np.ndarray:
-        return self.smooth_levels[-1]
-
-    @property
-    def ndim(self) -> int:
-        return len(self.orig_shape)
-
-    def dof(self, level: int) -> float:
-        if self.dof0 is None:
-            raise ValueError("pyramid carries no dof metadata")
-        branch = 4.0 if self.ndim == 2 else 2.0
-        return self.dof0 * branch ** level
-
-
-# detail keys of one level, in the order _haar_step makes them
+# detail keys of one level, in the order haar_step makes them
 _DETAIL_KEYS = {1: ("w",), 2: ("lh", "hl", "hh")}
 
 
-def _haar_step(c: np.ndarray) -> tuple[np.ndarray, dict]:
+def haar_step(c: np.ndarray) -> tuple[np.ndarray, dict]:
     """One level: sums and odd - even differences along the last axis, then
-    along each earlier axis. Returns the sums s and the details, keyed "w"
-    in 1-D and "lh"/"hl"/"hh" in 2-D."""
+    along each earlier axis (1-D: s_i = c[2i] + c[2i+1], w_i = c[2i+1] - c[2i]).
+    Returns the sums s and the details, keyed "w" in 1-D and "lh"/"hl"/"hh"
+    in 2-D. Every side of c must be even."""
+    if any(n % 2 for n in c.shape):
+        raise ValueError(f"a Haar level step needs even sides, got shape {c.shape}")
     bands = [c]
     for axis in reversed(range(c.ndim)):
         lead = (slice(None),) * axis
@@ -276,58 +248,14 @@ def _haar_step(c: np.ndarray) -> tuple[np.ndarray, dict]:
     return bands[0], dict(zip(_DETAIL_KEYS[c.ndim], bands[1:]))
 
 
-def _haar_unstep(s: np.ndarray, details: dict) -> np.ndarray:
-    """Exact inverse of _haar_step."""
+def haar_unstep(s: np.ndarray, details: dict) -> np.ndarray:
+    """Exact inverse of haar_step."""
     bands = [s] + [details[key] for key in _DETAIL_KEYS[s.ndim]]
     for axis in range(s.ndim):  # interleave (t - d) / 2 and (t + d) / 2 along axis
         stacks = [np.stack([(t - d) / 2, (t + d) / 2], axis + 1)
                   for t, d in zip(bands[0::2], bands[1::2])]
         bands = [p.reshape(p.shape[:axis] + (-1,) + p.shape[axis + 2:]) for p in stacks]
     return bands[0]
-
-
-def _pad_to_multiple(y: np.ndarray, multiple: int) -> np.ndarray:
-    pads = [(0, (-s) % multiple) for s in y.shape]
-    if any(p[1] for p in pads):
-        return np.pad(y, pads, mode="wrap")
-    return y
-
-
-def haar_dwt_analyze(y, levels: int, dof: float | None = None) -> HaarPyramid:
-    """Unnormalized Haar DWT: per level, pairwise sums (s) and differences (w).
-
-    1-D pairs (2i, 2i+1): s_i = y[2i] + y[2i+1], w_i = y[2i+1] - y[2i];
-    2-D applies the split separably, last axis first (_haar_step). Non-dyadic sizes
-    are padded periodically to the next multiple of 2^levels and cropped
-    back on synthesis. Accepts a NoisyField (dof taken from it) or a plain
-    array.
-    """
-    if hasattr(y, "samples"):
-        dof = y.dof if dof is None else dof
-        y = y.samples
-    y = np.asarray(y, dtype=np.float64)
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    if y.ndim not in (1, 2):
-        raise ValueError("only 1-D and 2-D supported")
-    orig_shape = y.shape
-    c = _pad_to_multiple(y, 2 ** levels)
-    detail, smooth_levels = [], []
-    for _ in range(levels):
-        c, bands = _haar_step(c)
-        detail.append(bands)
-        smooth_levels.append(c)
-    return HaarPyramid(levels=levels, detail=detail, smooth_levels=smooth_levels,
-                       orig_shape=orig_shape, dof0=dof)
-
-
-def haar_dwt_synthesize(pyramid: HaarPyramid) -> np.ndarray:
-    """Exact inverse of haar_dwt_analyze, cropped to the original shape."""
-    c = pyramid.smooth
-    for bands in reversed(pyramid.detail):
-        c = _haar_unstep(c, bands)
-    crop = tuple(slice(0, s) for s in pyramid.orig_shape)
-    return c[crop]
 
 
 def parent_field(s: np.ndarray, orientation: str) -> np.ndarray:

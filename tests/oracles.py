@@ -17,9 +17,9 @@ import numpy as np
 
 from curelet.risk import (BandDivergenceFields, SubbandEvaluation, _full, atom_divergence,
                           cure_expression)
-from curelet.shrinkage import (DEFAULT_BETA, LAMBDAS, _joint_modulators, _keep_ratio,
-                               _smooth_pos3, solve_weights)
-from curelet.transforms import FilterBank
+from curelet.shrinkage import (DEFAULT_BETA, LAMBDAS, _denoise_pyramid, _joint_modulators,
+                               _keep_ratio, _smooth_pos3, solve_weights)
+from curelet.transforms import SPIN_COUNTS, SPIN_SHIFTS, FilterBank
 
 POINTWISE_LAMBDAS = (3.0, 9.0)
 
@@ -277,6 +277,19 @@ def synthesize(bank, coeffs) -> np.ndarray:
     """sum_b R_b coeffs_b: the bands' synthesis rows added, inverted once."""
     return FilterBank.field_of_rows(
         sum(bank.synthesis_rows(i, c) for i, c in enumerate(coeffs)), np.shape(coeffs[0]))
+
+
+def pyramid_round_trip_error(y, J: int, K: float = 2.0) -> float:
+    """Largest |out - (y - K)| over every spin count, out the production
+    pyramid recursion (_denoise_pyramid: padding, rolls, shift weights,
+    crop) with every detail kept and only the lowpass unbiased, which is
+    y - K exactly in exact arithmetic."""
+    worst = 0.0
+    for spins in SPIN_COUNTS:
+        shifts = list(dict.fromkeys(sh[: np.ndim(y)] for sh in SPIN_SHIFTS[:spins]))
+        out, _ = _denoise_pyramid(y, K, J, lambda w, s, kj, o: (w, 0.0), shifts)
+        worst = max(worst, float(np.abs(out - (y - K)).max()))
+    return worst
 
 
 def band_divergence_fields(y, K: float, bank) -> list[BandDivergenceFields]:

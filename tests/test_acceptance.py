@@ -23,8 +23,7 @@ from curelet.shrinkage import (
 )
 from curelet.transforms import (
     bdct8_bank,
-    haar_dwt_analyze,
-    haar_dwt_synthesize,
+    haar_step,
     haar_uwt_bank,
     parent_field,
 )
@@ -38,6 +37,7 @@ from oracles import (
     let_atom_pointwise,
     mse_oracle,
     pointwise_let_evaluations,
+    pyramid_round_trip_error,
     synthesize,
 )
 
@@ -127,17 +127,19 @@ def test_criterion_01_image_risk_unbiased():
 
 
 def test_criterion_02_subband_risk_unbiased():
-    clean = haar_dwt_analyze(MC_X, 2)
+    clean, x_s = [], MC_X  # the clean details of levels 1 and 2
+    for _ in range(2):
+        x_s, omegas = haar_step(x_s)
+        clean.append(omegas)
     cells = {}
     for seed in range(MC_RUNS):
-        y = sample_chi2(MC_X, 2, seed=seed).samples
-        pyr = haar_dwt_analyze(y, 2, dof=2)
+        s = sample_chi2(MC_X, 2, seed=seed).samples
         for j in (1, 2):
-            s = pyr.smooth_levels[j - 1]
-            kj = pyr.dof(j)
+            s, details = haar_step(s)
+            kj = 2.0 * 4 ** j
             for orient in ("lh", "hl", "hh"):
-                w = pyr.detail[j - 1][orient]
-                omega = clean.detail[j - 1][orient]
+                w = details[orient]
+                omega = clean[j - 1][orient]
                 ev = cureshrink_evaluation(w, s, 1.0, beta=0.5, delta=1e-3)
                 atoms = joint_let_atoms(w, s, parent_field(s, orient),
                                         deltas=(0.5, 0.5))
@@ -189,9 +191,7 @@ def test_criterion_04_perfect_reconstruction():
             bank = haar_uwt_bank(levels)
             worst = max(worst,
                         float(np.abs(synthesize(bank, analyze(bank, y)) - y).max()))
-            pyr = haar_dwt_analyze(y, levels)
-            worst = max(worst,
-                        float(np.abs(haar_dwt_synthesize(pyr) - y).max()))
+            worst = max(worst, pyramid_round_trip_error(y, levels))
         bank = bdct8_bank()
         worst = max(worst,
                     float(np.abs(synthesize(bank, analyze(bank, y)) - y).max()))
@@ -202,16 +202,13 @@ def test_criterion_04_perfect_reconstruction():
 
 def test_criterion_05_risk_picked_threshold_near_oracle():
     x = snr_level_field(make_phantom("shepp-logan", 256), 15.0)
-    clean = haar_dwt_analyze(x, 1)
-    omega = clean.detail[0]["hh"]
+    omega = haar_step(x)[1]["hh"]
     worst = 0.0
     for seed in range(500, 510):
-        y = sample_chi2(x, 2, seed=seed).samples
-        pyr = haar_dwt_analyze(y, 1, dof=2)
-        w = pyr.detail[0]["hh"]
-        s = pyr.smooth_levels[0]
-        kj = pyr.dof(1)
-        assert w.size == 128 * 128 and kj == 8.0
+        s, details = haar_step(sample_chi2(x, 2, seed=seed).samples)
+        w = details["hh"]
+        kj = 8.0  # the level-1 sums add 4 pixels of dof 2
+        assert w.size == 128 * 128
         theta_risk, _, _ = cureshrink_subband(w, s, kj)
         theta_star, _, _ = cureshrink_subband(
             w, s, kj,
@@ -338,10 +335,10 @@ def test_criterion_10_scaling_channel_moments():
     x = np.full((64, 64), x0)
     draws = {1: [], 2: []}
     for seed in range(400):
-        pyr = haar_dwt_analyze(sample_chi2(x, 2, seed=20000 + seed).samples,
-                               2, dof=2)
-        draws[1].append(pyr.smooth_levels[0].ravel())
-        draws[2].append(pyr.smooth_levels[1].ravel())
+        s = sample_chi2(x, 2, seed=20000 + seed).samples
+        for j in (1, 2):
+            s, _ = haar_step(s)
+            draws[j].append(s.ravel())
     worst = 0.0
     counts = []
     for j in (1, 2):

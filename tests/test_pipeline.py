@@ -348,6 +348,15 @@ def test_protocol_rejects_repeated_entries(repeat):
         replace(small_protocol(), **repeat).validate()
 
 
+@pytest.mark.parametrize("bad", [{"J": 0}, {"J": -1}, {"J": 2.5}, {"J": 7}, {"lam": 1.5}],
+                         ids=["J0", "J-1", "J2.5", "J7", "lam"])
+def test_protocol_rejects_levels_and_blend_before_any_run(bad, monkeypatch):
+    # 2^7 exceeds the 64x64 phantom; a bad setting once surfaced from the pool's jobs
+    monkeypatch.setattr(pipeline, "_mc_single", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(ValueError, match="J=" if "J" in bad else "lambda"):
+        monte_carlo_experiment(replace(small_protocol(), **bad))
+
+
 def test_monte_carlo_rows_and_schema():
     rows = monte_carlo_experiment(small_protocol())
     assert len(rows) == 2

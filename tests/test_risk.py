@@ -14,7 +14,7 @@ from curelet.risk import (
     atom_divergence,
     cure_subband,
 )
-from curelet.transforms import bdct8_bank, haar_dwt_analyze, haar_uwt_bank
+from curelet.transforms import bdct8_bank, haar_step, haar_uwt_bank
 
 from oracles import (
     EstimatorEvaluation,
@@ -346,17 +346,14 @@ def test_cure_subband_unbiased_1d():
     rng = rng_of(107)
     x = rng.uniform(0.0, 30.0, size=32)
     K = 2.0
-    clean = haar_dwt_analyze(x, 1)
-    omega = clean.detail[0]["w"]
+    omega = haar_step(x)[1]["w"]
     draws = 600
     deltas = np.empty(draws)
     for i in range(draws):
-        field = sample_chi2(x, K, seed=70_000 + i)
-        pyr = haar_dwt_analyze(field, 1)
-        w = pyr.detail[0]["w"]
-        s = pyr.smooth_levels[0]
+        s, details = haar_step(sample_chi2(x, K, seed=70_000 + i).samples)
+        w = details["w"]
         ev = ratio_evaluation(w, s)
-        deltas[i] = cure_subband(w, s, pyr.dof(1), ev) - ((ev.theta - omega) ** 2).mean()
+        deltas[i] = cure_subband(w, s, 2 * K, ev) - ((ev.theta - omega) ** 2).mean()
     se = deltas.std(ddof=1) / np.sqrt(draws)
     assert abs(deltas.mean()) <= 4.0 * se
 
@@ -369,18 +366,14 @@ def test_cure_subband_unbiased_2d(key):
     rng = rng_of(109)
     x = rng.uniform(0.0, 25.0, size=(8, 8))
     K = 2.0
-    clean = haar_dwt_analyze(x, 1)
-    omega = clean.detail[0][key]
+    omega = haar_step(x)[1][key]
     draws = 500
     deltas = np.empty(draws)
     for i in range(draws):
-        field = sample_chi2(x, K, seed=90_000 + i)
-        pyr = haar_dwt_analyze(field, 1)
-        w = pyr.detail[0][key]
-        s = pyr.smooth_levels[0]
-        assert pyr.dof(1) == pytest.approx(4 * K)
+        s, details = haar_step(sample_chi2(x, K, seed=90_000 + i).samples)
+        w = details[key]
         ev = ratio_evaluation(w, s)
-        deltas[i] = cure_subband(w, s, pyr.dof(1), ev) - ((ev.theta - omega) ** 2).mean()
+        deltas[i] = cure_subband(w, s, 4 * K, ev) - ((ev.theta - omega) ** 2).mean()
     se = deltas.std(ddof=1) / np.sqrt(draws)
     assert abs(deltas.mean()) <= 4.0 * se
 

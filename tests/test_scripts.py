@@ -16,6 +16,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ("threshold_curve.py", ["--size", "32", "--steps", "5"], "risk_estimate"),
     ("spin_sweep.py", ["--size", "32", "--sigmas", "20", "--seeds", "1", "--levels", "2"],
      "spins=16"),
+    ("threshold_curve.py", ["--size", "32", "--steps", "5", "--level", "2"], "risk_estimate"),
 ])
 def test_script_main_runs(script, argv, header, capsys):
     main = runpy.run_path(str(SCRIPTS / script))["main"]

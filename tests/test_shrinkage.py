@@ -39,7 +39,7 @@ from curelet.transforms import (
     SPIN_SHIFTS,
     FilterBank,
     bdct8_bank,
-    haar_dwt_analyze,
+    haar_step,
     haar_uwt_bank,
     parent_field,
 )
@@ -300,13 +300,12 @@ def fused_and_reference_atoms(source, y, K, lambdas):
                 assert (u < -1e6).any() and (u > 0.5).any()
             yield w, fields, thetas[0], divs[0], [let_atom_pointwise(w, v, lam) for lam in lambdas]
         return
-    pyr = haar_dwt_analyze(y, 2, dof=K)
-    s = pyr.smooth_levels[0]
-    for orient, w in pyr.detail[0].items():
+    s, details = haar_step(y)
+    for orient, w in details.items():
         w = w.copy()
         w[::5, ::3] = 0.0
         p = np.zeros_like(w) if source == "haar-dwt-p0" else parent_field(s, orient)
-        fields = BandDivergenceFields.of_subband(w, s, pyr.dof(1))
+        fields = BandDivergenceFields.of_subband(w, s, 4 * K)
         fused = [shrinkage._fused_atoms(r, partials, [(w, True), (p, False)], fields, lambdas)
                  for r, partials in shrinkage._joint_modulators(w, s, p)]
         thetas, divs = (np.stack(parts, axis=1) for parts in zip(*fused))
@@ -411,8 +410,8 @@ def test_solved_weights_minimize_risk_against_perturbations():
     rng = rng_of(211)
     x = rng.uniform(0.0, 40.0, size=(24, 24))
     y = sample_chi2(x, 2.0, seed=31).samples
-    pyr = haar_dwt_analyze(y, 1, dof=2.0)
-    w, s, kj = pyr.detail[0]["hh"], pyr.smooth_levels[0], pyr.dof(1)
+    s, details = haar_step(y)
+    w, kj = details["hh"], 8.0
     atoms = [cureshrink_evaluation(w, s, 0.5), cureshrink_evaluation(w, s, 2.5)]
     M, c = quadratic_risk_probe(w, s, kj, atoms)
     lam = np.linalg.eigvalsh(M)
@@ -496,25 +495,24 @@ def test_cureshrink_subband_search_respects_objective_override():
     rng = rng_of(41)
     x = rng.uniform(0.0, 30.0, size=(16, 16))
     y = sample_chi2(x, 2.0, seed=3).samples
-    pyr = haar_dwt_analyze(y, 1, dof=2.0)
-    w, s = pyr.detail[0]["hh"], pyr.smooth_levels[0]
+    s, details = haar_step(y)
+    w = details["hh"]
     target = 1.3
 
     def pin(a, ev):
         return (a - target) ** 2
 
-    theta, a, value = cureshrink_subband(w, s, pyr.dof(1), objective=pin)
+    theta, a, value = cureshrink_subband(w, s, 8.0, objective=pin)
     assert a == pytest.approx(target, abs=2e-3)
     assert value == pin(a, None)
 
 
 def test_cureshrink_pure_noise_picks_positive_threshold():
     y = sample_chi2(np.zeros((32, 32)), 2.0, seed=8).samples
-    pyr = haar_dwt_analyze(y, 1, dof=2.0)
-    theta, a, _ = cureshrink_subband(pyr.detail[0]["hh"], pyr.smooth_levels[0],
-                                     pyr.dof(1))
+    s, details = haar_step(y)
+    theta, a, _ = cureshrink_subband(details["hh"], s, 8.0)
     assert a > 0.5
-    assert float((theta ** 2).mean()) < float((pyr.detail[0]["hh"] ** 2).mean())
+    assert float((theta ** 2).mean()) < float((details["hh"] ** 2).mean())
 
 
 def test_cure_picked_threshold_tracks_oracle():
@@ -523,19 +521,16 @@ def test_cure_picked_threshold_tracks_oracle():
     # must land within 5% of the oracle's squared error
     mu = make_phantom("shepp-logan", 256)
     x = snr_level_field(mu, 15.0)
-    clean = haar_dwt_analyze(x, 1)
-    omega = clean.detail[0]["hh"]
+    omega = haar_step(x)[1]["hh"]
     for seed in (500, 501, 502):
-        y = sample_chi2(x, 2.0, seed=seed).samples
-        pyr = haar_dwt_analyze(y, 1, dof=2.0)
-        w, s = pyr.detail[0]["hh"], pyr.smooth_levels[0]
-        assert pyr.dof(1) == pytest.approx(8.0)
-        th_cure, _, _ = cureshrink_subband(w, s, pyr.dof(1))
+        s, details = haar_step(sample_chi2(x, 2.0, seed=seed).samples)
+        w = details["hh"]
+        th_cure, _, _ = cureshrink_subband(w, s, 8.0)
 
         def oracle(a, ev):
             return float(((ev.theta - omega) ** 2).mean())
 
-        th_best, _, _ = cureshrink_subband(w, s, pyr.dof(1), objective=oracle)
+        th_best, _, _ = cureshrink_subband(w, s, 8.0, objective=oracle)
         mse_cure = float(((th_cure - omega) ** 2).mean())
         mse_best = float(((th_best - omega) ** 2).mean())
         assert mse_cure <= 1.05 * mse_best
@@ -546,8 +541,8 @@ def test_cureshrink_subband_value_is_risk_at_returned_scale(seed):
     # the returned value is, bit for bit, the subband risk at the returned
     # threshold scale, so cureshrink_denoise need not score it again
     y = sample_chi2(rng_of(seed).uniform(0.0, 30.0, size=(32, 32)), 2.0, seed=seed).samples
-    pyr = haar_dwt_analyze(y, 1, dof=2.0)
-    w, s, kj = pyr.detail[0]["hh"], pyr.smooth_levels[0], pyr.dof(1)
+    s, details = haar_step(y)
+    w, kj = details["hh"], 8.0
     theta, a, value = cureshrink_subband(w, s, kj)
     ev = cureshrink_evaluation(w, s, a)
     assert value == cure_subband(w, s, kj, ev)
@@ -559,13 +554,12 @@ def test_cureshrink_subband_value_when_a_grid_point_wins():
     # of the cell [0, GRID_STEP] cannot reach it, so the grid point and its
     # value must both be returned
     y = sample_chi2(np.full((16, 16), 10.0), 2.0, seed=4).samples
-    pyr = haar_dwt_analyze(y, 1, dof=2.0)
+    s, details = haar_step(y)
 
     def spike(a, ev):
         return 0.0 if a == 0.0 else 1.0 + a
 
-    _, a, value = cureshrink_subband(pyr.detail[0]["hh"], pyr.smooth_levels[0],
-                                     pyr.dof(1), objective=spike)
+    _, a, value = cureshrink_subband(details["hh"], s, 8.0, objective=spike)
     assert (a, value) == (0.0, 0.0)
 
 
@@ -791,10 +785,11 @@ def test_haar_fit_matches_subband_evaluator(sigma):
     # weights solve the written-out normal equations
     y, K = rescaled_shepp_logan(64, sigma)
     est, report = haar_curelet_denoise(y, K, J=2)
-    pyr = haar_dwt_analyze(y, 2, dof=K)
+    s = y
     for j in (1, 2):
-        s, kj = pyr.smooth_levels[j - 1], pyr.dof(j)
-        for orient, w in pyr.detail[j - 1].items():
+        s, details = haar_step(s)
+        kj = 4 ** j * K
+        for orient, w in details.items():
             atoms = joint_let_atoms(w, s, parent_field(s, orient))
             a = subband_normal_weights(w, s, kj, atoms)
             expected = cure_subband(w, s, kj, combine_evaluations(atoms, a))
@@ -941,13 +936,13 @@ def test_haar_spins_share_each_level_step_across_shifts(monkeypatch, spins, step
     # shifts r + 2q share the level step of their residue r, and recurse
     # with q; one step per shift and level would make 3 spins steps
     calls = []
-    step = shrinkage._haar_step
+    step = shrinkage.haar_step
 
     def counting(c):
         calls.append(c.shape)
         return step(c)
 
-    monkeypatch.setattr(shrinkage, "_haar_step", counting)
+    monkeypatch.setattr(shrinkage, "haar_step", counting)
     haar_curelet_denoise(noisy_uniform((32, 32), 3), 2.0, J=3, spins=spins)
     assert len(calls) == steps
 
@@ -958,6 +953,34 @@ def test_pyramid_denoisers_reject_data_that_is_not_1d_or_2d(denoise):
     # a 3-D field once failed in a numpy broadcast deep in the pyramid
     with pytest.raises(ValueError, match="3-D"):
         denoise(np.ones((8, 8, 8)), 2.0, J=1)
+
+
+ALL_DENOISERS = [cureshrink_denoise, haar_curelet_denoise, uwt_curelet_denoise,
+                 partial(uwt_curelet_denoise, transform="mixed")]
+ALL_DENOISER_IDS = ["cureshrink", "haar", "uwt", "mixed"]
+
+
+@pytest.mark.parametrize("J", [0, -1, 2.5])
+@pytest.mark.parametrize("denoise", ALL_DENOISERS, ids=ALL_DENOISER_IDS)
+def test_denoisers_reject_levels_that_are_not_a_whole_positive_number(denoise, J):
+    # J <= 0 once returned y - K undenoised with a cure, and J = 2.5 failed in np.pad
+    with pytest.raises(ValueError, match=f"J={J}"):
+        denoise(noisy_uniform((16, 16), 5), 2.0, J=J)
+
+
+def test_uwt_takes_a_whole_float_J():
+    # the Haar pyramid took J = 2.0, while haar_uwt_bank raised a TypeError
+    y = noisy_uniform((16, 16), 6)
+    np.testing.assert_array_equal(uwt_curelet_denoise(y, 2.0, J=2.0)[0],
+                                  uwt_curelet_denoise(y, 2.0, J=2)[0])
+
+
+@pytest.mark.parametrize("K", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("denoise", ALL_DENOISERS[:3], ids=ALL_DENOISER_IDS[:3])
+def test_denoisers_reject_a_dof_that_is_not_finite_and_positive(denoise, K):
+    # K <= 0 once gave an estimate and a cure; nan failed deep in the weight solve
+    with pytest.raises(ValueError, match="K="):
+        denoise(noisy_uniform((16, 16), 5), K, J=2)
 
 
 @pytest.mark.parametrize("denoise", [partial(haar_curelet_denoise, spins=16), cureshrink_denoise],
