@@ -26,7 +26,6 @@ from __future__ import annotations
 import numbers
 
 import numpy as np
-from scipy import ndimage
 
 from .risk import (
     BandDivergenceFields,
@@ -238,11 +237,12 @@ def _live_atoms(energies: np.ndarray, data_energy: float) -> np.ndarray:
 
 
 def _checked_data(y, K) -> np.ndarray:
-    """y as float64 once it is finite and nonnegative, and its chi-square
-    dof K finite and positive: the entry check of every denoiser."""
+    """y as C-ordered float64 (the half-spectrum rows view its last axis)
+    once it is finite and nonnegative, and its chi-square dof K finite and
+    positive: the entry check of every denoiser."""
     if not (np.isfinite(K) and K > 0):
         raise ValueError(f"the chi-square dof K must be finite and positive, got K={K!r}")
-    y = np.asarray(y, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64, order="C")
     if not np.isfinite(y).all():
         raise ValueError("squared-magnitude data must be finite")
     if (y < 0).any():
@@ -459,15 +459,24 @@ def _gamma_fields(u: np.ndarray, g1: np.ndarray, delta: float):
     """Smoothed local magnitude and its diagonal self-term derivatives.
 
     gamma_n = sum_m G(m) |u_{n+m}| with |.| smoothed to sqrt(u^2+delta^2)
-    and G the separable gamma_kernel, applied as the 1-D weights g1 along
-    each axis; only the m=0 term involves u_n, so the diagonal
-    derivatives are the center weight times the smoothed-abs derivatives.
+    and G the separable gamma_kernel, applied as the odd symmetric 1-D
+    weights g1 along each axis: a periodic correlation on the field padded
+    by R = len(g1) // 2 wrapped entries a side (by index, so a side shorter
+    than R wraps as often as it needs), summing the center, then each
+    symmetric pair from the outermost in. Only the m=0 term involves u_n,
+    so the diagonal derivatives are the center weight times the
+    smoothed-abs derivatives.
     """
     absu = np.sqrt(u ** 2 + delta ** 2)
-    gamma = absu
+    gamma, R = absu, len(g1) // 2
     for axis in range(u.ndim):
-        gamma = ndimage.correlate1d(gamma, g1, axis=axis, mode="wrap")
-    g0 = float(g1[GAMMA_RADIUS]) ** u.ndim
+        n = u.shape[axis]
+        p = np.take(gamma, np.arange(-R, n + R), axis=axis, mode="wrap").swapaxes(0, axis)
+        gamma = g1[R] * p[R:R + n]
+        for k in range(R):
+            gamma += (p[k:k + n] + p[2 * R - k:2 * R - k + n]) * g1[k]
+        gamma = gamma.swapaxes(0, axis)
+    g0 = float(g1[R]) ** u.ndim
     return gamma, g0 * u / absu, g0 * delta ** 2 / absu ** 3
 
 

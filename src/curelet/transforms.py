@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+import numpy.fft  # loaded here, not by the first transform of a call
 
 __all__ = [
     "Band",
@@ -129,7 +130,7 @@ class FilterBank:
         y_fft = np.fft.rfftn(y)
         *lead, last = range(y.ndim)
         base, pick = list(powers), None
-        if set(base) - {1, 2} and all(np.unique(np.abs(b.taps)).size == 1 for b in self.bands):
+        if set(base) - {1, 2} and all(np.ptp(np.abs(b.taps)) == 0 for b in self.bands):
             pick = [2 - p % 2 for p in powers]
             base, exps = sorted(set(pick)), np.subtract(powers, pick).reshape((-1,) + (1,) * y.ndim)
         for band, prev in zip(self.bands, (None,) + self.bands):
@@ -277,12 +278,14 @@ def parent_field(s: np.ndarray, orientation: str) -> np.ndarray:
     raise ValueError(f"unknown orientation {orientation!r}")
 
 
-# Deterministic cycle-spin shift schedule: the four diagonal shifts first,
-# then the remaining offsets of {0..3}^2 in row-major order.
-SPIN_SHIFTS: tuple = tuple(
-    [(d, d) for d in range(4)]
-    + [(a, b) for a in range(4) for b in range(4) if a != b]
-)
+# Deterministic cycle-spin shift schedule: the four diagonal shifts, then
+# (0, 1), (1, 0), (0, 2), (2, 0), then the remaining offsets of {0..3}^2 in
+# row-major order, so that every SPIN_COUNTS prefix is closed under swapping
+# the axes and a spun 2-D denoise commutes with transposition.
+SPIN_SHIFTS: tuple = tuple(dict.fromkeys(
+    [(d, d) for d in range(4)] + [(0, 1), (1, 0), (0, 2), (2, 0)]
+    + [(a, b) for a in range(4) for b in range(4)]
+))
 
 # Spin counts a cycle-spun denoiser accepts: prefixes of SPIN_SHIFTS.
 SPIN_COUNTS = (1, 4, 8, 16)

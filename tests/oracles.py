@@ -6,7 +6,8 @@ independent arbiters: atoms with all six partials, the image-domain and
 filterbank risk evaluators with per-band analysis and full synthesis,
 explicit circulant matrices with the image-domain chain rule
 (D[k, l] = taps[l - k] periodic, Dbar with squared taps,
-R = synth_gain * D.T), and the subband weight solve written out.
+R = synth_gain * D.T), the subband weight solve written out, the gamma
+smoothing as a sum of rolls and SSIM as a direct window sum.
 """
 
 from __future__ import annotations
@@ -312,3 +313,46 @@ def cure_filterbank_divergence(y, K: float, evs, bank) -> float:
     div = sum(atom_divergence(fl, ev)
               for fl, ev in zip(band_divergence_fields(y, K, bank), evs))
     return cure_expression(f - (y - K), div, y - K / 2)
+
+
+def rolled_correlation(u, g1, axis: int) -> np.ndarray:
+    """Periodic correlation sum_m g1[R + m] u[(n + m) mod N] along axis,
+    R = len(g1) // 2, as a weighted sum of len(g1) rolls (a roll by more
+    than N wraps around N as often as it needs)."""
+    R = len(g1) // 2
+    return sum(g * np.roll(u, -m, axis=axis) for m, g in zip(range(-R, R + 1), g1))
+
+
+def gamma_fields(u, g1, delta: float):
+    """shrinkage._gamma_fields written out: the smoothed magnitude
+    sqrt(u^2 + delta^2) correlated with g1 along every axis by
+    rolled_correlation, and the center-weight self-term derivatives."""
+    u = np.asarray(u, dtype=np.float64)
+    absu = np.sqrt(u ** 2 + delta ** 2)
+    gamma = absu
+    for axis in range(u.ndim):
+        gamma = rolled_correlation(gamma, g1, axis)
+    g0 = float(g1[len(g1) // 2]) ** u.ndim
+    return gamma, g0 * u / absu, g0 * delta ** 2 / absu ** 3
+
+
+def ssim_direct(est, ref, size: int = 11, sigma: float = 1.5) -> float:
+    """Mean SSIM with every local moment a direct size x size weighted sum
+    over sliding_window_view windows: the Gaussian window (sigma) of unit
+    sum, C1 = (0.01 L)^2, C2 = (0.03 L)^2, L = max|ref|."""
+    est, ref = (np.asarray(a, dtype=np.float64) for a in (est, ref))
+    offsets = np.arange(size) - (size - 1) / 2.0
+    window = np.exp(-(offsets[:, None] ** 2 + offsets[None, :] ** 2) / (2.0 * sigma ** 2))
+    window /= window.sum()
+
+    def local(a):
+        return np.einsum("ijkl,kl->ij", np.lib.stride_tricks.sliding_window_view(a, window.shape),
+                         window)
+
+    mu1, mu2 = local(est), local(ref)
+    s11, s22 = local(est * est) - mu1 ** 2, local(ref * ref) - mu2 ** 2
+    s12 = local(est * ref) - mu1 * mu2
+    c1, c2 = (0.01 * np.abs(ref).max()) ** 2, (0.03 * np.abs(ref).max()) ** 2
+    ssim_map = ((2 * mu1 * mu2 + c1) * (2 * s12 + c2)
+                / ((mu1 ** 2 + mu2 ** 2 + c1) * (s11 + s22 + c2)))
+    return float(np.clip(ssim_map.mean(), -1.0, 1.0))

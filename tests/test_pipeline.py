@@ -29,6 +29,8 @@ from curelet.pipeline import (
     ssim_mean,
 )
 
+from oracles import ssim_direct
+
 
 def rng_of(seed):
     return np.random.Generator(np.random.Philox(seed))
@@ -98,14 +100,23 @@ def test_ssim_degrades_monotonically_with_noise():
     assert all(-1.0 <= v <= 1.0 for v in values)
 
 
+@pytest.mark.parametrize("shape", [(32, 32), (40, 23)])
+def test_ssim_is_the_direct_window_sum(shape):
+    # the non-square pair shows a window run along the wrong axis
+    rng = rng_of(34)
+    ref = rng.uniform(0.0, 255.0, size=shape)
+    est = ref + rng.normal(scale=30.0, size=shape)
+    assert ssim_mean(est, ref) == pytest.approx(ssim_direct(est, ref), rel=1e-12, abs=0.0)
+
+
 def test_ssim_rejects_zero_dynamic_range():
     with pytest.raises(ValueError):
         ssim_mean(np.zeros((16, 16)), np.zeros((16, 16)))
 
 
 def test_ssim_rejects_images_smaller_than_its_window():
-    # no 11x11 window fits in an 8x8 image; scipy's valid-mode convolution
-    # would silently swap the operands and average a meaningless map
+    # no 11x11 window fits in an 8x8 image; a valid-mode convolution that
+    # swaps its operands when the kernel is larger would average a meaningless map
     rng = rng_of(33)
     est, ref = rng.uniform(0.0, 255.0, size=(2, 8, 8))
     with pytest.raises(ValueError, match="11x11"):

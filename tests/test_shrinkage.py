@@ -49,6 +49,7 @@ from oracles import (
     band_divergence_fields,
     combine_evaluations,
     cure_filterbank_divergence,
+    gamma_fields,
     joint_let_atoms,
     let_atom_pointwise,
     pointwise_let_evaluations,
@@ -438,6 +439,28 @@ def test_gamma_kernel_center_weights():
     assert k2[mid, mid] == pytest.approx(1.0 / (2.0 * np.pi))
     with pytest.raises(ValueError):
         gamma_kernel(ndim=3)
+
+
+@pytest.mark.parametrize("shape", [(n,) for n in range(1, 10)] + [(n, n) for n in range(1, 10)]
+                         + [(5, 12), (12, 5)], ids=str)
+def test_gamma_fields_are_the_periodic_correlation_on_every_small_side(shape):
+    # a side shorter than the kernel's radius 4 wraps more than once: a pad
+    # made of slices of the field is short there
+    u = rng_of(47).normal(size=shape)
+    g1 = gamma_kernel(ndim=1)
+    for got, want in zip(shrinkage._gamma_fields(u, g1, 0.1), gamma_fields(u, g1, 0.1)):
+        assert_rel_close(got, want)
+
+
+@pytest.mark.parametrize("spins", [1, 16])
+def test_haar_with_2x2_coarsest_subbands_keeps_the_rolled_gamma(monkeypatch, spins):
+    # 16x16 at J=3 leaves 2x2 level-3 subbands, whose gamma wraps twice
+    y = noisy_uniform((16, 16), 13)
+    est, report = haar_curelet_denoise(y, 2.0, J=3, spins=spins)
+    monkeypatch.setattr(shrinkage, "_gamma_fields", gamma_fields)
+    want, want_report = haar_curelet_denoise(y, 2.0, J=3, spins=spins)
+    assert_rel_close(est, want)
+    assert report.cure == pytest.approx(want_report.cure, rel=1e-12, abs=0.0)
 
 
 def test_joint_atoms_zero_parent_degenerates_to_intra_scale():
