@@ -4,8 +4,8 @@ Estimators are linear expansions of fixed nonlinear atoms. Every LET
 atom is ramp(1 - 4 lam r) times a carrier, r a ratio of the coefficient
 and its variance channel with closed-form partials, so the unbiased risk
 estimate is exact. One fused kernel (_fused_atoms) gives both expansion
-denoisers every atom's theta and divergence, and one fit (_fit_expansion)
-minimizes the risk, a quadratic in the weights, on a tiny normal system.
+denoisers every atom's theta and divergence per item of a stack, and one
+fit (_fit_expansion) minimizes each item's risk on a tiny normal system.
 The reference atoms, built with all six partials, are in tests/oracles.py.
 
 Three denoisers:
@@ -18,11 +18,13 @@ Three denoisers:
   Haar DWT (_denoise_pyramid), threshold a sqrt(s), a picked by risk search.
 * haar_curelet_denoise: the same pyramid, per-subband 8-atom expansions
   mixing the coefficient's pointwise keep factor, its parent's smoothed
-  local energy and the parent predictor, cycle-spun by recursion over levels.
+  local energy and the parent predictor, cycle-spun by recursion over
+  levels, fitted in stacks across a level's shift residues and orientations.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -31,6 +33,7 @@ from .risk import (
     BandDivergenceFields,
     RiskReport,
     SubbandEvaluation,
+    atom_divergence,
     cure_expression,
     cure_subband,
 )
@@ -75,14 +78,19 @@ GAMMA_SIGMA = 1.0
 
 
 def _buffers(work, key: str, n: int, shape) -> list:
-    """n new buffers of the given shape, or the rows of the (n, *shape) stack
-    that the dict work keeps under (key, shape) for reuse."""
-    if work is None:
-        return [np.empty(shape) for _ in range(n)]
-    shape = tuple(shape)
-    if (key, shape) not in work:
-        work[key, shape] = np.empty((n,) + shape)
-    return [work[key, shape][k, ...] for k in range(n)]
+    """The rows of an (n, *shape) view of the flat array that the dict work
+    (or a new one) keeps under key for every shape, grown when too small:
+    the workspace is the call's largest stack."""
+    work, size = {} if work is None else work, n * math.prod(shape)
+    if key not in work or work[key].size < size:
+        work[key] = np.empty(size)
+    stack = work[key][:size].reshape((n,) + tuple(shape))
+    return [stack[k, ...] for k in range(n)]
+
+
+def _dots(a, b) -> np.ndarray:
+    """Per-item dot products of two stacks (items, ...), np.vdot's by one matmul."""
+    return (a.reshape(len(a), 1, -1) @ b.reshape(len(b), -1, 1))[:, 0, 0]
 
 
 def _smooth_pos3(u, beta: float, work=None):
@@ -108,17 +116,18 @@ def _smooth_pos3(u, beta: float, work=None):
 
 
 def _inverse_energy(e, eps=None, out=None):
-    """1 / (e + eps) of an energy field e; eps defaults to 1e-12 (mean(e) + 1)."""
-    out = np.add(e, 1e-12 * (float(e.mean()) + 1.0) if eps is None else eps, out=out)
+    """1 / (e + eps) of a stack of energy fields e; eps defaults to 1e-12 (mean(e) + 1) per item."""
+    mean = np.mean(e, axis=tuple(range(1, e.ndim)), keepdims=True)
+    out = np.add(e, 1e-12 * (mean + 1.0) if eps is None else eps, out=out)
     return np.divide(1.0, out, out=out)
 
 
 def _keep_ratio(w, v, eps=None, work=None):
     """The keep factor's ratio r = v / (w^2 + eps), u = 1 - 4 lam r, and its partials.
 
-    Returns (r, (r_w, r_v, r_ww, r_vv, r_wv)) with r_vv = 0, in work's
-    buffers (_buffers); eps is _inverse_energy's. r_ww is nan where w^2
-    overflows.
+    w and v are stacks (items, *field). Returns (r, (r_w, r_v, r_ww, r_vv,
+    r_wv)) with r_vv = 0, in work's buffers (_buffers); eps is
+    _inverse_energy's, per item by default. r_ww is nan where w^2 overflows.
     """
     w2, iq, r, r_wv, r_w, r_ww = _buffers(work, "keep", 6, np.shape(w))
     _inverse_energy(np.square(w, out=w2), eps, out=iq)
@@ -148,19 +157,21 @@ def _signed_sum(out, tmp, terms):
     return out
 
 
-def _fused_atoms(r, partials, carriers, fields: BandDivergenceFields, lambdas, work=None):
+def _fused_atoms(r, partials, carriers, fields, lambdas, work=None, out=None):
     """theta and divergence of every atom ramp(1 - 4 lam r) * c, at once.
 
-    The production kernel of both LET denoisers. carriers is [(c, own)],
-    own marking a carrier that is the coefficient w itself (it adds the
-    product-rule terms of the w-derivatives; any other carrier is held
-    fixed), and partials are r's. Every partial of u = 1 - 4 lam r
-    is -4 lam times one of r, so an atom's divergence is [own] sum(z1 g)
-    + 4 lam sum(g' P) + 16 lam^2 sum(g'' Q), with P and Q formed once per
-    carrier and one ramp per lam, in work's buffers (_buffers); no partial
-    field of an atom is formed, and a scalar-0 partial costs no pass.
-    Returns thetas (carriers, lambdas, *r.shape) and divergences
-    (carriers, lambdas), unchecked.
+    The production kernel of both LET denoisers, on stacks (items, *field)
+    of r, its partials, the carriers and the fields (BandDivergenceFields).
+    carriers is [(c, own)], own marking a carrier that is the coefficient w
+    itself (it adds the product-rule terms of the w-derivatives; any other
+    carrier is held fixed), and partials are r's. Every partial of u = 1 -
+    4 lam r is -4 lam times one of r, so an atom's divergence is [own]
+    sum(z1 g) + 4 lam sum(g' P) + 16 lam^2 sum(g'' Q) per item, with P and
+    Q formed once per carrier and one ramp per lam, in work's buffers
+    (_buffers); no partial field of an atom is formed, and a scalar-0
+    partial costs no pass. Returns thetas (items, carriers, lambdas,
+    *field), into out if given, and divergences (items, carriers, lambdas),
+    unchecked.
     """
     r_w, r_s, r_ww, r_ss, r_ws = partials
     z = fields
@@ -175,23 +186,25 @@ def _fused_atoms(r, partials, carriers, fields: BandDivergenceFields, lambdas, w
     for (c, own), P, Q in zip(carriers, PQ[0::2], PQ[1::2]):
         _signed_sum(P, tmp, [(1, T, 2.0), (-1, c, A)] if own else [(-1, c, A)])
         _signed_sum(Q, tmp, [(-1, c, B)])
-    thetas, = _buffers(work, "thetas", 1, (len(carriers), len(lambdas)) + shape)
-    divs = np.empty((len(carriers), len(lambdas)))
+    if out is None:
+        out, = _buffers(work, "thetas", 1, (shape[0], len(carriers), len(lambdas)) + shape[1:])
+    divs = np.empty((shape[0], len(carriers), len(lambdas)))
     for k, lam in enumerate(lambdas):
         np.subtract(1.0, np.multiply(4.0 * lam, r, out=u), out=u)
         g, dg, d2g = _smooth_pos3(u, DEFAULT_BETA, work)
         for i, ((c, own), P, Q) in enumerate(zip(carriers, PQ[0::2], PQ[1::2])):
-            np.multiply(g, c, out=thetas[i, k])
-            divs[i, k] = ((np.vdot(z.z1, g) if own else 0.0) + 4.0 * lam * np.vdot(dg, P)
-                          + 16.0 * lam ** 2 * np.vdot(d2g, Q))
-    return thetas, divs
+            np.multiply(g, c, out=out[:, i, k])
+            divs[:, i, k] = ((_dots(z.z1, g) if own else 0.0) + 4.0 * lam * _dots(dg, P)
+                             + 16.0 * lam ** 2 * _dots(d2g, Q))
+    return out, divs
 
 
 # --------------------------------------------------------- weight solving
 
 
 def solve_weights(M, c) -> np.ndarray:
-    """Minimal-norm pseudo-inverse solve of the normal system Ma = c.
+    """Minimal-norm pseudo-inverse solve of the normal system Ma = c, or of
+    each of a stack M (..., I, I), c (..., I), by one batched eigh.
 
     The risk surface is a quadratic whose Hessian is the atom Gram matrix;
     its near-null eigenmodes belong to almost-collinear atom combinations,
@@ -201,39 +214,32 @@ def solve_weights(M, c) -> np.ndarray:
     zero weight. When cond(M), read off the eigenvalues, exceeds COND_LIMIT,
     RIDGE * trace(M)/I is added to the diagonal first; the returned
     weights satisfy the regularized normal equations restricted to the
-    kept subspace to 1e-8 * (|c| + 1).
+    kept subspace to 1e-8 * (|c| + 1). A dead atom (zero row and column)
+    gets weight zero: its diagonal is set to the live atoms' trace(M)/k,
+    inside a Gram block's eigenvalue range, so cond, ridge and cut stay.
     """
     M = np.asarray(M, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     if not (np.isfinite(M).all() and np.isfinite(c).all()):
         raise ValueError("non-finite entries in the normal system")
-    lam, V = np.linalg.eigh((M + M.T) / 2.0)
-    if not np.abs(lam).max() <= COND_LIMIT * np.abs(lam).min():  # cond(M) > COND_LIMIT, or inf
-        ridge = RIDGE * np.trace(M) / c.size  # eigh(M + ridge I) is (lam + ridge, V)
-        M, lam = M + ridge * np.eye(c.size), lam + ridge
-    keep = lam > RCOND * max(lam.max(), 0.0)
-    if not keep.any():
-        return np.zeros(c.size)
-    V = V[:, keep]
-    a = V @ ((V.T @ c) / lam[keep])
-    residual = float(np.linalg.norm(V.T @ (M @ a - c)))
-    if residual > 1e-8 * (float(np.linalg.norm(c)) + 1.0):
-        raise RuntimeError(f"weight solve residual {residual:.3e} too large")
+    dead = ~(M.any(axis=-1) | M.any(axis=-2))
+    mean = np.trace(M, axis1=-2, axis2=-1) / np.maximum(c.shape[-1] - dead.sum(-1), 1)
+    M, c = M + (dead * mean[..., None])[..., None] * np.eye(c.shape[-1]), np.where(dead, 0, c)
+    lams, Vs = np.linalg.eigh((M + np.swapaxes(M, -1, -2)) / 2.0)
+    ridge = ~(np.abs(lams).max(-1) <= COND_LIMIT * np.abs(lams).min(-1)) * (  # inf cond ridges too
+        RIDGE * np.trace(M, axis1=-2, axis2=-1) / c.shape[-1])
+    M, lams = M + ridge[..., None, None] * np.eye(c.shape[-1]), lams + ridge[..., None]
+    keep = lams > RCOND * np.maximum(lams.max(axis=-1, keepdims=True), 0.0)
+    a = np.zeros(c.shape)
+    for i in np.ndindex(c.shape[:-1]):  # the kept modes of each system
+        V = Vs[i][:, keep[i]]
+        a[i] = V @ ((V.T @ c[i]) / lams[i][keep[i]])
+    residual = (np.swapaxes(Vs, -1, -2) @ (M @ a[..., None] - c[..., None]))[..., 0]
+    residual = np.linalg.norm(keep * residual, axis=-1)
+    if (residual > 1e-8 * (np.linalg.norm(c, axis=-1) + 1.0)).any():
+        raise RuntimeError(f"weight solve residual {residual.max():.3e} too large")
+    a[dead] = 0.0
     return a
-
-
-def _live_atoms(energies: np.ndarray, data_energy: float) -> np.ndarray:
-    """Mask of atoms whose field energy is non-negligible.
-
-    A numerically dead atom contributes nothing to the estimate, yet its
-    divergence entry still lands in c; keeping it would pair a zero Gram
-    row with a nonzero right-hand side and the risk would have no minimum
-    along that direction. Dead atoms are solved out with weight zero.
-    """
-    scale = max(float(energies.max()), float(data_energy))
-    if scale <= 0.0:
-        return np.zeros(energies.size, dtype=bool)
-    return energies > 1e-12 * scale
 
 
 def _checked_data(y, K) -> np.ndarray:
@@ -272,20 +278,24 @@ def _checked_lambdas(lambdas) -> tuple:
 
 def _fit_expansion(rows: np.ndarray, target: np.ndarray,
                    div: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Risk-optimal weights a of a linear expansion, and a @ rows.
+    """Risk-optimal weights a of a linear expansion, and a @ rows, per item
+    of a stack: rows (items, atoms, pixels), target (items, pixels) and div
+    (items, atoms).
 
     The risk of a @ rows is cure_expression(a @ rows - target, a'div, half),
-    minimized by (rows rows') a = rows target - 4 div over the live atoms
-    (dead ones get weight zero). Only the rows' and target's dot products
-    enter (FilterBank.synthesis_rows keeps them); the caller forms the
-    risk from the image-domain residual, so no large terms cancel.
+    minimized by (rows rows') a = rows target - 4 div over the live atoms.
+    An atom with at most 1e-12 of the larger of the top atom energy and
+    |target|^2 adds nothing, yet its divergence lands in c; its Gram row and
+    column are zeroed, so solve_weights gives it weight zero. Only dot
+    products enter (FilterBank.synthesis_rows keeps them); the caller forms
+    the risk from the residual, so no large terms cancel.
     """
-    a = np.zeros(rows.shape[0])
-    live = _live_atoms(np.einsum("ij,ij->i", rows, rows), float(target @ target))
-    if live.any():
-        kept = rows if live.all() else rows[live]
-        a[live] = solve_weights(kept @ kept.T, kept @ target - 4.0 * div[live])
-    return a, a @ rows
+    gram = rows @ rows.swapaxes(1, 2)
+    energies = np.diagonal(gram, axis1=1, axis2=2)
+    live = energies > 1e-12 * np.maximum(energies.max(axis=1), _dots(target, target))[:, None]
+    gram = gram * (live[:, :, None] & live[:, None, :])
+    a = solve_weights(gram, (rows @ target[:, :, None])[:, :, 0] - 4.0 * div)
+    return a, (a[:, None, :] @ rows)[:, 0]
 
 
 # ------------------------------------------------- filterbank LET denoiser
@@ -326,15 +336,15 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
     div, labels, work = np.empty(n_atoms), [], {}
     for bank in banks:
         for i, (band, corr) in enumerate(zip(bank.bands, bank.walk(y, range(1, 6)))):
-            fields = BandDivergenceFields.of_band(band, K, corr[1:],
-                                                  _buffers(work, "fields", 1, (5,) + y.shape)[0])
+            fields = BandDivergenceFields.of_band(  # a stack of one field
+                band, K, corr[1:, None], _buffers(work, "fields", 1, (5, 1) + y.shape)[0])
             name = f"{bank.name}/{band.label}"
             if band.kind == "lowpass":
                 thetas, band_div = (corr[0] - band.tap_sum * K)[None], [fields.z1.sum()]
                 labels.append(f"{name}:bias")
             else:
-                thetas, band_div = (t[0] for t in _fused_atoms(
-                    *_keep_ratio(corr[0], corr[1], work=work), [(corr[0], True)], fields,
+                thetas, band_div = (t[0, 0] for t in _fused_atoms(  # stacks of one: corr[:1]
+                    *_keep_ratio(corr[:1], corr[1:2], work=work), [(corr[:1], True)], fields,
                     lambdas, work))
                 if not np.isfinite(band_div).all():
                     raise ValueError(f"divergence of band {name} is not finite")
@@ -342,7 +352,7 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
             at = slice(len(labels) - len(thetas), len(labels))
             div[at] = band_div
             bank.synthesis_rows(i, thetas, out=rows[at])
-    a, combined = _fit_expansion(rows, target, div)
+    (a,), (combined,) = _fit_expansion(rows[None], target[None], div[None])
     estimate = FilterBank.field_of_rows(combined, y.shape)
     cure = cure_expression(estimate - (y - K), float(a @ div), y - K / 2)
     weights = {label: float(ak) for label, ak in zip(labels, a)}
@@ -455,63 +465,51 @@ def gamma_kernel(ndim: int = 2) -> np.ndarray:
     return g1 if ndim == 1 else np.outer(g1, g1)
 
 
-def _gamma_fields(u: np.ndarray, g1: np.ndarray, delta: float):
-    """Smoothed local magnitude and its diagonal self-term derivatives.
+def _gamma_fields(u: np.ndarray, g1: np.ndarray, delta=None):
+    """Smoothed local magnitude and its diagonal self-term derivatives, per
+    item of a stack u (items, *field).
 
-    gamma_n = sum_m G(m) |u_{n+m}| with |.| smoothed to sqrt(u^2+delta^2)
-    and G the separable gamma_kernel, applied as the odd symmetric 1-D
-    weights g1 along each axis: a periodic correlation on the field padded
-    by R = len(g1) // 2 wrapped entries a side (by index, so a side shorter
-    than R wraps as often as it needs), summing the center, then each
-    symmetric pair from the outermost in. Only the m=0 term involves u_n,
-    so the diagonal derivatives are the center weight times the
-    smoothed-abs derivatives.
+    gamma_n = sum_m G(m) |u_{n+m}| with |.| smoothed to sqrt(u^2+delta^2),
+    delta by default 1e-3 times the item's RMS plus 1e-12, and G the
+    separable gamma_kernel, applied as the odd symmetric 1-D weights g1
+    along each field axis: a periodic correlation on the field padded by
+    R = len(g1) // 2 wrapped entries a side (gathered by index, axis first:
+    a side shorter than R wraps as often as it needs, each slice is one
+    block), summing the center, then each symmetric pair from the outermost
+    in. Only the m=0 term involves u_n, so the diagonal derivatives are the
+    center weight times the smoothed-abs derivatives.
     """
+    if delta is None:
+        delta = 1e-3 * np.sqrt(np.mean(u ** 2, axis=tuple(range(1, u.ndim)), keepdims=True)) + 1e-12
     absu = np.sqrt(u ** 2 + delta ** 2)
     gamma, R = absu, len(g1) // 2
-    for axis in range(u.ndim):
+    for axis in range(1, u.ndim):
         n = u.shape[axis]
-        p = np.take(gamma, np.arange(-R, n + R), axis=axis, mode="wrap").swapaxes(0, axis)
+        p = np.take(gamma.swapaxes(0, axis), np.arange(-R, n + R), axis=0, mode="wrap")
         gamma = g1[R] * p[R:R + n]
         for k in range(R):
             gamma += (p[k:k + n] + p[2 * R - k:2 * R - k + n]) * g1[k]
         gamma = gamma.swapaxes(0, axis)
-    g0 = float(g1[R]) ** u.ndim
+    g0 = float(g1[R]) ** (u.ndim - 1)
     return gamma, g0 * u / absu, g0 * delta ** 2 / absu ** 3
-
-
-def _joint_modulators(w, s, p, deltas=None) -> list:
-    """(r, partials) of a subband's two modulators, each ramp(1 - 4 lam r).
-
-    The keep factor r = s / w^2 (_keep_ratio) and the parent energy
-    r = gamma(s) / gamma(p)^2, whose only dependence on (w_n, s_n) is
-    gamma(s)'s center kernel term. deltas = (d_s, d_p) smooths the
-    magnitudes inside gamma, by default 1e-3 times their RMS.
-    """
-    if deltas is None:
-        deltas = [1e-3 * float(np.sqrt((u ** 2).mean())) + 1e-12 for u in (s, p)]
-    g1 = gamma_kernel(ndim=1)
-    A, A_s, A_ss = _gamma_fields(s, g1, deltas[0])
-    Bp, _, _ = _gamma_fields(p, g1, deltas[1])
-    iqp = _inverse_energy(Bp ** 2)
-    return [_keep_ratio(w, s), (A * iqp, (0.0, A_s * iqp, 0.0, A_ss * iqp, 0.0))]
 
 
 # ------------------------------------------------------- pyramid denoisers
 
 
-def _denoise_pyramid(y, K: float, J: int, subband_fn, shifts):
+def _denoise_pyramid(y, K: float, J: int, level_fn, shifts):
     """y's J-level Haar denoise, averaged over the periodic shifts.
 
-    subband_fn(w, s, K_j, orientation) -> (theta, per-coefficient risk)
-    fits one detail subband. y (1-D or 2-D) is padded periodically to a
-    multiple of 2^J once. A shift r + 2q is r = shift mod 2, then q one
-    level coarser, so a recursion over levels steps the field rolled by
-    each residue r once (haar_step), fits its details, recurses on its
-    sums with the shifts q at dof 2^ndim K, unsteps, rolls back and
-    weights by r's share of the shifts. The last sums are unbiased, s - K_J,
-    with risk 4 sum(s - K_J/2). cure and per_band are the shift-weighted
-    means of the padded field's risk; neither is the risk of the average.
+    level_fn(sums, details, K_j, j) replaces every detail subband of level
+    j (sums and details: one per level step) by its estimate, and returns
+    one {orientation: risk per coefficient} per step. y (1-D or 2-D) is
+    padded periodically to a multiple of 2^J once. A shift r + 2q is r =
+    shift mod 2, then q one level coarser, so a recursion over levels steps
+    the field rolled by each residue r once (haar_step), fits its details,
+    recurses on its sums with the shifts q at dof 2^ndim K, unsteps, rolls
+    back and weights by r's share of the shifts. The last sums are
+    unbiased, s - K_J, with risk 4 sum(s - K_J/2). cure and per_band are the
+    shift-weighted means of the padded field's risk, not the average's.
     """
     y = _checked_data(y, K)
     if y.ndim not in (1, 2):
@@ -519,62 +517,77 @@ def _denoise_pyramid(y, K: float, J: int, subband_fn, shifts):
     J = _check_levels(y.shape, J)
     pads = [(0, -n % 2 ** J) for n in y.shape]
     padded = np.pad(y, pads, mode="wrap") if any(p for _, p in pads) else y
-    estimate, cure, per_band = _pyramid_levels(padded, K, 1, J, subband_fn, shifts)
+    (estimate, cure, per_band), = _pyramid_levels([padded], K, 1, J, level_fn, [shifts])
     return estimate[tuple(map(slice, y.shape))], RiskReport(cure=cure, per_band=per_band)
 
 
-def _pyramid_levels(c, K: float, j: int, J: int, subband_fn, shifts):
-    """Levels j..J of _denoise_pyramid on field c of dof K, weighted over
-    the shifts: (estimate, cure per entry of c, per_band). Not a closure:
-    one recursing on itself is a reference cycle, and would keep
-    subband_fn's buffers alive until the cycle collector runs."""
+def _pyramid_levels(cs, K: float, j: int, J: int, level_fn, shifts):
+    """Levels j..J of _denoise_pyramid on the fields cs of dof K, each over
+    its shifts: [(estimate, cure per entry, per_band)]. Breadth-first: one
+    level_fn call fits every field's stepped residues, one recursion runs on
+    all their sums (cs is emptied once stepped). Not a closure, which would
+    keep level_fn's buffers in a reference cycle until collected."""
     if j > J:
-        lowpass = 4.0 * float((c - K / 2).sum()) / c.size
-        return c - K, lowpass, {"lowpass": lowpass}
-    axes, branch = tuple(range(c.ndim)), 2 ** c.ndim
-    coarse = {}
-    for sh in shifts:
-        coarse.setdefault(tuple(v % 2 for v in sh), []).append(tuple(v // 2 for v in sh))
-    out, cure, per_band = 0.0, 0.0, {}
-    for r, qs in coarse.items():
-        weight = len(qs) / len(shifts)
-        s, details = haar_step(np.roll(c, r, axis=axes))
-        risks = {}
-        for orient, w in details.items():
-            details[orient], risks[f"{orient}{j}"] = subband_fn(w, s, K * branch, orient)
-        s_hat, s_cure, rest = _pyramid_levels(s, K * branch, j + 1, J, subband_fn, qs)
-        out = out + weight * np.roll(haar_unstep(s_hat, details), [-v for v in r], axis=axes)
-        cure += weight * (sum(risks.values()) + s_cure) / branch ** 2
-        for key, risk in {**risks, **rest}.items():
-            per_band[key] = per_band.get(key, 0.0) + weight * risk
-    return out, cure, per_band
+        return [(c - K, lowpass, {"lowpass": lowpass})
+                for c in cs for lowpass in [4.0 * float((c - K / 2).sum()) / c.size]]
+    axes, branch = tuple(range(cs[0].ndim)), 2 ** cs[0].ndim
+    residues = [{} for _ in cs]
+    for rs, field_shifts in zip(residues, shifts):
+        for sh in field_shifts:
+            rs.setdefault(tuple(v % 2 for v in sh), []).append(tuple(v // 2 for v in sh))
+    sums, details = map(list, zip(*[haar_step(np.roll(c, r, axis=axes))
+                                    for c, rs in zip(cs, residues) for r in rs]))
+    cs.clear()
+    risks = level_fn(sums, details, K * branch, j)
+    fitted = iter(zip(details, risks, _pyramid_levels(
+        sums, K * branch, j + 1, J, level_fn, [qs for rs in residues for qs in rs.values()])))
+    results = []
+    for field_shifts, rs in zip(shifts, residues):
+        out, cure, per_band = 0.0, 0.0, {}
+        for (r, qs), (step, step_risks, (s_hat, s_cure, rest)) in zip(rs.items(), fitted):
+            weight = len(qs) / len(field_shifts)
+            out = out + weight * np.roll(haar_unstep(s_hat, step), [-v for v in r], axis=axes)
+            cure += weight * (sum(step_risks.values()) + s_cure) / branch ** 2
+            for key, risk in {**{f"{o}{j}": v for o, v in step_risks.items()}, **rest}.items():
+                per_band[key] = per_band.get(key, 0.0) + weight * risk
+        results.append((out, cure, per_band))
+    return results
 
 
 def cureshrink_denoise(y, K: float, J: int = 3):
     """Soft-threshold every detail subband with its risk-picked scale.
 
-    For a shape that is not a multiple of 2^J, cure is the risk of the
-    periodically padded field, not of the cropped estimate returned.
+    Each subband's scale is searched by cure_subband's risk, with s - K_j/2
+    shared by a level step's orientations. For a shape that is not a
+    multiple of 2^J, cure is the risk of the padded field, not of the crop.
     """
 
-    def fn(w, s, kj, orient):
-        theta, _, risk = cureshrink_subband(w, s, kj)
-        return theta, risk
+    def fit_level(sums, details, kj, j):
+        risks = [{} for _ in sums]
+        for s, step, risk in zip(sums, details, risks):
+            half = s - kj / 2
+            for o, w in step.items():
+                fields = BandDivergenceFields(z1=half, z2=w, z11=w, z22=w, z12=s)  # of_subband's
+                step[o], _, risk[o] = cureshrink_subband(w, s, kj, lambda a, ev: cure_expression(
+                    ev.theta - w, atom_divergence(fields, ev), half))
+        return risks
 
-    return _denoise_pyramid(y, K, J, fn, [(0,) * np.ndim(y)])
+    return _denoise_pyramid(y, K, J, fit_level, [(0,) * np.ndim(y)])
 
 
 def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 1):
     """Per-subband 8-atom inter-/intra-scale expansion, weights by risk.
 
-    Each detail subband is one expansion of 8 atoms: each modulator of
-    _joint_modulators, ramped per lambda, carried by w and by the parent
-    p (parent_field). Their thetas and divergences come from one
-    _fused_atoms call per modulator (its buffers kept per subband shape
-    for the whole call), fitted by _fit_expansion. The subband risk has
-    the filterbank divergence form with the subband field layout
-    (BandDivergenceFields.of_subband): the coefficient is its own band and
-    s doubles as the variance channel. The lowpass is unbiased by its
+    Each detail subband is one expansion of 8 atoms: two modulators
+    ramp(1 - 4 lam r) per lambda, the keep factor r = s / w^2 (_keep_ratio)
+    and the parent energy r = gamma(s) / gamma(p)^2 (_gamma_fields; only
+    gamma(s)'s center term depends on (w_n, s_n)), each carried by w and
+    by the parent p (parent_field). A level's subbands, across shift
+    residues and orientations, are fitted in stacks of at most one level-1
+    subband's coefficients (the workspace), gamma(s) once per level step:
+    per stack, _fused_atoms writes the thetas into one (items, atoms,
+    pixels) rows buffer for _fit_expansion. The risk has the subband field
+    layout (BandDivergenceFields.of_subband). The lowpass is unbiased by its
     accumulated dof (4^J K in 2-D). J is a whole number from 1 to log2 of
     y's smallest side.
 
@@ -590,19 +603,36 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
     if spins not in SPIN_COUNTS:
         raise ValueError(f"spins must be one of {SPIN_COUNTS}, got {spins!r}")
     lambdas = _checked_lambdas(lambdas)
-    work = {}
+    g1, work = gamma_kernel(ndim=1), {}
 
-    def fn(w, s, kj, orient):
-        p = parent_field(s, orient)
-        fields = BandDivergenceFields.of_subband(w, s, kj)
-        # atoms ordered (carrier, modulator, lambda)
-        thetas, div = np.empty((2, 2, len(lambdas)) + w.shape), np.empty((2, 2, len(lambdas)))
-        for m, (ratio, partials) in enumerate(_joint_modulators(w, s, p)):
-            thetas[:, m], div[:, m] = _fused_atoms(ratio, partials, [(w, True), (p, False)],
-                                                   fields, lambdas, work)
-        a, theta = _fit_expansion(thetas.reshape(div.size, -1), w.ravel(), div.ravel())
-        risk = cure_expression(theta - w.ravel(), float(a @ div.ravel()), fields.z1)
-        return theta.reshape(w.shape), risk
+    def fit_level(sums, details, kj, j):
+        shape, risks, shared = sums[0].shape, [{} for _ in sums], (None,)
+        items = [(t, o) for t, step in enumerate(details) for o in step]
+        most = 2 ** (len(shape) * (j - 1))  # level-j subbands in one level-1 subband
+        for stack in (items[k:k + most] for k in range(0, len(items), most)):
+            w, s, p, *gamma_s = fields = _buffers(work, "stack", 6, (n := len(stack),) + shape)
+            for i, (t, o) in enumerate(stack):
+                if shared[0] != t:
+                    shared = t, [f[0] for f in _gamma_fields(sums[t][None], g1)]
+                for f, item in zip(fields, [details[t][o], sums[t], parent_field(sums[t], o),
+                                            *shared[1]]):
+                    f[i] = item
+            fields = BandDivergenceFields.of_subband(w, s, kj)
+            iqp = _inverse_energy(_gamma_fields(p, g1)[0] ** 2)
+            A, A_s, A_ss = (np.multiply(f, iqp, out=f) for f in gamma_s)
+            # atoms ordered (carrier, modulator, lambda)
+            rows, = _buffers(work, "rows", 1, (n, 2, 2, len(lambdas)) + shape)
+            div = np.empty(rows.shape[:4])
+            for m, (ratio, partials) in enumerate(
+                    [_keep_ratio(w, s, work=work), (A, (0.0, A_s, 0.0, A_ss, 0.0))]):
+                div[:, :, m] = _fused_atoms(ratio, partials, [(w, True), (p, False)], fields,
+                                            lambdas, work, out=rows[:, :, m])[1]
+            div = div.reshape(n, -1)
+            a, fit = _fit_expansion(rows.reshape(div.shape + (-1,)), w.reshape(n, -1), div)
+            for i, (t, o) in enumerate(stack):
+                details[t][o], risks[t][o] = fit[i].reshape(shape), cure_expression(
+                    fit[i] - w[i].ravel(), float(a[i] @ div[i]), fields.z1[i])
+        return risks
 
     shifts = dict.fromkeys(shift[: np.ndim(y)] for shift in SPIN_SHIFTS[:spins])
-    return _denoise_pyramid(y, K, J, fn, list(shifts))
+    return _denoise_pyramid(y, K, J, fit_level, list(shifts))

@@ -18,8 +18,8 @@ import numpy as np
 
 from curelet.risk import (BandDivergenceFields, SubbandEvaluation, _full, atom_divergence,
                           cure_expression)
-from curelet.shrinkage import (DEFAULT_BETA, LAMBDAS, _denoise_pyramid, _joint_modulators,
-                               _keep_ratio, _smooth_pos3, solve_weights)
+from curelet.shrinkage import (DEFAULT_BETA, LAMBDAS, _denoise_pyramid, _keep_ratio,
+                               _smooth_pos3, gamma_kernel, solve_weights)
 from curelet.transforms import SPIN_COUNTS, SPIN_SHIFTS, FilterBank
 
 POINTWISE_LAMBDAS = (3.0, 9.0)
@@ -153,6 +153,11 @@ def smooth_pos(u, beta: float):
     return g, dg
 
 
+def _first_item(r, partials):
+    """Item 0 of a modulator (r, partials) computed on a stack of one."""
+    return r[0], [d[0] if np.ndim(d) else d for d in partials]
+
+
 def _ramp_atom(r, partials, lam: float, c, own: bool,
                beta: float = DEFAULT_BETA) -> SubbandEvaluation:
     """theta = ramp(1 - 4 lam r) * c with its six diagonal partials in (w, s).
@@ -187,8 +192,25 @@ def let_atom_pointwise(w, wbar, lam: float, beta: float = DEFAULT_BETA,
     if not lam > 0:
         raise ValueError("lam must be positive")
     w = np.asarray(w, dtype=np.float64)
-    r, partials = _keep_ratio(w, np.asarray(wbar, dtype=np.float64), eps)
+    wbar = np.asarray(wbar, dtype=np.float64)
+    r, partials = _first_item(*_keep_ratio(w[None], wbar[None], eps))
     return _ramp_atom(r, partials, lam, w, own=True, beta=beta)
+
+
+def joint_modulators(w, s, p, deltas=None) -> list:
+    """(r, partials) of one subband's two modulators, each ramp(1 - 4 lam r),
+    written out: the keep factor r = s / w^2 (shrinkage._keep_ratio on a
+    stack of one) and the parent energy r = gamma(s) / gamma(p)^2, gamma by
+    gamma_fields, whose only dependence on (w_n, s_n) is gamma(s)'s center
+    kernel term. deltas = (d_s, d_p) smooths the magnitudes inside gamma,
+    by default 1e-3 times their RMS plus 1e-12."""
+    d_s, d_p = (None, None) if deltas is None else deltas
+    g1 = gamma_kernel(ndim=1)
+    A, A_s, A_ss = (f[0] for f in gamma_fields(s[None], g1, d_s))
+    Bp2 = gamma_fields(p[None], g1, d_p)[0][0] ** 2
+    iqp = 1.0 / (Bp2 + 1e-12 * (float(Bp2.mean()) + 1.0))
+    return [_first_item(*_keep_ratio(w[None], s[None])),
+            (A * iqp, [0.0, A_s * iqp, 0.0, A_ss * iqp, 0.0])]
 
 
 def joint_let_atoms(w, s, p, lambdas=LAMBDAS, deltas=None) -> list:
@@ -207,11 +229,11 @@ def joint_let_atoms(w, s, p, lambdas=LAMBDAS, deltas=None) -> list:
     (built from neighboring scaling coefficients, never from (w_n, s_n)),
     so partials are taken w.r.t. (w_n, s_n) only; gamma's dependence on a
     coordinate is exactly its center kernel term. deltas = (d_s, d_p)
-    smooths the magnitudes inside gamma. The reference for the fused atoms
-    of haar_curelet_denoise.
+    smooths the magnitudes inside gamma (joint_modulators). The reference
+    for the fused atoms of haar_curelet_denoise.
     """
     w, s, p = (np.asarray(u, dtype=np.float64) for u in (w, s, p))
-    modulators = _joint_modulators(w, s, p, deltas)
+    modulators = joint_modulators(w, s, p, deltas)
     return [_ramp_atom(r, partials, lam, carrier, own)
             for carrier, own in ((w, True), (p, False))
             for r, partials in modulators for lam in lambdas]
@@ -283,12 +305,13 @@ def synthesize(bank, coeffs) -> np.ndarray:
 def pyramid_round_trip_error(y, J: int, K: float = 2.0) -> float:
     """Largest |out - (y - K)| over every spin count, out the production
     pyramid recursion (_denoise_pyramid: padding, rolls, shift weights,
-    crop) with every detail kept and only the lowpass unbiased, which is
-    y - K exactly in exact arithmetic."""
+    crop) with a level function that keeps every detail, and only the
+    lowpass unbiased, which is y - K exactly in exact arithmetic."""
     worst = 0.0
     for spins in SPIN_COUNTS:
         shifts = list(dict.fromkeys(sh[: np.ndim(y)] for sh in SPIN_SHIFTS[:spins]))
-        out, _ = _denoise_pyramid(y, K, J, lambda w, s, kj, o: (w, 0.0), shifts)
+        out, _ = _denoise_pyramid(y, K, J, lambda sums, details, kj, j: [
+            dict.fromkeys(step, 0.0) for step in details], shifts)
         worst = max(worst, float(np.abs(out - (y - K)).max()))
     return worst
 
@@ -323,16 +346,21 @@ def rolled_correlation(u, g1, axis: int) -> np.ndarray:
     return sum(g * np.roll(u, -m, axis=axis) for m, g in zip(range(-R, R + 1), g1))
 
 
-def gamma_fields(u, g1, delta: float):
-    """shrinkage._gamma_fields written out: the smoothed magnitude
-    sqrt(u^2 + delta^2) correlated with g1 along every axis by
-    rolled_correlation, and the center-weight self-term derivatives."""
+def gamma_fields(u, g1, delta=None):
+    """shrinkage._gamma_fields written out, per item of a stack u (items,
+    *field): the smoothed magnitude sqrt(u^2 + delta^2), delta by default
+    1e-3 times the item's RMS plus 1e-12, correlated with g1 along every
+    field axis by rolled_correlation, and the center-weight self-term
+    derivatives."""
     u = np.asarray(u, dtype=np.float64)
+    if delta is None:
+        delta = np.array([1e-3 * np.sqrt((item ** 2).mean()) + 1e-12 for item in u]).reshape(
+            (-1,) + (1,) * (u.ndim - 1))
     absu = np.sqrt(u ** 2 + delta ** 2)
     gamma = absu
-    for axis in range(u.ndim):
+    for axis in range(1, u.ndim):
         gamma = rolled_correlation(gamma, g1, axis)
-    g0 = float(g1[len(g1) // 2]) ** u.ndim
+    g0 = float(g1[len(g1) // 2]) ** (u.ndim - 1)
     return gamma, g0 * u / absu, g0 * delta ** 2 / absu ** 3
 
 

@@ -51,6 +51,7 @@ from oracles import (
     cure_filterbank_divergence,
     gamma_fields,
     joint_let_atoms,
+    joint_modulators,
     let_atom_pointwise,
     pointwise_let_evaluations,
     smooth_pos,
@@ -294,12 +295,14 @@ def fused_and_reference_atoms(source, y, K, lambdas):
             w, v = corr[0].copy(), corr[1]
             w[::5, ::3] = 0.0
             fields = BandDivergenceFields.of_band(band, K, corr[1:])
-            thetas, divs = shrinkage._fused_atoms(
-                *shrinkage._keep_ratio(w, v), [(w, True)], fields, lambdas)
+            thetas, divs = shrinkage._fused_atoms(  # on a stack of one
+                *shrinkage._keep_ratio(w[None], v[None]), [(w[None], True)],
+                BandDivergenceFields.of_band(band, K, corr[1:, None]), lambdas)
             for lam in lambdas:
                 u = 1.0 - 4.0 * lam * v / (w ** 2 + 1e-12 * (float((w ** 2).mean()) + 1.0))
                 assert (u < -1e6).any() and (u > 0.5).any()
-            yield w, fields, thetas[0], divs[0], [let_atom_pointwise(w, v, lam) for lam in lambdas]
+            yield (w, fields, thetas[0, 0], divs[0, 0],
+                   [let_atom_pointwise(w, v, lam) for lam in lambdas])
         return
     s, details = haar_step(y)
     for orient, w in details.items():
@@ -307,9 +310,12 @@ def fused_and_reference_atoms(source, y, K, lambdas):
         w[::5, ::3] = 0.0
         p = np.zeros_like(w) if source == "haar-dwt-p0" else parent_field(s, orient)
         fields = BandDivergenceFields.of_subband(w, s, 4 * K)
-        fused = [shrinkage._fused_atoms(r, partials, [(w, True), (p, False)], fields, lambdas)
-                 for r, partials in shrinkage._joint_modulators(w, s, p)]
-        thetas, divs = (np.stack(parts, axis=1) for parts in zip(*fused))
+        fused = [shrinkage._fused_atoms(  # on a stack of one
+            r[None], [d[None] if np.ndim(d) else d for d in partials],
+            [(w[None], True), (p[None], False)],
+            BandDivergenceFields.of_subband(w[None], s[None], 4 * K), lambdas)
+            for r, partials in joint_modulators(w, s, p)]
+        thetas, divs = (np.stack([part[0] for part in parts], axis=1) for parts in zip(*fused))
         yield (w, fields, thetas.reshape(-1, *w.shape), divs.ravel(),
                joint_let_atoms(w, s, p, lambdas=lambdas))
 
@@ -385,6 +391,34 @@ def test_solve_weights_residual_invariant(k, seed):
     assert np.linalg.norm(M @ a - c) <= 1e-8 * (np.linalg.norm(c) + 1.0)
 
 
+def spectral_system(eigenvalues, seed):
+    """A symmetric system with the given eigenvalues in a random basis."""
+    V, _ = np.linalg.qr(rng_of(seed).normal(size=(len(eigenvalues),) * 2))
+    return (V * eigenvalues) @ V.T, rng_of(seed + 1).normal(size=len(eigenvalues))
+
+
+def test_stacked_solve_weights_solves_each_system_as_alone():
+    # one batched eigh, the per-system contract: a well-conditioned system,
+    # one ridged (cond 1e14 > COND_LIMIT), one cut by RCOND without a ridge
+    # (cond 1e7), one with a dead atom and one with every atom dead
+    systems = [spectral_system([3.0, 2.0, 1.0, 0.5], 1),
+               spectral_system([1.0, 0.5, 1e-3, 1e-14], 3),
+               spectral_system([1.0, 0.5, 1e-6, 1e-7], 5)]
+    M, c = spectral_system([4.0, 1.0, 0.25], 7)
+    dead = np.zeros((4, 4))
+    dead[np.ix_([0, 1, 3], [0, 1, 3])] = M
+    systems += [(dead, np.array([c[0], c[1], 5.0, c[2]])), (np.zeros((4, 4)), np.ones(4))]
+    Ms, cs = (np.stack(parts) for parts in zip(*systems))
+    a = solve_weights(Ms, cs)
+    for got, (Mi, ci) in zip(a, systems):
+        want = solve_weights(Mi, ci)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * (np.abs(want).max() + 1e-300))
+    # the dead atom gets weight zero and the others are the live block's solve
+    assert a[3, 2] == 0.0 and not a[4].any()
+    np.testing.assert_allclose(a[3, [0, 1, 3]], solve_weights(M, c), rtol=1e-12)
+    assert np.abs(a[1]).max() > 0.0 and np.abs(a[2]).max() > 0.0
+
+
 def quadratic_risk_probe(w, s, kj, atoms):
     """Recover (M, c) of the risk quadratic from public evaluations only.
 
@@ -444,12 +478,16 @@ def test_gamma_kernel_center_weights():
 @pytest.mark.parametrize("shape", [(n,) for n in range(1, 10)] + [(n, n) for n in range(1, 10)]
                          + [(5, 12), (12, 5)], ids=str)
 def test_gamma_fields_are_the_periodic_correlation_on_every_small_side(shape):
-    # a side shorter than the kernel's radius 4 wraps more than once: a pad
-    # made of slices of the field is short there
+    # a side shorter than the kernel's radius 4 wraps more than once: a
+    # pad made of slices of the field is short there; a stack of two items
+    # with their own deltas smooths each item alone
     u = rng_of(47).normal(size=shape)
     g1 = gamma_kernel(ndim=1)
-    for got, want in zip(shrinkage._gamma_fields(u, g1, 0.1), gamma_fields(u, g1, 0.1)):
-        assert_rel_close(got, want)
+    got = shrinkage._gamma_fields(np.stack([u, 3.0 * u]), g1, np.array([0.1, 0.3]).reshape(
+        (2,) + (1,) * u.ndim))
+    for k, (item, delta) in enumerate([(u, 0.1), (3.0 * u, 0.3)]):
+        for field, want in zip(got, gamma_fields(item[None], g1, delta)):
+            assert_rel_close(field[k], want[0])
 
 
 @pytest.mark.parametrize("spins", [1, 16])
@@ -710,7 +748,7 @@ def image_domain_fit(banks, y, K):
                      for ev in evs]
             div += [atom_divergence(fields, ev) for ev in evs]
     rows, div, target = np.array(rows), np.array(div), (y - K).ravel()
-    a, estimate = shrinkage._fit_expansion(rows, target, div)
+    (a,), (estimate,) = shrinkage._fit_expansion(rows[None], target[None], div[None])
     return a, estimate.reshape(y.shape), cure_expression(estimate - target, float(a @ div),
                                                          y - K / 2)
 
@@ -929,20 +967,21 @@ def test_haar_single_pass_on_a_non_dyadic_shape_is_the_padded_crop():
 
 def test_haar_spins_fit_each_level1_subband_once_per_shift_residue(monkeypatch):
     # level 1 is fitted once per shift mod 2 and orientation; here each
-    # level-2 residue holds one shift, so coarser levels are fitted once per spin
+    # level-2 residue holds one shift, so coarser levels are fitted once per
+    # spin. calls counts the fitted stacks, each item one subband
     calls = []
     fit = shrinkage._fit_expansion
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return fit(*args, **kwargs)
+    def counting(rows, *args):
+        calls.append(len(rows))
+        return fit(rows, *args)
 
     monkeypatch.setattr(shrinkage, "_fit_expansion", counting)
     haar_curelet_denoise(noisy_uniform((32, 32), 3), 2.0, J=3, spins=16)
-    assert len(calls) == 4 * 3 + 16 * 3 * 2
+    assert sum(calls) == 4 * 3 + 16 * 3 * 2
     calls.clear()
     haar_curelet_denoise(noisy_uniform((64,), 3), 2.0, J=2, spins=16)
-    assert len(calls) == 2 + 4
+    assert sum(calls) == 2 + 4
 
 
 def test_haar_spins_unroll_the_stored_level1_fit(monkeypatch):
@@ -968,6 +1007,59 @@ def test_haar_spins_share_each_level_step_across_shifts(monkeypatch, spins, step
     monkeypatch.setattr(shrinkage, "haar_step", counting)
     haar_curelet_denoise(noisy_uniform((32, 32), 3), 2.0, J=3, spins=spins)
     assert len(calls) == steps
+
+
+@pytest.mark.parametrize("spins, smoothings", [(1, 3), (16, 36)])
+def test_haar_smooths_each_level_steps_sums_once(monkeypatch, spins, smoothings):
+    # gamma(s) is shared by a level step's orientations: one smoothing of
+    # s per subband would make 3 per step
+    sums, smoothed = [], []
+    step, gamma = shrinkage.haar_step, shrinkage._gamma_fields
+
+    def stepping(c):
+        s, details = step(c)
+        sums.append(s)
+        return s, details
+
+    def smoothing(u, g1, delta=None):
+        smoothed.extend(item for item in u if any(
+            item.shape == s.shape and np.array_equal(item, s) for s in sums))
+        return gamma(u, g1, delta)
+
+    monkeypatch.setattr(shrinkage, "haar_step", stepping)
+    monkeypatch.setattr(shrinkage, "_gamma_fields", smoothing)
+    haar_curelet_denoise(noisy_uniform((32, 32), 3), 2.0, J=3, spins=spins)
+    assert len(smoothed) == smoothings
+
+
+def test_haar_solves_each_stack_with_one_batched_eigh(monkeypatch):
+    # a stack holds at most one level-1 subband's coefficients: the twelve
+    # 16x16 subbands one at a time, the 48 8x8 ones four at a time and the
+    # 48 4x4 ones sixteen at a time
+    stacks = []
+    eigh = np.linalg.eigh
+
+    def counting(M):
+        stacks.append(M.shape[:-2])
+        return eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    haar_curelet_denoise(noisy_uniform((32, 32), 3), 2.0, J=3, spins=16)
+    assert stacks == [(1,)] * 12 + [(4,)] * 12 + [(16,)] * 3
+
+
+def test_haar_spins_work_within_a_bounded_working_set():
+    # the shared workspace is one stack of at most a level-1 subband, and
+    # each field is released once stepped: the spun 256x256 call peaks
+    # near 18 times its input
+    y = noisy_uniform((256, 256), 9)
+    tracemalloc.start()
+    try:
+        haar_curelet_denoise(y, 2.0, J=3, spins=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * y.nbytes
 
 
 @pytest.mark.parametrize("denoise", [haar_curelet_denoise, cureshrink_denoise],
