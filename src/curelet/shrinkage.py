@@ -610,12 +610,12 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
         items = [(t, o) for t, step in enumerate(details) for o in step]
         most = 2 ** (len(shape) * (j - 1))  # level-j subbands in one level-1 subband
         for stack in (items[k:k + most] for k in range(0, len(items), most)):
-            w, s, p, *gamma_s = fields = _buffers(work, "stack", 6, (n := len(stack),) + shape)
+            w, s, p, *gamma_s = gathered = _buffers(work, "stack", 6, (n := len(stack),) + shape)
             for i, (t, o) in enumerate(stack):
                 if shared[0] != t:
                     shared = t, [f[0] for f in _gamma_fields(sums[t][None], g1)]
-                for f, item in zip(fields, [details[t][o], sums[t], parent_field(sums[t], o),
-                                            *shared[1]]):
+                for f, item in zip(gathered, [details[t][o], sums[t], parent_field(sums[t], o),
+                                              *shared[1]]):
                     f[i] = item
             fields = BandDivergenceFields.of_subband(w, s, kj)
             iqp = _inverse_energy(_gamma_fields(p, g1)[0] ** 2)
