@@ -33,11 +33,7 @@ from .pipeline import (
     quality_report,
     ssim_mean,
 )
-from .risk import (
-    RiskReport,
-    SubbandEvaluation,
-    cure_subband,
-)
+from .risk import RiskReport
 from .shrinkage import (
     cureshrink_denoise,
     cureshrink_subband,
@@ -62,10 +58,8 @@ __all__ = [
     "NoisyField",
     "QualityReport",
     "RiskReport",
-    "SubbandEvaluation",
     "bdct8_bank",
     "cipsnr",
-    "cure_subband",
     "cureshrink_denoise",
     "cureshrink_subband",
     "denoise_mr",

@@ -5,21 +5,19 @@ Every estimate is one expression, formed only in cure_expression:
 its unbiased target (y - K, or a Haar detail w), div the estimator's
 divergence and v the variance channel (y, or the scaling field s with
 K_j). A band's divergence dots theta's partials with five correlation
-fields (BandDivergenceFields): atom_divergence for one evaluated atom,
-shrinkage's fused ramp-atom kernel for every atom of both LET denoisers.
-The fields have two layouts, one constructor each: of_band for a
-filterbank band (correlations of y with the taps to the powers 2..5,
-scaled by the synthesis gain; no operator matrices) and of_subband for a
-Haar DWT subband, whose s doubles as the variance channel:
-(s - K_j/2, w, w, w, s).
-The LET denoisers in shrinkage fit their weights from per-atom
-divergences and score through the same expression. cure_subband scores
-a given estimate: the per-subband risk in the unnormalized Haar DWT,
-valid for any subband whose coefficient is a +-1 combination of a
-disjoint block of input samples summing to s (the 2-D LH/HL/HH bands,
-K_j = 4^j K). Its expectation equals the subband's mean squared error.
-The image-domain and filterbank evaluators the tests trust as
-references live in tests/oracles.py.
+fields (BandDivergenceFields); shrinkage's fused ramp-atom kernel folds
+them into a few fields per carrier, for every atom of all three
+estimator families, and never forms a partial field. The fields have
+two layouts, one constructor each: of_band for a filterbank band
+(correlations of y with the taps to the powers 2..5, scaled by the
+synthesis gain; no operator matrices) and of_subband for a Haar DWT
+subband, whose s doubles as the variance channel: (s - K_j/2, w, w, w,
+s). That layout holds for any subband whose coefficient is a +-1
+combination of a disjoint block of input samples summing to s (the 2-D
+LH/HL/HH bands, K_j = 4^j K); the risk's expectation then equals the
+subband's mean squared error. The evaluators the tests trust as
+references, atoms with all six partials included, live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -31,41 +29,10 @@ import numpy as np
 from .transforms import Band
 
 __all__ = [
-    "SubbandEvaluation",
     "RiskReport",
     "BandDivergenceFields",
     "cure_expression",
-    "cure_subband",
-    "atom_divergence",
 ]
-
-
-def _full(value, shape) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != shape:
-        arr = np.broadcast_to(arr, shape).copy()
-    return arr
-
-
-@dataclass(frozen=True)
-class SubbandEvaluation:
-    """theta(w, s) with its five diagonal partials w.r.t. (w_n, s_n)."""
-
-    theta: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    d11: np.ndarray
-    d22: np.ndarray
-    d12: np.ndarray
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64)
-        object.__setattr__(self, "theta", theta)
-        for name in ("d1", "d2", "d11", "d22", "d12"):
-            arr = _full(getattr(self, name), theta.shape)
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -88,23 +55,6 @@ def cure_expression(resid: np.ndarray, div: float, half: np.ndarray) -> float:
     """
     resid = resid.ravel()
     return (float(resid @ resid) + 8.0 * div - 4.0 * float(half.sum())) / resid.size
-
-
-def cure_subband(w, s, K_j: float, ev: SubbandEvaluation) -> float:
-    """Per-subband unbiased risk estimate in the unnormalized Haar DWT.
-
-    The data fit is theta - w; the divergence is that of the subband
-    layout (BandDivergenceFields.of_subband):
-    (s - K_j/2)' d1 + w' d2 - w'(d11 + d22) - 2 s' d12.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if not (w.shape == s.shape == ev.theta.shape):
-        raise ValueError("subband fields misaligned")
-    if not K_j > 0:
-        raise ValueError("K_j must be positive")
-    fields = BandDivergenceFields.of_subband(w, s, K_j)
-    return cure_expression(ev.theta - w, atom_divergence(fields, ev), fields.z1)
 
 
 @dataclass(frozen=True)
@@ -142,16 +92,3 @@ class BandDivergenceFields:
         so z1 is also the subband's bias-shifted variance field."""
         return cls(z1=s - K_j / 2, z2=w, z11=w, z22=w, z12=s)
 
-
-def atom_divergence(fields: BandDivergenceFields, ev: SubbandEvaluation) -> float:
-    """Divergence of one atom (or band estimate): first - second order terms.
-
-    The second-order terms, d12 included, enter negated by the chain rule.
-    """
-    first = float((fields.z1 * ev.d1).sum()) + float((fields.z2 * ev.d2).sum())
-    second = (
-        float((fields.z11 * ev.d11).sum())
-        + float((fields.z22 * ev.d22).sum())
-        + 2.0 * float((fields.z12 * ev.d12).sum())
-    )
-    return first - second

@@ -1,12 +1,13 @@
 """Thresholding atoms, risk-optimal weight solves, and the denoisers.
 
-Estimators are linear expansions of fixed nonlinear atoms. Every LET
-atom is ramp(1 - 4 lam r) times a carrier, r a ratio of the coefficient
-and its variance channel with closed-form partials, so the unbiased risk
-estimate is exact. One fused kernel (_fused_atoms) gives both expansion
-denoisers every atom's theta and divergence per item of a stack, and one
-fit (_fit_expansion) minimizes each item's risk on a tiny normal system.
-The reference atoms, built with all six partials, are in tests/oracles.py.
+Every atom is ramp(u0 - kappa q) times a carrier, each part a function
+of the coefficient and its variance channel with closed-form partials,
+so the unbiased risk estimate is exact: kappa = 4 lam for a LET atom,
+the threshold scale for the soft threshold. One fused kernel
+(_fused_atoms) gives all three estimator families every atom's theta and
+divergence per item of a stack, and one fit (_fit_expansion) minimizes
+each item's risk on a tiny normal system. The reference atoms, built
+with all six partials, are in tests/oracles.py.
 
 Three denoisers:
 
@@ -15,7 +16,8 @@ Three denoisers:
   and kept only as Parseval rows of their synthesis; weights solved
   globally from those rows' dot products, which are the image domain's.
 * cureshrink_denoise: per-subband soft thresholding in the unnormalized
-  Haar DWT (_denoise_pyramid), threshold a sqrt(s), a picked by risk search.
+  Haar DWT (_denoise_pyramid), threshold a sqrt(s), a picked by risk
+  search, each scale scored on the fused kernel.
 * haar_curelet_denoise: the same pyramid, per-subband 8-atom expansions
   mixing the coefficient's pointwise keep factor, its parent's smoothed
   local energy and the parent predictor, cycle-spun by recursion over
@@ -24,19 +26,13 @@ Three denoisers:
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 
 import numpy as np
 
-from .risk import (
-    BandDivergenceFields,
-    RiskReport,
-    SubbandEvaluation,
-    atom_divergence,
-    cure_expression,
-    cure_subband,
-)
+from .risk import BandDivergenceFields, RiskReport, cure_expression
 from .transforms import (
     SPIN_COUNTS,
     SPIN_SHIFTS,
@@ -51,7 +47,6 @@ from .transforms import (
 __all__ = [
     "solve_weights",
     "uwt_curelet_denoise",
-    "cureshrink_evaluation",
     "cureshrink_subband",
     "cureshrink_denoise",
     "gamma_kernel",
@@ -143,12 +138,24 @@ def _keep_ratio(w, v, eps=None, work=None):
     return r, (r_w, iq, r_ww, 0.0, r_wv)
 
 
-def _signed_sum(out, tmp, terms):
-    """out = sum of k f p over terms (k, f, p), in order, with k 1, -1 or -2
-    (exact scalings); a p that is the scalar 0 makes no pass. tmp holds the
-    later terms, and neither out nor tmp may be an f or a p."""
-    live = [(k, f, p) for k, f, p in terms if np.ndim(p) or p != 0.0] or terms[:1]
-    for i, (k, f, p) in enumerate(live):
+def _live(x) -> bool:
+    """False for the scalar 0 that stands for a vanishing field."""
+    return isinstance(x, np.ndarray) or x != 0.0
+
+
+def _signed_sum(terms, buffers, tmp):
+    """sum of k f p over the live terms (k, f, p), in order, with k 1, -1 or
+    -2 (exact scalings), into the next of buffers, tmp holding the later
+    terms: the scalar 0 when no term is live, f itself for a lone f * 1.
+    Neither buffer may be an f or a p."""
+    terms = [(k, f, p) for k, f, p in terms if _live(f) and _live(p)]
+    if not terms:
+        return 0.0
+    (k, f, p), *rest = terms
+    if not rest and not isinstance(p, np.ndarray) and k * p == 1.0:
+        return f
+    out = next(buffers)
+    for i, (k, f, p) in enumerate(terms):
         term = np.multiply(f, p, out=tmp if i else out)
         if abs(k) != 1 or (i == 0 and k < 0):
             term *= abs(k) if i else k
@@ -157,46 +164,66 @@ def _signed_sum(out, tmp, terms):
     return out
 
 
-def _fused_atoms(r, partials, carriers, fields, lambdas, work=None, out=None):
-    """theta and divergence of every atom ramp(1 - 4 lam r) * c, at once.
+# u0 = 1, the LET atoms' modulator offset, with no partials
+_UNIT = (1.0, (0.0,) * 5)
 
-    The production kernel of both LET denoisers, on stacks (items, *field)
-    of r, its partials, the carriers and the fields (BandDivergenceFields).
-    carriers is [(c, own)], own marking a carrier that is the coefficient w
-    itself (it adds the product-rule terms of the w-derivatives; any other
-    carrier is held fixed), and partials are r's. Every partial of u = 1 -
-    4 lam r is -4 lam times one of r, so an atom's divergence is [own]
-    sum(z1 g) + 4 lam sum(g' P) + 16 lam^2 sum(g'' Q) per item, with P and
-    Q formed once per carrier and one ramp per lam, in work's buffers
-    (_buffers); no partial field of an atom is formed, and a scalar-0
-    partial costs no pass. Returns thetas (items, carriers, lambdas,
-    *field), into out if given, and divergences (items, carriers, lambdas),
-    unchecked.
+
+def _fused_atoms(u0, q, carriers, fields, work=None):
+    """theta and divergence of every atom ramp(u0 - kappa q) * h: the
+    production kernel of all three estimator families.
+
+    On stacks (items, *field): u0 and q are (value, partials) pairs,
+    partials (x_w, x_s, x_ww, x_ss, x_ws) in (w_n, s_n); carriers are
+    [(h, h_w, h_ww)] (no carrier depends on s); fields are
+    BandDivergenceFields. Grouped by the ramp's g, g' and g'', an atom's
+    divergence is sum(G g) + sum((P0 + kappa P) g') + sum((Q0 + kappa Q1 +
+    kappa^2 Q) g'') per item, with G = z1 h_w - z11 h_ww, P0 = h A(u0) - 2
+    h_w T(u0), P = 2 h_w T(q) - h A(q), Q0 = -h B(u0, u0), Q1 = 2 h B(u0,
+    q), Q = -h B(q, q), A(x) = z1 x_w + z2 x_s - z11 x_ww - z22 x_ss - 2
+    z12 x_ws, T(x) = z11 x_w + z12 x_s and B(x, y) = x_w T(y) + x_s (z12 y_w
+    + z22 y_s). These six fields per carrier are formed once, in work's
+    buffers (_buffers); no partial field of an atom is, and a scalar-0
+    partial costs no pass: the LET atoms (u0 = _UNIT, kappa = 4 lam, carrier
+    (w, 1, 0) or a fixed (p, 0, 0)) form P and Q alone. Returns atoms(kappas,
+    out=None): per kappa one ramp and, per carrier, theta and the dots with
+    the live fields, giving thetas (items, carriers, kappas, *field), into
+    out if given, and divergences (items, carriers, kappas), unchecked.
     """
-    r_w, r_s, r_ww, r_ss, r_ws = partials
-    z = fields
-    shape = np.shape(r)
-    T, A, B, tmp, u, *PQ = _buffers(work, "fused", 5 + 2 * len(carriers), shape)
-    # P = [own] 2 T - c A and Q = -c B, B = r_w T + r_s (z12 r_w + z22 r_s)
-    _signed_sum(T, tmp, [(1, z.z11, r_w), (1, z.z12, r_s)])
-    _signed_sum(A, tmp, [(1, z.z1, r_w), (1, z.z2, r_s), (-1, z.z11, r_ww),
-                         (-1, z.z22, r_ss), (-2, z.z12, r_ws)])
-    _signed_sum(u, tmp, [(1, z.z12, r_w), (1, z.z22, r_s)])  # u is free until the ramps
-    _signed_sum(B, tmp, [(1, u, r_s), (1, T, r_w)])  # a two-term sum rounds alike either way
-    for (c, own), P, Q in zip(carriers, PQ[0::2], PQ[1::2]):
-        _signed_sum(P, tmp, [(1, T, 2.0), (-1, c, A)] if own else [(-1, c, A)])
-        _signed_sum(Q, tmp, [(-1, c, B)])
-    if out is None:
-        out, = _buffers(work, "thetas", 1, (shape[0], len(carriers), len(lambdas)) + shape[1:])
-    divs = np.empty((shape[0], len(carriers), len(lambdas)))
-    for k, lam in enumerate(lambdas):
-        np.subtract(1.0, np.multiply(4.0 * lam, r, out=u), out=u)
-        g, dg, d2g = _smooth_pos3(u, DEFAULT_BETA, work)
-        for i, ((c, own), P, Q) in enumerate(zip(carriers, PQ[0::2], PQ[1::2])):
-            np.multiply(g, c, out=out[:, i, k])
-            divs[:, i, k] = ((_dots(z.z1, g) if own else 0.0) + 4.0 * lam * _dots(dg, P)
-                             + 16.0 * lam ** 2 * _dots(d2g, Q))
-    return out, divs
+    z, shape = fields, np.shape(q[0])
+    tmp, u = _buffers(work, "fused", 2, shape)
+    pool = (_buffers(work, f"field{n}", 1, shape)[0] for n in itertools.count())
+    (T0, A0), (T, A) = ((_signed_sum([(1, z.z11, x_w), (1, z.z12, x_s)], pool, tmp),
+                         _signed_sum([(1, z.z1, x_w), (1, z.z2, x_s), (-1, z.z11, x_ww),
+                                      (-1, z.z22, x_ss), (-2, z.z12, x_ws)], pool, tmp))
+                        for x_w, x_s, x_ww, x_ss, x_ws in (u0[1], q[1]))
+    B = []  # V = z12 y_w + z22 y_s goes to u, which is free until the ramps
+    for (x_w, x_s, *_), (y_w, y_s, *_), T_y in ((u0[1], u0[1], T0), (u0[1], q[1], T),
+                                                (q[1], q[1], T)):
+        V = _signed_sum([(1, z.z12, y_w), (1, z.z22, y_s)], iter([u]), tmp) if _live(x_s) else 0.0
+        B.append(_signed_sum([(1, V, x_s), (1, T_y, x_w)], pool, tmp))
+    folded = []
+    for h, h_w, h_ww in carriers:
+        fs = [_signed_sum(terms, pool, tmp) for terms in (
+            [(1, z.z1, h_w), (-1, z.z11, h_ww)], [(1, h, A0), (-2, T0, h_w)],
+            [(1, T, 2.0 * h_w), (-1, h, A)], [(-1, h, B[0])], [(1, h, 2.0 * B[1])],
+            [(-1, h, B[2])])]
+        folded.append((h, [(n, f) for n, f in enumerate(fs) if _live(f)]))
+
+    def atoms(kappas, out=None):
+        if out is None:
+            out, = _buffers(work, "thetas", 1, (shape[0], len(folded), len(kappas)) + shape[1:])
+        divs = np.empty((shape[0], len(folded), len(kappas)))
+        for k, kappa in enumerate(kappas):
+            np.subtract(u0[0], np.multiply(kappa, q[0], out=u), out=u)
+            ramp = _smooth_pos3(u, DEFAULT_BETA, work)  # g, g', g''
+            scale = (1.0, 1.0, kappa, 1.0, kappa, kappa ** 2)
+            for i, (h, fs) in enumerate(folded):
+                np.multiply(ramp[0], h, out=out[:, i, k])
+                divs[:, i, k] = sum(scale[n] * _dots(f, ramp[(0, 1, 1, 2, 2, 2)[n]])
+                                    for n, f in fs)
+        return out, divs
+
+    return atoms
 
 
 # --------------------------------------------------------- weight solving
@@ -321,6 +348,7 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
     """
     y = _checked_data(y, K)
     lambdas = _checked_lambdas(lambdas)
+    kappas = [4.0 * lam for lam in lambdas]
     names = {"haar-uwt", "bdct", "mixed"}
     if transform not in names:
         raise ValueError(f"transform must be one of {sorted(names)}")
@@ -344,8 +372,8 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
                 labels.append(f"{name}:bias")
             else:
                 thetas, band_div = (t[0, 0] for t in _fused_atoms(  # stacks of one: corr[:1]
-                    *_keep_ratio(corr[:1], corr[1:2], work=work), [(corr[:1], True)], fields,
-                    lambdas, work))
+                    _UNIT, _keep_ratio(corr[:1], corr[1:2], work=work), [(corr[:1], 1.0, 0.0)],
+                    fields, work)(kappas))
                 if not np.isfinite(band_div).all():
                     raise ValueError(f"divergence of band {name} is not finite")
                 labels.extend(f"{name}:l{lam:g}" for lam in lambdas)
@@ -362,44 +390,40 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
 # ------------------------------------------------------ subband CUREshrink
 
 
-def cureshrink_evaluation(w, s, a: float, beta: float | None = None,
-                          delta: float | None = None) -> SubbandEvaluation:
-    """Smoothed soft threshold theta = (w/|w|) ramp(|w| - a sqrt(s)).
+def _soft_threshold(w, s, K_j: float, objective=None):
+    """The scorer of one subband's smoothed soft threshold theta = (w/rho)
+    ramp_beta(rho - a sigma): a -> (theta, objective(a, theta), by default
+    the subband risk).
 
-    |w| is smoothed as sqrt(w^2 + beta^2) and the same beta rounds the
-    ramp knee; beta defaults to 2% of the mean noise scale sqrt(s), so the
-    smoothing bias stays proportional to the data scale.
+    rho = sqrt(w^2 + beta^2) smooths |w| with the beta that rounds the ramp
+    knee, 2% of the mean noise scale S = mean(sigma), sigma = sqrt(s +
+    delta) and delta = 1e-6 (mean(s) + 1), so the smoothing bias stays
+    proportional to the data scale. As ramp_beta(t) = S ramp(t / S), with
+    the kernel's ramp of width DEFAULT_BETA, theta is _fused_atoms' atom
+    ramp(u0 - a q) h with u0 = rho/S, q = sigma/S and h = S w/rho: its
+    fields are formed once, then each scale costs one ramp in one theta
+    buffer, overwritten by the next call.
     """
-    w = np.asarray(w, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if a < 0:
-        raise ValueError("threshold scale a must be nonnegative")
-    if delta is None:
-        delta = 1e-6 * (float(s.mean()) + 1.0)
-    sigma = np.sqrt(s + delta)
-    if beta is None:
-        beta = DEFAULT_BETA * float(sigma.mean())
-    rho = np.sqrt(w ** 2 + beta ** 2)
-    h = w / rho
-    t = rho - a * sigma
-    g, dg, d2g = _smooth_pos3(t, beta)
-    h_w = beta ** 2 / rho ** 3
-    h_ww = -3.0 * beta ** 2 * w / rho ** 5
-    t_w = w / rho
-    t_ww = beta ** 2 / rho ** 3
-    t_s = -a / (2.0 * sigma)
-    t_ss = a / (4.0 * sigma ** 3)
-    return SubbandEvaluation(
-        theta=h * g,
-        d1=h_w * g + h * dg * t_w,
-        d2=h * dg * t_s,
-        d11=h_ww * g + 2.0 * h_w * dg * t_w + h * (d2g * t_w ** 2 + dg * t_ww),
-        d22=h * (d2g * t_s ** 2 + dg * t_ss),
-        d12=h_w * dg * t_s + h * d2g * t_w * t_s,
-    )
+    fields = BandDivergenceFields.of_subband(w[None], s[None], K_j)  # stacks of one
+    sigma = np.sqrt(s[None] + 1e-6 * (float(s.mean()) + 1.0))
+    S = float(sigma.mean())
+    beta = DEFAULT_BETA * S
+    rho = np.sqrt(w[None] ** 2 + beta ** 2)
+    h, h_w = w[None] / rho, beta ** 2 / rho ** 3
+    u0 = (rho / S, (h / S, 0.0, h_w / S, 0.0, 0.0))
+    q = (sigma / S, (0.0, 0.5 / (S * sigma), 0.0, -0.25 / (S * sigma ** 3), 0.0))
+    atoms = _fused_atoms(u0, q, [(S * h, S * h_w, -3.0 * S * h_w * h / rho)], fields, {})
+
+    def score(a):
+        (theta,), (div,) = (t[0, 0] for t in atoms([a]))
+        if objective is not None:
+            return theta, float(objective(a, theta))
+        return theta, cure_expression(theta - w, div, fields.z1)
+
+    return score
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
@@ -413,38 +437,37 @@ def _golden_section(fun, lo: float, hi: float, tol: float) -> tuple[float, float
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
             f2 = fun(x2)
-    mid = 0.5 * (lo + hi)
-    return mid, fun(mid)
+    return 0.5 * (lo + hi)
 
 
 def cureshrink_subband(w, s, K_j: float, objective=None):
     """Pick the threshold scale a minimizing the subband risk estimate.
 
-    Coarse grid {0, GRID_STEP, ..., GRID_MAX} followed by golden-section
-    refinement of the best cell to GRID_TOL; cureshrink_evaluation's
-    default smoothing throughout. objective(a, evaluation) -> float
-    overrides the default objective, the subband risk cure_subband (used
-    for oracle comparisons). Returns (theta field, chosen a, objective
-    at a).
+    Coarse grid {0, GRID_STEP, ..., GRID_MAX}, then golden-section
+    refinement of the best cell to GRID_TOL, every scale scored on one
+    fused kernel (_soft_threshold), and the result once more for theta.
+    objective(a, theta) -> float overrides the default objective, the
+    subband risk (used for oracle comparisons); theta is the soft
+    threshold at a, valid during the call. Returns (theta field, chosen
+    a, objective at a).
     """
     w = np.asarray(w, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
-
-    def score(a):
-        ev = cureshrink_evaluation(w, s, a)
-        if objective is not None:
-            return float(objective(a, ev))
-        return cure_subband(w, s, K_j, ev)
-
+    if w.shape != s.shape:
+        raise ValueError("subband fields misaligned")
+    if not K_j > 0:
+        raise ValueError("K_j must be positive")
+    score = _soft_threshold(w, s, K_j, objective)
     grid = np.arange(0.0, GRID_MAX + 0.5 * GRID_STEP, GRID_STEP)
-    values = [score(a) for a in grid]
+    values = [score(a)[1] for a in grid]
     best = int(np.argmin(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-    a_star, value = _golden_section(score, lo, hi, GRID_TOL)
-    if values[best] < value:
-        a_star, value = float(grid[best]), values[best]
-    return cureshrink_evaluation(w, s, a_star).theta, float(a_star), value
+    a = _golden_section(lambda a: score(a)[1], grid[max(best - 1, 0)],
+                        grid[min(best + 1, grid.size - 1)], GRID_TOL)
+    theta, value = score(a)
+    if values[best] < value:  # the grid point beats the refinement
+        a = grid[best]
+        theta, value = score(a)
+    return theta.copy(), float(a), value
 
 
 # ----------------------------------------------- joint inter-/intra-scale
@@ -465,9 +488,9 @@ def gamma_kernel(ndim: int = 2) -> np.ndarray:
     return g1 if ndim == 1 else np.outer(g1, g1)
 
 
-def _gamma_fields(u: np.ndarray, g1: np.ndarray, delta=None):
-    """Smoothed local magnitude and its diagonal self-term derivatives, per
-    item of a stack u (items, *field).
+def _local_magnitude(u: np.ndarray, g1: np.ndarray, delta=None):
+    """gamma(u) per item of a stack u (items, *field), with the smoothed
+    |u| and the delta it used.
 
     gamma_n = sum_m G(m) |u_{n+m}| with |.| smoothed to sqrt(u^2+delta^2),
     delta by default 1e-3 times the item's RMS plus 1e-12, and G the
@@ -476,8 +499,7 @@ def _gamma_fields(u: np.ndarray, g1: np.ndarray, delta=None):
     R = len(g1) // 2 wrapped entries a side (gathered by index, axis first:
     a side shorter than R wraps as often as it needs, each slice is one
     block), summing the center, then each symmetric pair from the outermost
-    in. Only the m=0 term involves u_n, so the diagonal derivatives are the
-    center weight times the smoothed-abs derivatives.
+    in.
     """
     if delta is None:
         delta = 1e-3 * np.sqrt(np.mean(u ** 2, axis=tuple(range(1, u.ndim)), keepdims=True)) + 1e-12
@@ -490,7 +512,15 @@ def _gamma_fields(u: np.ndarray, g1: np.ndarray, delta=None):
         for k in range(R):
             gamma += (p[k:k + n] + p[2 * R - k:2 * R - k + n]) * g1[k]
         gamma = gamma.swapaxes(0, axis)
-    g0 = float(g1[R]) ** (u.ndim - 1)
+    return gamma, absu, delta
+
+
+def _gamma_fields(u: np.ndarray, g1: np.ndarray, delta=None):
+    """_local_magnitude's gamma and its diagonal self-term derivatives. Only
+    the m=0 term involves u_n, so they are the center weight times the
+    smoothed-abs derivatives."""
+    gamma, absu, delta = _local_magnitude(u, g1, delta)
+    g0 = float(g1[len(g1) // 2]) ** (u.ndim - 1)
     return gamma, g0 * u / absu, g0 * delta ** 2 / absu ** 3
 
 
@@ -555,21 +585,16 @@ def _pyramid_levels(cs, K: float, j: int, J: int, level_fn, shifts):
 
 
 def cureshrink_denoise(y, K: float, J: int = 3):
-    """Soft-threshold every detail subband with its risk-picked scale.
-
-    Each subband's scale is searched by cure_subband's risk, with s - K_j/2
-    shared by a level step's orientations. For a shape that is not a
-    multiple of 2^J, cure is the risk of the padded field, not of the crop.
+    """Soft-threshold every detail subband with its risk-picked scale
+    (cureshrink_subband). For a shape that is not a multiple of 2^J, cure
+    is the risk of the padded field, not of the crop.
     """
 
     def fit_level(sums, details, kj, j):
         risks = [{} for _ in sums]
         for s, step, risk in zip(sums, details, risks):
-            half = s - kj / 2
             for o, w in step.items():
-                fields = BandDivergenceFields(z1=half, z2=w, z11=w, z22=w, z12=s)  # of_subband's
-                step[o], _, risk[o] = cureshrink_subband(w, s, kj, lambda a, ev: cure_expression(
-                    ev.theta - w, atom_divergence(fields, ev), half))
+                step[o], _, risk[o] = cureshrink_subband(w, s, kj)
         return risks
 
     return _denoise_pyramid(y, K, J, fit_level, [(0,) * np.ndim(y)])
@@ -581,9 +606,10 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
     Each detail subband is one expansion of 8 atoms: two modulators
     ramp(1 - 4 lam r) per lambda, the keep factor r = s / w^2 (_keep_ratio)
     and the parent energy r = gamma(s) / gamma(p)^2 (_gamma_fields; only
-    gamma(s)'s center term depends on (w_n, s_n)), each carried by w and
-    by the parent p (parent_field). A level's subbands, across shift
-    residues and orientations, are fitted in stacks of at most one level-1
+    gamma(s)'s center term depends on (w_n, s_n), so gamma(p) is formed
+    without derivatives, by _local_magnitude), each carried by w and by
+    the parent p (parent_field). A level's subbands, across shift residues
+    and orientations, are fitted in stacks of at most one level-1
     subband's coefficients (the workspace), gamma(s) once per level step:
     per stack, _fused_atoms writes the thetas into one (items, atoms,
     pixels) rows buffer for _fit_expansion. The risk has the subband field
@@ -603,7 +629,7 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
     if spins not in SPIN_COUNTS:
         raise ValueError(f"spins must be one of {SPIN_COUNTS}, got {spins!r}")
     lambdas = _checked_lambdas(lambdas)
-    g1, work = gamma_kernel(ndim=1), {}
+    g1, work, kappas = gamma_kernel(ndim=1), {}, [4.0 * lam for lam in lambdas]
 
     def fit_level(sums, details, kj, j):
         shape, risks, shared = sums[0].shape, [{} for _ in sums], (None,)
@@ -618,15 +644,14 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
                                               *shared[1]]):
                     f[i] = item
             fields = BandDivergenceFields.of_subband(w, s, kj)
-            iqp = _inverse_energy(_gamma_fields(p, g1)[0] ** 2)
+            iqp = _inverse_energy(_local_magnitude(p, g1)[0] ** 2)
             A, A_s, A_ss = (np.multiply(f, iqp, out=f) for f in gamma_s)
             # atoms ordered (carrier, modulator, lambda)
             rows, = _buffers(work, "rows", 1, (n, 2, 2, len(lambdas)) + shape)
             div = np.empty(rows.shape[:4])
-            for m, (ratio, partials) in enumerate(
-                    [_keep_ratio(w, s, work=work), (A, (0.0, A_s, 0.0, A_ss, 0.0))]):
-                div[:, :, m] = _fused_atoms(ratio, partials, [(w, True), (p, False)], fields,
-                                            lambdas, work, out=rows[:, :, m])[1]
+            for m, q in enumerate([_keep_ratio(w, s, work=work), (A, (0.0, A_s, 0.0, A_ss, 0.0))]):
+                div[:, :, m] = _fused_atoms(_UNIT, q, [(w, 1.0, 0.0), (p, 0.0, 0.0)], fields,
+                                            work)(kappas, out=rows[:, :, m])[1]
             div = div.reshape(n, -1)
             a, fit = _fit_expansion(rows.reshape(div.shape + (-1,)), w.reshape(n, -1), div)
             for i, (t, o) in enumerate(stack):

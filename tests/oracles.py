@@ -2,8 +2,9 @@
 
 The package scores every atom through one fused kernel and FFT
 correlations. These rebuild the same quantities the long way, as
-independent arbiters: atoms with all six partials, the image-domain and
-filterbank risk evaluators with per-band analysis and full synthesis,
+independent arbiters: atoms with all six partials (the soft threshold's
+written out by hand), the per-subband, image-domain and filterbank risk
+evaluators with per-band analysis and full synthesis,
 explicit circulant matrices with the image-domain chain rule
 (D[k, l] = taps[l - k] periodic, Dbar with squared taps,
 R = synth_gain * D.T), the subband weight solve written out, the gamma
@@ -16,13 +17,110 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from curelet.risk import (BandDivergenceFields, SubbandEvaluation, _full, atom_divergence,
-                          cure_expression)
+from curelet.risk import BandDivergenceFields, cure_expression
 from curelet.shrinkage import (DEFAULT_BETA, LAMBDAS, _denoise_pyramid, _keep_ratio,
                                _smooth_pos3, gamma_kernel, solve_weights)
 from curelet.transforms import SPIN_COUNTS, SPIN_SHIFTS, FilterBank
 
 POINTWISE_LAMBDAS = (3.0, 9.0)
+
+
+def _full(value, shape) -> np.ndarray:
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != shape:
+        arr = np.broadcast_to(arr, shape).copy()
+    return arr
+
+
+@dataclass(frozen=True)
+class SubbandEvaluation:
+    """theta(w, s) with its five diagonal partials w.r.t. (w_n, s_n)."""
+
+    theta: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    d11: np.ndarray
+    d22: np.ndarray
+    d12: np.ndarray
+
+    def __post_init__(self):
+        theta = np.asarray(self.theta, dtype=np.float64)
+        object.__setattr__(self, "theta", theta)
+        for name in ("d1", "d2", "d11", "d22", "d12"):
+            arr = _full(getattr(self, name), theta.shape)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, arr)
+
+
+def atom_divergence(fields: BandDivergenceFields, ev: SubbandEvaluation) -> float:
+    """Divergence of one atom (or band estimate): first - second order terms.
+
+    The second-order terms, d12 included, enter negated by the chain rule.
+    """
+    first = float((fields.z1 * ev.d1).sum()) + float((fields.z2 * ev.d2).sum())
+    second = (
+        float((fields.z11 * ev.d11).sum())
+        + float((fields.z22 * ev.d22).sum())
+        + 2.0 * float((fields.z12 * ev.d12).sum())
+    )
+    return first - second
+
+
+def cure_subband(w, s, K_j: float, ev: SubbandEvaluation) -> float:
+    """Per-subband unbiased risk estimate in the unnormalized Haar DWT.
+
+    The data fit is theta - w; the divergence is that of the subband
+    layout (BandDivergenceFields.of_subband):
+    (s - K_j/2)' d1 + w' d2 - w'(d11 + d22) - 2 s' d12.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    if not (w.shape == s.shape == ev.theta.shape):
+        raise ValueError("subband fields misaligned")
+    if not K_j > 0:
+        raise ValueError("K_j must be positive")
+    fields = BandDivergenceFields.of_subband(w, s, K_j)
+    return cure_expression(ev.theta - w, atom_divergence(fields, ev), fields.z1)
+
+
+def cureshrink_evaluation(w, s, a: float, beta: float | None = None,
+                          delta: float | None = None) -> SubbandEvaluation:
+    """Smoothed soft threshold theta = (w/|w|) ramp(|w| - a sqrt(s)), with
+    its six partials written out: the reference for the fused kernel's
+    soft threshold (shrinkage._soft_threshold).
+
+    |w| is smoothed as sqrt(w^2 + beta^2) and the same beta rounds the
+    ramp knee; beta defaults to 2% of the mean noise scale sqrt(s), so the
+    smoothing bias stays proportional to the data scale.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    if a < 0:
+        raise ValueError("threshold scale a must be nonnegative")
+    if delta is None:
+        delta = 1e-6 * (float(s.mean()) + 1.0)
+    sigma = np.sqrt(s + delta)
+    if beta is None:
+        beta = DEFAULT_BETA * float(sigma.mean())
+    rho = np.sqrt(w ** 2 + beta ** 2)
+    h = w / rho
+    t = rho - a * sigma
+    g, dg, d2g = _smooth_pos3(t, beta)
+    h_w = beta ** 2 / rho ** 3
+    h_ww = -3.0 * beta ** 2 * w / rho ** 5
+    t_w = w / rho
+    t_ww = beta ** 2 / rho ** 3
+    t_s = -a / (2.0 * sigma)
+    t_ss = a / (4.0 * sigma ** 3)
+    return SubbandEvaluation(
+        theta=h * g,
+        d1=h_w * g + h * dg * t_w,
+        d2=h * dg * t_s,
+        d11=h_ww * g + 2.0 * h_w * dg * t_w + h * (d2g * t_w ** 2 + dg * t_ww),
+        d22=h * (d2g * t_s ** 2 + dg * t_ss),
+        d12=h_w * dg * t_s + h * d2g * t_w * t_s,
+    )
 
 
 def dense_band_matrices(bank, shape):

@@ -7,22 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curelet.chi2model import sample_chi2
-from curelet.risk import (
-    BandDivergenceFields,
-    RiskReport,
-    SubbandEvaluation,
-    atom_divergence,
-    cure_subband,
-)
+from curelet.risk import BandDivergenceFields, RiskReport
 from curelet.transforms import bdct8_bank, haar_step, haar_uwt_bank
 
 from oracles import (
     EstimatorEvaluation,
+    SubbandEvaluation,
     analyze,
+    atom_divergence,
     band_divergence_fields,
     combine_evaluations,
     cure_filterbank_divergence,
     cure_image,
+    cure_subband,
     dense_band_matrices,
     dense_filterbank_cure,
     mse_oracle,

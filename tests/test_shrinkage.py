@@ -18,16 +18,9 @@ from curelet.chi2model import (
     sample_rician,
 )
 from curelet.pipeline import make_phantom
-from curelet.risk import (
-    BandDivergenceFields,
-    SubbandEvaluation,
-    atom_divergence,
-    cure_expression,
-    cure_subband,
-)
+from curelet.risk import BandDivergenceFields, cure_expression
 from curelet.shrinkage import (
     cureshrink_denoise,
-    cureshrink_evaluation,
     cureshrink_subband,
     gamma_kernel,
     haar_curelet_denoise,
@@ -45,10 +38,14 @@ from curelet.transforms import (
 )
 
 from oracles import (
+    SubbandEvaluation,
     analyze,
+    atom_divergence,
     band_divergence_fields,
     combine_evaluations,
     cure_filterbank_divergence,
+    cure_subband,
+    cureshrink_evaluation,
     gamma_fields,
     joint_let_atoms,
     joint_modulators,
@@ -282,6 +279,13 @@ def test_joint_intra_scale_atoms_are_pointwise_keep_factors():
                 atol=1e-12 * (float(np.abs(want).max()) + 1.0), err_msg=name)
 
 
+def fused_let_atoms(q, carriers, fields, lambdas):
+    """Thetas and divergences of the LET atoms ramp(1 - 4 lam q) * h from
+    the production kernel, on stacks."""
+    return shrinkage._fused_atoms(shrinkage._UNIT, q, carriers, fields)(
+        [4.0 * lam for lam in lambdas])
+
+
 def fused_and_reference_atoms(source, y, K, lambdas):
     """Per band of source (a FilterBank, or "haar-dwt"/"haar-dwt-p0" for the
     level-1 subbands of a Haar DWT, the latter with parent p = 0): its
@@ -295,8 +299,8 @@ def fused_and_reference_atoms(source, y, K, lambdas):
             w, v = corr[0].copy(), corr[1]
             w[::5, ::3] = 0.0
             fields = BandDivergenceFields.of_band(band, K, corr[1:])
-            thetas, divs = shrinkage._fused_atoms(  # on a stack of one
-                *shrinkage._keep_ratio(w[None], v[None]), [(w[None], True)],
+            thetas, divs = fused_let_atoms(  # on a stack of one
+                shrinkage._keep_ratio(w[None], v[None]), [(w[None], 1.0, 0.0)],
                 BandDivergenceFields.of_band(band, K, corr[1:, None]), lambdas)
             for lam in lambdas:
                 u = 1.0 - 4.0 * lam * v / (w ** 2 + 1e-12 * (float((w ** 2).mean()) + 1.0))
@@ -310,9 +314,9 @@ def fused_and_reference_atoms(source, y, K, lambdas):
         w[::5, ::3] = 0.0
         p = np.zeros_like(w) if source == "haar-dwt-p0" else parent_field(s, orient)
         fields = BandDivergenceFields.of_subband(w, s, 4 * K)
-        fused = [shrinkage._fused_atoms(  # on a stack of one
-            r[None], [d[None] if np.ndim(d) else d for d in partials],
-            [(w[None], True), (p[None], False)],
+        fused = [fused_let_atoms(  # on a stack of one
+            (r[None], [d[None] if np.ndim(d) else d for d in partials]),
+            [(w[None], 1.0, 0.0), (p[None], 0.0, 0.0)],
             BandDivergenceFields.of_subband(w[None], s[None], 4 * K), lambdas)
             for r, partials in joint_modulators(w, s, p)]
         thetas, divs = (np.stack([part[0] for part in parts], axis=1) for parts in zip(*fused))
@@ -496,6 +500,7 @@ def test_haar_with_2x2_coarsest_subbands_keeps_the_rolled_gamma(monkeypatch, spi
     y = noisy_uniform((16, 16), 13)
     est, report = haar_curelet_denoise(y, 2.0, J=3, spins=spins)
     monkeypatch.setattr(shrinkage, "_gamma_fields", gamma_fields)
+    monkeypatch.setattr(shrinkage, "_local_magnitude", lambda u, g1: gamma_fields(u, g1)[:1])
     want, want_report = haar_curelet_denoise(y, 2.0, J=3, spins=spins)
     assert_rel_close(est, want)
     assert report.cure == pytest.approx(want_report.cure, rel=1e-12, abs=0.0)
@@ -588,8 +593,8 @@ def test_cure_picked_threshold_tracks_oracle():
         w = details["hh"]
         th_cure, _, _ = cureshrink_subband(w, s, 8.0)
 
-        def oracle(a, ev):
-            return float(((ev.theta - omega) ** 2).mean())
+        def oracle(a, theta):
+            return float(((theta - omega) ** 2).mean())
 
         th_best, _, _ = cureshrink_subband(w, s, 8.0, objective=oracle)
         mse_cure = float(((th_cure - omega) ** 2).mean())
@@ -599,15 +604,92 @@ def test_cure_picked_threshold_tracks_oracle():
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_cureshrink_subband_value_is_risk_at_returned_scale(seed):
-    # the returned value is, bit for bit, the subband risk at the returned
-    # threshold scale, so cureshrink_denoise need not score it again
+    # the returned value is, bit for bit, the kernel's subband risk at the
+    # returned threshold scale, so cureshrink_denoise need not score it
+    # again; it is the reference risk there to rounding
     y = sample_chi2(rng_of(seed).uniform(0.0, 30.0, size=(32, 32)), 2.0, seed=seed).samples
     s, details = haar_step(y)
     w, kj = details["hh"], 8.0
     theta, a, value = cureshrink_subband(w, s, kj)
-    ev = cureshrink_evaluation(w, s, a)
-    assert value == cure_subband(w, s, kj, ev)
-    np.testing.assert_array_equal(theta, ev.theta)
+    (want,), (risk,) = soft_threshold_scores(w, s, kj, [a])
+    assert value == risk
+    np.testing.assert_array_equal(theta, want)
+    assert value == pytest.approx(cure_subband(w, s, kj, cureshrink_evaluation(w, s, a)),
+                                  rel=1e-10, abs=0.0)
+
+
+def soft_threshold_scores(w, s, kj, scales):
+    """The production kernel's soft thresholds and subband risks at scales."""
+    score = shrinkage._soft_threshold(w, s, kj)
+    thetas, risks = zip(*[(theta.copy(), risk) for theta, risk in map(score, scales)])
+    return np.stack(thetas), list(risks)
+
+
+def soft_threshold_subbands():
+    # lh/hl/hh at levels 1 and 2 of a 64x64 draw, and levels 1 and 2 of a
+    # 1-D draw, each with its K_j
+    y = sample_chi2(rng_of(61).uniform(0.0, 40.0, size=(64, 64)), 2.0, seed=61).samples
+    y1 = sample_chi2(rng_of(62).uniform(0.0, 40.0, size=256), 2.0, seed=62).samples
+    for c, branch in ((y, 4), (y1, 2)):
+        for j in (1, 2):
+            c, details = haar_step(c)
+            for orient, w in details.items():
+                yield f"{orient}{j}", w, c, 2.0 * branch ** j
+
+
+@pytest.mark.parametrize("name, w, s, kj",
+                         [pytest.param(*case, id=case[0]) for case in soft_threshold_subbands()])
+def test_kernel_soft_threshold_matches_the_reference_evaluation(name, w, s, kj):
+    # every grid scale and one off the grid, on one set of folded fields
+    scales = list(np.arange(0.0, shrinkage.GRID_MAX + 0.5 * shrinkage.GRID_STEP,
+                            shrinkage.GRID_STEP)) + [1.2345]
+    thetas, risks = soft_threshold_scores(w, s, kj, scales)
+    assert thetas.shape == (len(scales),) + w.shape
+    for a, theta, risk in zip(scales, thetas, risks):
+        ev = cureshrink_evaluation(w, s, a)
+        assert_rel_close(theta, ev.theta, rel=1e-10)
+        assert risk == pytest.approx(cure_subband(w, s, kj, ev), rel=1e-10, abs=0.0)
+
+
+def test_cureshrink_subband_rejects_misaligned_fields():
+    with pytest.raises(ValueError, match="misaligned"):
+        cureshrink_subband(np.zeros(3), np.ones(4), 4.0)
+
+
+@pytest.mark.parametrize("kj", [0.0, -4.0, np.nan])
+def test_cureshrink_subband_rejects_a_nonpositive_dof(kj):
+    with pytest.raises(ValueError, match="K_j"):
+        cureshrink_subband(np.zeros(4), np.ones(4), kj)
+
+
+def test_cureshrink_denoise_scores_on_the_fused_kernel(monkeypatch):
+    # per subband, the kernel forms its fields once, then one single-scale
+    # call of its atoms scores each grid point, each golden-section step and
+    # the result (12 or 13 after the grid); the six-partial evaluation the
+    # package once built per trial scale is gone from it
+    kernels, calls = [], []
+    fused = shrinkage._fused_atoms
+
+    def counting(*args, **kwargs):
+        atoms = fused(*args, **kwargs)
+        kernels.append(atoms)
+
+        def counted(kappas, out=None):
+            calls.append(len(kappas))
+            return atoms(kappas, out)
+
+        return counted
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a reference evaluation was built")
+
+    monkeypatch.setattr(shrinkage, "_fused_atoms", counting)
+    monkeypatch.setattr(shrinkage, "cureshrink_evaluation", forbidden, raising=False)
+    monkeypatch.setattr(shrinkage, "SubbandEvaluation", forbidden, raising=False)
+    cureshrink_denoise(noisy_uniform((32, 32), 7), 2.0, J=3)
+    grid = round(shrinkage.GRID_MAX / shrinkage.GRID_STEP) + 1
+    assert len(kernels) == 9 and set(calls) == {1}
+    assert 9 * (grid + 12) <= len(calls) <= 9 * (grid + 13)
 
 
 def test_cureshrink_subband_value_when_a_grid_point_wins():
@@ -1030,6 +1112,27 @@ def test_haar_smooths_each_level_steps_sums_once(monkeypatch, spins, smoothings)
     monkeypatch.setattr(shrinkage, "_gamma_fields", smoothing)
     haar_curelet_denoise(noisy_uniform((32, 32), 3), 2.0, J=3, spins=spins)
     assert len(smoothed) == smoothings
+
+
+def test_haar_forms_gamma_derivatives_of_the_sums_alone(monkeypatch):
+    # the parent needs gamma(p) only: every stack whose derivatives are
+    # formed holds level-step sums
+    sums, stacks = [], []
+    step, gamma = shrinkage.haar_step, shrinkage._gamma_fields
+
+    def stepping(c):
+        s, details = step(c)
+        sums.append(s)
+        return s, details
+
+    def smoothing(u, g1, delta=None):
+        stacks.append(all(any(np.array_equal(item, s) for s in sums) for item in u))
+        return gamma(u, g1, delta)
+
+    monkeypatch.setattr(shrinkage, "haar_step", stepping)
+    monkeypatch.setattr(shrinkage, "_gamma_fields", smoothing)
+    haar_curelet_denoise(noisy_uniform((32, 32), 3), 2.0, J=3, spins=4)
+    assert stacks and all(stacks)
 
 
 def test_haar_solves_each_stack_with_one_batched_eigh(monkeypatch):
