@@ -356,7 +356,9 @@ def _max_workers(n_jobs: int) -> int:
     try:
         limit = int(cap) if cap else (os.cpu_count() or 1)
     except ValueError:
-        raise ValueError(f"CURE_THREADS must be an integer, got {cap!r}") from None
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"CURE_THREADS must be a whole number of at least 1, got {cap!r}")
     return max(1, min(n_jobs, limit))
 
 

@@ -47,14 +47,15 @@ class RiskReport:
             raise ValueError("risk estimate must be finite")
 
 
-def cure_expression(resid: np.ndarray, div: float, half: np.ndarray) -> float:
+def cure_expression(resid: np.ndarray, div: float, half: np.ndarray | float) -> float:
     """(|resid|^2 + 8 div - 4 sum(half)) / N, the risk every evaluator returns.
 
     resid is the estimate minus its unbiased target, div the estimator's
-    divergence term and half the bias-shifted variance channel v - K/2.
+    divergence term and half the bias-shifted variance channel v - K/2, or
+    its sum, for a caller that scores many estimates on one channel.
     """
     resid = resid.ravel()
-    return (float(resid @ resid) + 8.0 * div - 4.0 * float(half.sum())) / resid.size
+    return (float(resid @ resid) + 8.0 * div - 4.0 * float(np.sum(half))) / resid.size
 
 
 @dataclass(frozen=True)

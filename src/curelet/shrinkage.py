@@ -67,6 +67,8 @@ GRID_TOL = 1e-3
 # gamma_kernel: truncation radius and width of the Gaussian weights
 GAMMA_RADIUS = 4
 GAMMA_SIGMA = 1.0
+# haar_curelet_denoise: coefficients per stacked level fit, at least one level-1 subband
+STACK_COEFFICIENTS = 1 << 14
 
 
 # ------------------------------------------------------------ smooth atoms
@@ -413,12 +415,13 @@ def _soft_threshold(w, s, K_j: float, objective=None):
     u0 = (rho / S, (h / S, 0.0, h_w / S, 0.0, 0.0))
     q = (sigma / S, (0.0, 0.5 / (S * sigma), 0.0, -0.25 / (S * sigma ** 3), 0.0))
     atoms = _fused_atoms(u0, q, [(S * h, S * h_w, -3.0 * S * h_w * h / rho)], fields, {})
+    resid, half = np.empty_like(w), float(np.sum(fields.z1))  # one sum per subband
 
     def score(a):
         (theta,), (div,) = (t[0, 0] for t in atoms([a]))
         if objective is not None:
             return theta, float(objective(a, theta))
-        return theta, cure_expression(theta - w, div, fields.z1)
+        return theta, cure_expression(np.subtract(theta, w, out=resid), div, half)
 
     return score
 
@@ -609,8 +612,9 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
     gamma(s)'s center term depends on (w_n, s_n), so gamma(p) is formed
     without derivatives, by _local_magnitude), each carried by w and by
     the parent p (parent_field). A level's subbands, across shift residues
-    and orientations, are fitted in stacks of at most one level-1
-    subband's coefficients (the workspace), gamma(s) once per level step:
+    and orientations, are fitted in stacks of at most the larger of
+    STACK_COEFFICIENTS and one level-1 subband's coefficients (the
+    workspace), gamma(s) once per level step:
     per stack, _fused_atoms writes the thetas into one (items, atoms,
     pixels) rows buffer for _fit_expansion. The risk has the subband field
     layout (BandDivergenceFields.of_subband). The lowpass is unbiased by its
@@ -634,7 +638,7 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
     def fit_level(sums, details, kj, j):
         shape, risks, shared = sums[0].shape, [{} for _ in sums], (None,)
         items = [(t, o) for t, step in enumerate(details) for o in step]
-        most = 2 ** (len(shape) * (j - 1))  # level-j subbands in one level-1 subband
+        most = max(2 ** (len(shape) * (j - 1)), STACK_COEFFICIENTS // math.prod(shape))
         for stack in (items[k:k + most] for k in range(0, len(items), most)):
             w, s, p, *gamma_s = gathered = _buffers(work, "stack", 6, (n := len(stack),) + shape)
             for i, (t, o) in enumerate(stack):

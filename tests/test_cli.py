@@ -347,8 +347,10 @@ def test_benchmark_rejects_an_empty_list(flag, tmp_path, capsys):
     assert not (tmp_path / "b.csv").exists()
 
 
-def test_benchmark_rejects_a_non_integer_thread_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CURE_THREADS", "two")
+@pytest.mark.parametrize("cap", ["two", "0", "-1"])
+def test_benchmark_rejects_a_bad_thread_cap(tmp_path, capsys, monkeypatch, cap):
+    # a cap below one once ran one worker without a word
+    monkeypatch.setenv("CURE_THREADS", cap)
     code = run("benchmark", "--size", "64", "--methods", "haar-cs1",
                "--seeds", "1", "--sigmas", "10", "--out", str(tmp_path / "b.csv"))
     assert code == 1

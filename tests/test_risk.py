@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curelet.chi2model import sample_chi2
-from curelet.risk import BandDivergenceFields, RiskReport
+from curelet.risk import BandDivergenceFields, RiskReport, cure_expression
 from curelet.transforms import bdct8_bank, haar_step, haar_uwt_bank
 
 from oracles import (
@@ -85,6 +85,16 @@ def test_cure_image_bias_shift_identity_general():
     ev = EstimatorEvaluation(f=y - K, df=1.0, d2f=0.0)
     expect = 4.0 * (y - K / 2).sum() / y.size
     assert cure_image(y, K, ev) == pytest.approx(expect, rel=1e-12)
+
+
+def test_cure_expression_takes_the_half_term_or_its_sum():
+    # a scorer of many estimates on one channel passes sum(half) once
+    rng = rng_of(11)
+    resid, half = rng.normal(size=(17, 23)), rng.uniform(-1.0, 40.0, size=(17, 23))
+    value = cure_expression(resid, 3.25, half)
+    assert cure_expression(resid, 3.25, float(np.sum(half))) == value
+    assert value == pytest.approx(((resid ** 2).sum() + 26.0 - 4.0 * half.sum()) / resid.size,
+                                  rel=1e-12)
 
 
 def test_mse_oracle_example():

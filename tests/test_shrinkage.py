@@ -1136,9 +1136,11 @@ def test_haar_forms_gamma_derivatives_of_the_sums_alone(monkeypatch):
 
 
 def test_haar_solves_each_stack_with_one_batched_eigh(monkeypatch):
-    # a stack holds at most one level-1 subband's coefficients: the twelve
-    # 16x16 subbands one at a time, the 48 8x8 ones four at a time and the
-    # 48 4x4 ones sixteen at a time
+    # a stack holds at most the larger of STACK_COEFFICIENTS and one level-1
+    # subband's coefficients: at 32x32 each level's subbands in one stack;
+    # at 256x256 (a level-1 subband of 2^14) the twelve 128x128 subbands
+    # one at a time, the 48 64x64 ones four at a time and the 48 32x32 ones
+    # sixteen at a time
     stacks = []
     eigh = np.linalg.eigh
 
@@ -1148,7 +1150,24 @@ def test_haar_solves_each_stack_with_one_batched_eigh(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     haar_curelet_denoise(noisy_uniform((32, 32), 3), 2.0, J=3, spins=16)
+    assert stacks == [(12,), (48,), (48,)]
+    stacks.clear()
+    haar_curelet_denoise(noisy_uniform((256, 256), 3), 2.0, J=3, spins=16)
     assert stacks == [(1,)] * 12 + [(4,)] * 12 + [(16,)] * 3
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (128, 128), (1024,)], ids=["32", "128", "1d"])
+@pytest.mark.parametrize("spins", [1, 16])
+def test_haar_stack_size_leaves_the_outputs_unchanged(monkeypatch, shape, spins):
+    # every kernel of a stacked fit works per item, so a stack of one
+    # subband per fit (STACK_COEFFICIENTS = 1) gives the same bits
+    y = noisy_uniform(shape, 5)
+    estimate, report = haar_curelet_denoise(y, 2.0, J=3, spins=spins)
+    monkeypatch.setattr(shrinkage, "STACK_COEFFICIENTS", 1)
+    single, single_report = haar_curelet_denoise(y, 2.0, J=3, spins=spins)
+    assert np.array_equal(estimate, single)
+    assert report.cure == single_report.cure
+    assert report.per_band == single_report.per_band
 
 
 def test_haar_spins_work_within_a_bounded_working_set():
