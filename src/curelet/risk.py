@@ -54,8 +54,8 @@ def cure_expression(resid: np.ndarray, div: float, half: np.ndarray | float) -> 
     divergence term and half the bias-shifted variance channel v - K/2, or
     its sum, for a caller that scores many estimates on one channel.
     """
-    resid = resid.ravel()
-    return (float(resid @ resid) + 8.0 * div - 4.0 * float(np.sum(half))) / resid.size
+    resid, total = resid.ravel(), half if np.isscalar(half) else half.sum()
+    return (float(resid @ resid) + 8.0 * div - 4.0 * float(total)) / resid.size
 
 
 @dataclass(frozen=True)
