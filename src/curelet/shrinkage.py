@@ -524,7 +524,7 @@ def _gamma_fields(u: np.ndarray, g1: np.ndarray, delta=None):
     smoothed-abs derivatives."""
     gamma, absu, delta = _local_magnitude(u, g1, delta)
     g0 = float(g1[len(g1) // 2]) ** (u.ndim - 1)
-    return gamma, g0 * u / absu, g0 * delta ** 2 / absu ** 3
+    return gamma, g0 * u / absu, g0 * delta ** 2 / (absu * absu * absu)  # products, not pow
 
 
 # ------------------------------------------------------- pyramid denoisers

@@ -8,9 +8,10 @@ Two transform families back the denoisers:
   factors, and synthesis is the adjoint correlation scaled by a per-band
   gain. FilterBank owns the spectral format (no other module calls
   numpy.fft): walk streams each band's correlations with powers of its
-  taps from one transform of the image, and synthesis_rows gives a band's
-  synthesis as Parseval-weighted half spectra, real rows with the image
-  domain's dot products, so a fit over all bands inverts only its result.
+  taps (short factors by direct correlation, long ones by FFT), and
+  synthesis_rows gives a band's synthesis as Parseval-weighted half
+  spectra, real rows with the image domain's dot products, so a fit over
+  all bands inverts only its result.
 * The unnormalized Haar DWT: critically sampled pairwise sums/differences
   whose scaling chain preserves the chi-square family (sums of independent
   chi-squares stay chi-square, doubling the dof per 1-D split). haar_step,
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import groupby
 
 import numpy as np
 import numpy.fft  # loaded here, not by the first transform of a call
@@ -41,6 +43,10 @@ __all__ = [
     "SPIN_SHIFTS",
     "SPIN_COUNTS",
 ]
+
+# Factor length up to which FilterBank.walk correlates directly: its cost
+# grows with the taps, the FFT walk's does not.
+DIRECT_TAPS = 8
 
 
 def _tap_spectra(factors, powers, shape, axes=None) -> np.ndarray:
@@ -91,10 +97,11 @@ class FilterBank:
 
     bands[0] is the lowpass (bias-carrying) band. Every analysis quantity
     is a per-band correlation of the image with a power of the band's
-    taps, and walk streams them one band at a time. Synthesis convolves a
-    coefficient field (or a stack) with ``synth_gain * taps``:
-    synthesis_rows gives it as Parseval rows and field_of_rows inverts
-    rows. Kernel spectra come from the bands' 1-D factors (_tap_spectra).
+    taps, and walk streams them one band at a time, each valid until the
+    next (directly for factors of at most DIRECT_TAPS taps, else by FFT).
+    Synthesis convolves a coefficient field (or a stack) with ``synth_gain
+    * taps``: synthesis_rows gives it as Parseval rows and field_of_rows
+    inverts rows. Kernel spectra come from the bands' 1-D factors (_tap_spectra).
     A bank caches nothing, so it is safe to share. The per-band analysis
     and full synthesis references live in tests/oracles.py.
     """
@@ -117,28 +124,25 @@ class FilterBank:
     def walk(self, y: np.ndarray, powers):
         """Yield, band by band, the correlations of y with taps ** p.
 
-        y is transformed once; each yielded array has shape
-        (len(powers), *y.shape) and row k is the periodic correlation
-        out[n] = sum_m taps[m] ** powers[k] * y[(n + m) mod shape]. A band
-        with the previous band's leading factors reuses its leading-axis
-        inverse transform: bdct8_bank's 64 bands make 8. When every band's
-        taps have one magnitude c (the Haar frame), only powers 1 and 2 are
-        transformed: taps^p = c^(p - b) taps^b, b = 1 for odd p, 2 for even.
+        Each yielded array has shape (len(powers), *y.shape); row k is the
+        periodic correlation out[n] = sum_m taps[m] ** powers[k] * y[(n + m)
+        mod shape]. It is valid until the next yield, which may reuse its
+        buffer. Consecutive bands with the same leading factors share one pass
+        along the leading axes. A 1-D or 2-D bank with at most DIRECT_TAPS taps
+        per factor is walked by direct correlation, any other by FFT. When
+        every band's taps have one magnitude c (the Haar frame), only powers 1
+        and 2 are correlated: taps^p = c^(p - b) taps^b, b = 1 (odd p) or 2.
         """
         y = np.asarray(y, dtype=np.float64)
         self._check_size(y.shape)
-        y_fft = np.fft.rfftn(y)
-        *lead, last = range(y.ndim)
         base, pick = list(powers), None
         if set(base) - {1, 2} and all(np.ptp(np.abs(b.taps)) == 0 for b in self.bands):
             pick = [2 - p % 2 for p in powers]
             base, exps = sorted(set(pick)), np.subtract(powers, pick).reshape((-1,) + (1,) * y.ndim)
-        for band, prev in zip(self.bands, (None,) + self.bands):
-            if prev is None or not all(map(np.array_equal, band.factors[:-1], prev.factors[:-1])):
-                stack = y_fft * np.conj(_tap_spectra(band.factors, base, y.shape, lead))
-                stack = np.fft.ifftn(stack, axes=[1 + a for a in lead])
-            corr = np.fft.irfft(stack * np.conj(_tap_spectra(band.factors, base, y.shape, [last])),
-                                n=y.shape[-1])
+        groups = [[*g] for _, g in groupby(self.bands,
+                                           lambda b: [f.tobytes() for f in b.factors[:-1]])]
+        direct = y.ndim <= 2 and all(len(f) <= DIRECT_TAPS for b in self.bands for f in b.factors)
+        for band, corr in zip(self.bands, (_direct_walk if direct else _fft_walk)(y, groups, base)):
             if pick is not None:
                 corr = corr[[base.index(b) for b in pick]]
                 corr *= np.abs(band.taps).flat[0] ** exps
@@ -167,15 +171,51 @@ class FilterBank:
         return np.fft.irfftn(spectrum / _parseval_weight(shape), s=shape, axes=range(-len(shape), 0))
 
 
+def _fft_walk(y, groups, powers):
+    """FilterBank.walk by FFT: one transform of y, one inverse per group and per band."""
+    y_fft = np.fft.rfftn(y)
+    *lead, last = range(y.ndim)
+    for group in groups:
+        stack = np.fft.ifftn(y_fft * np.conj(_tap_spectra(group[0].factors, powers, y.shape, lead)),
+                             axes=[1 + a for a in lead])
+        for band in group:
+            yield np.fft.irfft(stack * np.conj(_tap_spectra(band.factors, powers, y.shape, [last])),
+                               n=y.shape[-1])
+
+
+def _shifted(field, width, axis, out) -> np.ndarray:
+    """out[:width], row m the 2-D field rolled by -m along axis."""
+    for m in range(width):
+        np.concatenate(np.split(field, [m], axis)[::-1], axis, out=out[m].reshape(field.shape))
+    return out[:width]
+
+
+def _direct_walk(y, groups, powers):
+    """FilterBank.walk on a 1-D or 2-D field: per group, one matmul of the
+    leading factor's powers over row-shifted copies of y, then per power one
+    (bands x taps) @ (taps x pixels) matmul over column-shifted copies of that.
+    Buffer rows lie 64 doubles apart, so rows read together share no cache set."""
+    p, field = np.reshape(powers, (-1, 1)), y.reshape(-1, y.shape[-1])
+    shifted, led, out = (np.empty(shape + (y.size + 64,))[..., :y.size] for shape in [
+        (max(len(f) for g in groups for b in g for f in b.factors),), (len(p),),
+        (len(p), max(map(len, groups)))])
+    for group in groups:
+        f = group[0].factors[0] if y.ndim == 2 else np.ones(1)  # a 1-D field leads with itself
+        np.matmul(f ** p, _shifted(field, len(f), 0, shifted), out=led)
+        width = max(len(b.factors[-1]) for b in group)
+        taps = np.stack([np.pad(b.factors[-1] ** p, [(0, 0), (0, width - len(b.factors[-1]))])
+                         for b in group], 1)
+        for k in range(len(p)):
+            np.matmul(taps[k], _shifted(led[k].reshape(field.shape), width, 1, shifted),
+                      out=out[k, :len(group)])
+        for g in range(len(group)):
+            yield out[:, g].reshape((len(p),) + y.shape)
+
+
 def _haar_cumulative_1d(levels: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Cumulative detail filters for levels 1..J and the level-J lowpass."""
-    details = []
-    for j in range(1, levels + 1):
-        half = 2 ** (j - 1)
-        d = np.concatenate([-np.ones(half), np.ones(half)]) / 2 ** (j / 2)
-        details.append(d)
-    low = np.ones(2 ** levels) / 2 ** (levels / 2)
-    return details, low
+    details = [np.repeat([-1.0, 1.0], 2 ** (j - 1)) / 2 ** (j / 2) for j in range(1, levels + 1)]
+    return details, np.ones(2 ** levels) / 2 ** (levels / 2)
 
 
 def haar_uwt_bank(levels: int, ndim: int = 2) -> FilterBank:

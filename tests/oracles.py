@@ -391,7 +391,7 @@ def analyze(bank, y, power=1) -> list[np.ndarray]:
     """Per-band correlations of y with taps ** power: the coefficients w_b
     for power 1, the variance channel wbar_b for power 2 (for chi-square
     data, Var(w) = 4 (E[wbar] - K/2))."""
-    return [corr[0] for corr in bank.walk(y, (power,))]
+    return [corr[0].copy() for corr in bank.walk(y, (power,))]
 
 
 def synthesize(bank, coeffs) -> np.ndarray:

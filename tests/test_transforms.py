@@ -330,11 +330,46 @@ def test_walk_matches_direct_periodic_correlation(bank):
                         err_msg=f"{band.label}, power {p}, at {shape}")
 
 
-@pytest.mark.parametrize("bank, passes", [(tr.bdct8_bank(), 8), (tr.haar_uwt_bank(3), 10)],
-                         ids=["bdct8", "haar-J3-2d"])
-def test_walk_shares_leading_axis_inverse_transforms(bank, passes, monkeypatch):
-    # bdct8's bands run u-major, so its 64 bands share 8 leading factors;
-    # consecutive Haar bands never share theirs
+@pytest.mark.parametrize("bank", [tr.bdct8_bank(), tr.haar_uwt_bank(3), tr.haar_uwt_bank(3, ndim=1)],
+                         ids=["bdct8", "haar-J3-2d", "haar-J3-1d"])
+def test_walk_engines_agree(bank, monkeypatch):
+    # factors of at most DIRECT_TAPS taps take the direct walk; with
+    # DIRECT_TAPS = 0 every bank takes the FFT walk
+    rng = np.random.default_rng(31)
+    ndim = len(bank.bands[0].factors)
+    for shape in [(37,)] if ndim == 1 else [(12, 10), (117, 93)]:
+        y = rng.normal(size=shape)
+        for powers in [(1, 2, 3, 4, 5), (2,), (4, 1)]:
+            monkeypatch.setattr(tr, "DIRECT_TAPS", 8)
+            direct = [corr.copy() for corr in bank.walk(y, powers)]
+            monkeypatch.setattr(tr, "DIRECT_TAPS", 0)
+            for band, got, want in zip(bank.bands, direct, bank.walk(y, powers), strict=True):
+                for k, p in enumerate(powers):
+                    np.testing.assert_allclose(
+                        got[k], want[k], rtol=0, atol=1e-12 * float(np.abs(want[k]).max()),
+                        err_msg=f"{band.label}, power {p}, at {shape}")
+
+
+@pytest.mark.parametrize("bank", [tr.bdct8_bank(), tr.haar_uwt_bank(3)], ids=["bdct8", "haar-J3-2d"])
+def test_walk_yields_each_band_valid_until_the_next(bank):
+    # the direct walk reuses one output buffer for every group of bands, so
+    # a yielded band is valid until the next yield: whoever keeps it copies it
+    y = np.random.default_rng(37).normal(size=(40, 24))
+    kept = [corr.copy() for corr in bank.walk(y, range(1, 6))]
+    for band, corr, want in zip(bank.bands, bank.walk(y, range(1, 6)), kept, strict=True):
+        np.testing.assert_array_equal(corr, want, err_msg=band.label)
+
+
+@pytest.mark.parametrize("bank, passes, direct", [(tr.bdct8_bank(), 8, True),
+                                                  (tr.haar_uwt_bank(3), 10, True),
+                                                  (tr.haar_uwt_bank(4), 13, False)],
+                         ids=["bdct8", "haar-J3-2d", "haar-J4-2d"])
+def test_walk_shares_leading_axis_inverse_transforms(bank, passes, direct, monkeypatch):
+    # bdct8 and Haar J <= 3 (at most DIRECT_TAPS taps per factor) are walked
+    # directly, with no transform. The FFT walk (Haar J = 4, or any bank with
+    # DIRECT_TAPS = 0) makes one leading-axis inverse transform per run of
+    # bands with the same leading factor: bdct8's bands run u-major, so its
+    # 64 bands make 8; consecutive Haar bands never share theirs
     calls = {"ifftn": 0, "irfft": 0}
 
     def counting(name):
@@ -348,16 +383,26 @@ def test_walk_shares_leading_axis_inverse_transforms(bank, passes, monkeypatch):
     for name in calls:
         monkeypatch.setattr(np.fft, name, counting(name))
     y = np.random.default_rng(3).normal(size=(64, 64))
-    assert sum(1 for _ in bank.walk(y, range(1, 6))) == len(bank.bands)
-    assert calls == {"ifftn": passes, "irfft": len(bank.bands)}
+
+    def walked():
+        calls.update(dict.fromkeys(calls, 0))
+        assert sum(1 for _ in bank.walk(y, range(1, 6))) == len(bank.bands)
+        return dict(calls)
+
+    fft = {"ifftn": passes, "irfft": len(bank.bands)}
+    assert walked() == ({"ifftn": 0, "irfft": 0} if direct else fft)
+    monkeypatch.setattr(tr, "DIRECT_TAPS", 0)
+    assert walked() == fft
 
 
-@pytest.mark.parametrize("bank", [tr.haar_uwt_bank(3), tr.haar_uwt_bank(3, ndim=1)],
-                         ids=["haar-J3-2d", "haar-J3-1d"])
+@pytest.mark.parametrize("bank", [tr.haar_uwt_bank(J, ndim=nd) for J in (3, 4) for nd in (2, 1)],
+                         ids=[f"haar-J{J}-{nd}d" for J in (3, 4) for nd in (2, 1)])
 def test_walk_transforms_two_power_rows_per_haar_band(bank, monkeypatch):
     # every Haar-frame tap has one magnitude c per band, so taps^3..5 are
-    # c^2 taps, c^2 taps^2 and c^4 taps: each inverse transform sees 2 rows
+    # c^2 taps, c^2 taps^2 and c^4 taps: either engine correlates 2 power
+    # rows, and each inverse transform of the FFT walk (J = 4) sees 2 rows
     rows = {"ifftn": [], "irfft": []}
+    asked = []
 
     def recording(name):
         inner = getattr(np.fft, name)
@@ -367,11 +412,23 @@ def test_walk_transforms_two_power_rows_per_haar_band(bank, monkeypatch):
             return inner(a, *args, **kwargs)
         return wrapped
 
+    def spying(name):
+        engine = getattr(tr, name)
+
+        def spy(y, groups, powers):
+            asked.append((name, list(powers)))
+            return engine(y, groups, powers)
+        return spy
+
     for name in rows:
         monkeypatch.setattr(np.fft, name, recording(name))
+    for name in ("_direct_walk", "_fft_walk"):
+        monkeypatch.setattr(tr, name, spying(name))
     shape = (64, 64)[: len(bank.bands[0].factors)]
     y = np.random.default_rng(5).normal(size=shape)
     assert all(corr.shape == (5,) + shape for corr in bank.walk(y, range(1, 6)))
+    fft = max(len(f) for band in bank.bands for f in band.factors) > tr.DIRECT_TAPS
+    assert asked == [("_fft_walk" if fft else "_direct_walk", [1, 2])]
     # a 1-D bank has no leading axis to refresh: its one ifftn is the first
-    assert rows["ifftn"] == [2] * (len(bank.bands) if len(shape) == 2 else 1)
-    assert rows["irfft"] == [2] * len(bank.bands)
+    assert rows["ifftn"] == [2] * (len(bank.bands) if len(shape) == 2 else 1) * fft
+    assert rows["irfft"] == [2] * len(bank.bands) * fft
