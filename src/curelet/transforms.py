@@ -8,10 +8,9 @@ Two transform families back the denoisers:
   factors, and synthesis is the adjoint correlation scaled by a per-band
   gain. FilterBank owns the spectral format (no other module calls
   numpy.fft): walk streams each band's correlations with powers of its
-  taps (short factors by direct correlation, long ones by FFT), and
-  synthesis_rows gives a band's synthesis as Parseval-weighted half
-  spectra, real rows with the image domain's dot products, so a fit over
-  all bands inverts only its result.
+  taps, by direct correlation or FFT, and synthesis_rows gives a band's
+  synthesis as Parseval-weighted half spectra, real rows with the image
+  domain's dot products, so a fit over all bands inverts only its result.
 * The unnormalized Haar DWT: critically sampled pairwise sums/differences
   whose scaling chain preserves the chi-square family (sums of independent
   chi-squares stay chi-square, doubling the dof per 1-D split). haar_step,
@@ -44,9 +43,7 @@ __all__ = [
     "SPIN_COUNTS",
 ]
 
-# Factor length up to which FilterBank.walk correlates directly: its cost
-# grows with the taps, the FFT walk's does not.
-DIRECT_TAPS = 8
+DIRECT_TAPS = 8  # longest factor walked directly: that cost grows with taps, an FFT's does not
 
 
 def _tap_spectra(factors, powers, shape, axes=None) -> np.ndarray:
@@ -97,13 +94,13 @@ class FilterBank:
 
     bands[0] is the lowpass (bias-carrying) band. Every analysis quantity
     is a per-band correlation of the image with a power of the band's
-    taps, and walk streams them one band at a time, each valid until the
-    next (directly for factors of at most DIRECT_TAPS taps, else by FFT).
-    Synthesis convolves a coefficient field (or a stack) with ``synth_gain
-    * taps``: synthesis_rows gives it as Parseval rows and field_of_rows
-    inverts rows. Kernel spectra come from the bands' 1-D factors (_tap_spectra).
-    A bank caches nothing, so it is safe to share. The per-band analysis
-    and full synthesis references live in tests/oracles.py.
+    taps, and walk streams them one band at a time, each valid until the next
+    (directly for factors of at most DIRECT_TAPS taps, else by FFT). Synthesis
+    convolves a coefficient field (or a stack) with ``synth_gain * taps``:
+    synthesis_rows gives it as Parseval rows and field_of_rows inverts rows.
+    Kernel spectra come from the bands' 1-D factors (_tap_spectra). A bank
+    caches nothing, so it is safe to share. The per-band analysis and full
+    synthesis references live in tests/oracles.py.
     """
 
     def __init__(self, name: str, bands):
@@ -124,27 +121,26 @@ class FilterBank:
     def walk(self, y: np.ndarray, powers):
         """Yield, band by band, the correlations of y with taps ** p.
 
-        Each yielded array has shape (len(powers), *y.shape); row k is the
-        periodic correlation out[n] = sum_m taps[m] ** powers[k] * y[(n + m)
-        mod shape]. It is valid until the next yield, which may reuse its
-        buffer. Consecutive bands with the same leading factors share one pass
-        along the leading axes. A 1-D or 2-D bank with at most DIRECT_TAPS taps
-        per factor is walked by direct correlation, any other by FFT. When
-        every band's taps have one magnitude c (the Haar frame), only powers 1
-        and 2 are correlated: taps^p = c^(p - b) taps^b, b = 1 (odd p) or 2.
+        Each yielded array has shape (len(powers), *y.shape); row k is the periodic
+        correlation out[n] = sum_m taps[m] ** powers[k] * y[(n + m) mod shape]. It is
+        valid until the next yield, which may reuse its buffer. Consecutive bands with
+        the same leading factors share one pass along the leading axes. A 1-D or 2-D
+        bank with at most DIRECT_TAPS taps per factor is walked by direct correlation,
+        any other by FFT. When every band's taps have one magnitude c (the Haar frame),
+        only powers 1 and 2 are correlated: taps^p = c^(p - b) taps^b, b = 1 (odd p) or 2.
         """
         y = np.asarray(y, dtype=np.float64)
         self._check_size(y.shape)
         base, pick = list(powers), None
         if set(base) - {1, 2} and all(np.ptp(np.abs(b.taps)) == 0 for b in self.bands):
-            pick = [2 - p % 2 for p in powers]
+            pick, picked = [2 - p % 2 for p in powers], np.empty((len(powers),) + y.shape)
             base, exps = sorted(set(pick)), np.subtract(powers, pick).reshape((-1,) + (1,) * y.ndim)
         groups = [[*g] for _, g in groupby(self.bands,
                                            lambda b: [f.tobytes() for f in b.factors[:-1]])]
         direct = y.ndim <= 2 and all(len(f) <= DIRECT_TAPS for b in self.bands for f in b.factors)
         for band, corr in zip(self.bands, (_direct_walk if direct else _fft_walk)(y, groups, base)):
             if pick is not None:
-                corr = corr[[base.index(b) for b in pick]]
+                corr = np.take(corr, [base.index(b) for b in pick], 0, picked, "clip")
                 corr *= np.abs(band.taps).flat[0] ** exps
             yield corr
 
@@ -183,11 +179,11 @@ def _fft_walk(y, groups, powers):
                                n=y.shape[-1])
 
 
-def _shifted(field, width, axis, out) -> np.ndarray:
-    """out[:width], row m the 2-D field rolled by -m along axis."""
-    for m in range(width):
-        np.concatenate(np.split(field, [m], axis)[::-1], axis, out=out[m].reshape(field.shape))
-    return out[:width]
+def _correlate(taps, field, axis, shifted, out) -> None:
+    """out = taps @ rows, row m the 2-D field rolled by -m along axis, copied into shifted[m]."""
+    for m in range(taps.shape[-1]):
+        np.concatenate(np.split(field, [m], axis)[::-1], axis, out=shifted[m].reshape(field.shape))
+    np.matmul(taps, shifted[:taps.shape[-1]], out=out)
 
 
 def _direct_walk(y, groups, powers):
@@ -201,21 +197,25 @@ def _direct_walk(y, groups, powers):
         (len(p), max(map(len, groups)))])
     for group in groups:
         f = group[0].factors[0] if y.ndim == 2 else np.ones(1)  # a 1-D field leads with itself
-        np.matmul(f ** p, _shifted(field, len(f), 0, shifted), out=led)
+        _correlate(f ** p, field, 0, shifted, led)
         width = max(len(b.factors[-1]) for b in group)
         taps = np.stack([np.pad(b.factors[-1] ** p, [(0, 0), (0, width - len(b.factors[-1]))])
                          for b in group], 1)
         for k in range(len(p)):
-            np.matmul(taps[k], _shifted(led[k].reshape(field.shape), width, 1, shifted),
-                      out=out[k, :len(group)])
+            _correlate(taps[k], led[k].reshape(field.shape), 1, shifted, out[k, :len(group)])
         for g in range(len(group)):
             yield out[:, g].reshape((len(p),) + y.shape)
 
 
 def _haar_cumulative_1d(levels: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Cumulative detail filters for levels 1..J and the level-J lowpass."""
-    details = [np.repeat([-1.0, 1.0], 2 ** (j - 1)) / 2 ** (j / 2) for j in range(1, levels + 1)]
-    return details, np.ones(2 ** levels) / 2 ** (levels / 2)
+    details = []
+    for j in range(1, levels + 1):
+        half = 2 ** (j - 1)
+        d = np.concatenate([-np.ones(half), np.ones(half)]) / 2 ** (j / 2)
+        details.append(d)
+    low = np.ones(2 ** levels) / 2 ** (levels / 2)
+    return details, low
 
 
 def haar_uwt_bank(levels: int, ndim: int = 2) -> FilterBank:
