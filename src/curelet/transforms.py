@@ -169,8 +169,7 @@ class FilterBank:
 
 def _fft_walk(y, groups, powers):
     """FilterBank.walk by FFT: one transform of y, one inverse per group and per band."""
-    y_fft = np.fft.rfftn(y)
-    *lead, last = range(y.ndim)
+    y_fft, (*lead, last) = np.fft.rfftn(y), range(y.ndim)
     for group in groups:
         stack = np.fft.ifftn(y_fft * np.conj(_tap_spectra(group[0].factors, powers, y.shape, lead)),
                              axes=[1 + a for a in lead])
@@ -180,10 +179,11 @@ def _fft_walk(y, groups, powers):
 
 
 def _correlate(taps, field, axis, shifted, out) -> None:
-    """out = taps @ rows, row m the 2-D field rolled by -m along axis, copied into shifted[m]."""
+    """out = taps @ shifted, row m the field rolled by -m along axis, in cache-sized blocks."""
     for m in range(taps.shape[-1]):
         np.concatenate(np.split(field, [m], axis)[::-1], axis, out=shifted[m].reshape(field.shape))
-    np.matmul(taps, shifted[:taps.shape[-1]], out=out)
+    for a in range(0, field.size, 8192):
+        np.matmul(taps, shifted[:taps.shape[-1], a:a + 8192], out=out[..., a:a + 8192])
 
 
 def _direct_walk(y, groups, powers):

@@ -336,21 +336,21 @@ def test_walk_engines_agree(bank, monkeypatch):
     # factors of at most DIRECT_TAPS taps take the direct walk; with
     # DIRECT_TAPS = 0 every bank takes the FFT walk
     rng = np.random.default_rng(31)
-    ndim = len(bank.bands[0].factors)
-    for shape in [(37,)] if ndim == 1 else [(12, 10), (117, 93)]:
-        y = rng.normal(size=shape)
-        for powers in [(1, 2, 3, 4, 5), (2,), (4, 1)]:
-            monkeypatch.setattr(tr, "DIRECT_TAPS", 8)
-            direct = [corr.copy() for corr in bank.walk(y, powers)]
-            monkeypatch.setattr(tr, "DIRECT_TAPS", 0)
-            for band, got, want in zip(bank.bands, direct, bank.walk(y, powers), strict=True):
-                for k, p in enumerate(powers):
-                    np.testing.assert_allclose(
-                        got[k], want[k], rtol=0, atol=1e-12 * float(np.abs(want[k]).max()),
-                        err_msg=f"{band.label}, power {p}, at {shape}")
+    shapes = [(37,)] if len(bank.bands[0].factors) == 1 else [(12, 10), (117, 93)]
+    cases = [(y, powers, [corr.copy() for corr in bank.walk(y, powers)])
+             for y in [rng.normal(size=shape) for shape in shapes]
+             for powers in [(1, 2, 3, 4, 5), (2,), (4, 1)]]
+    monkeypatch.setattr(tr, "DIRECT_TAPS", 0)
+    for y, powers, direct in cases:
+        for band, got, want in zip(bank.bands, direct, bank.walk(y, powers), strict=True):
+            for k, p in enumerate(powers):
+                np.testing.assert_allclose(
+                    got[k], want[k], rtol=0, atol=1e-12 * float(np.abs(want[k]).max()),
+                    err_msg=f"{band.label}, power {p}, at {y.shape}")
 
 
-@pytest.mark.parametrize("bank", [tr.bdct8_bank(), tr.haar_uwt_bank(3)], ids=["bdct8", "haar-J3-2d"])
+@pytest.mark.parametrize("bank", [tr.bdct8_bank(), tr.haar_uwt_bank(3)],
+                         ids=["bdct8", "haar-J3-2d"])
 def test_walk_yields_each_band_valid_until_the_next(bank):
     # the direct walk reuses one output buffer for every group of bands, so
     # a yielded band is valid until the next yield: whoever keeps it copies it
