@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 DIRECT_TAPS = 8  # longest factor walked directly: that cost grows with taps, an FFT's does not
+_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"  # numpy.fft takes out= from 2.0
 
 
 def _tap_spectra(factors, powers, shape, axes=None) -> np.ndarray:
@@ -57,6 +58,14 @@ def _tap_spectra(factors, powers, shape, axes=None) -> np.ndarray:
         spec = fft(np.stack([f ** p for p in powers]), n=n)
         spectra = spectra * np.expand_dims(spec, [1 + a for a in range(len(shape)) if a != axis])
     return spectra
+
+
+def _fft_into(transform, a, axis, out) -> None:
+    """out = transform(a, axis=axis), computed in out where numpy.fft takes out=."""
+    if _FFT_OUT:
+        transform(a, axis=axis, out=out)
+    else:
+        out[...] = transform(a, axis=axis)
 
 
 def _parseval_weight(shape) -> np.ndarray:
@@ -124,9 +133,9 @@ class FilterBank:
         Each yielded array has shape (len(powers), *y.shape); row k is the periodic
         correlation out[n] = sum_m taps[m] ** powers[k] * y[(n + m) mod shape]. It is
         valid until the next yield, which may reuse its buffer. Consecutive bands with
-        the same leading factors share one pass along the leading axes. A 1-D or 2-D
-        bank with at most DIRECT_TAPS taps per factor is walked by direct correlation,
-        any other by FFT. When every band's taps have one magnitude c (the Haar frame),
+        the same leading factors share one pass along the leading axes. A bank with at
+        most DIRECT_TAPS taps per factor is walked by direct correlation, any other by
+        FFT. When every band's taps have one magnitude c (the Haar frame),
         only powers 1 and 2 are correlated: taps^p = c^(p - b) taps^b, b = 1 (odd p) or 2.
         """
         y = np.asarray(y, dtype=np.float64)
@@ -137,7 +146,7 @@ class FilterBank:
             base, exps = sorted(set(pick)), np.subtract(powers, pick).reshape((-1,) + (1,) * y.ndim)
         groups = [[*g] for _, g in groupby(self.bands,
                                            lambda b: [f.tobytes() for f in b.factors[:-1]])]
-        direct = y.ndim <= 2 and all(len(f) <= DIRECT_TAPS for b in self.bands for f in b.factors)
+        direct = all(len(f) <= DIRECT_TAPS for b in self.bands for f in b.factors)
         for band, corr in zip(self.bands, (_direct_walk if direct else _fft_walk)(y, groups, base)):
             if pick is not None:
                 corr = np.take(corr, [base.index(b) for b in pick], 0, picked, "clip")
@@ -149,15 +158,21 @@ class FilterBank:
         along leading axes (for i None, the fields themselves), as real rows
         with the same dot products: the half spectrum rfftn(coeffs) times
         the band's kernel spectrum and _parseval_weight, viewed as reals
-        (Parseval). out, if given, receives them."""
+        (Parseval). out, if given, receives them; the transforms run in it,
+        and each axis's 1-D kernel multiplies it in place."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        shape = coeffs.shape[coeffs.ndim - len(self.bands[0].factors):]
-        spectrum = np.fft.rfftn(coeffs, axes=range(-len(shape), 0))
-        kernel = _parseval_weight(shape) * (1.0 if i is None else self.bands[i].synth_gain
-                                            * _tap_spectra(self.bands[i].factors, (1,), shape)[0])
-        dest = spectrum if out is None else out.view(np.complex128).reshape(spectrum.shape)
-        return np.multiply(spectrum, kernel, out=dest).view(np.float64).reshape(
-            spectrum.shape[:coeffs.ndim - len(shape)] + (-1,))
+        lead = coeffs.ndim - len(self.bands[0].factors)
+        shape, half = coeffs.shape[lead:], coeffs.shape[:-1] + (coeffs.shape[-1] // 2 + 1,)
+        dest = np.empty(half, complex) if out is None else out.view(np.complex128).reshape(half)
+        _fft_into(np.fft.rfft, coeffs, -1, dest)
+        for axis in range(lead, coeffs.ndim - 1):
+            _fft_into(np.fft.fft, dest, axis, dest)
+        band, last = None if i is None else self.bands[i], len(shape) - 1
+        for axis in range(last) if band else ():
+            dest *= _tap_spectra(band.factors, (1,), shape, [axis])[0]
+        dest *= _parseval_weight(shape) * (1.0 if band is None else band.synth_gain
+                                           * _tap_spectra(band.factors, (1,), shape, [last])[0])
+        return dest.view(np.float64).reshape(half[:lead] + (-1,))
 
     @staticmethod
     def field_of_rows(rows, shape) -> np.ndarray:
@@ -207,17 +222,6 @@ def _direct_walk(y, groups, powers):
             yield out[:, g].reshape((len(p),) + y.shape)
 
 
-def _haar_cumulative_1d(levels: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Cumulative detail filters for levels 1..J and the level-J lowpass."""
-    details = []
-    for j in range(1, levels + 1):
-        half = 2 ** (j - 1)
-        d = np.concatenate([-np.ones(half), np.ones(half)]) / 2 ** (j / 2)
-        details.append(d)
-    low = np.ones(2 ** levels) / 2 ** (levels / 2)
-    return details, low
-
-
 def haar_uwt_bank(levels: int, ndim: int = 2) -> FilterBank:
     """Shift-invariant Haar wavelet frame with J levels.
 
@@ -231,21 +235,16 @@ def haar_uwt_bank(levels: int, ndim: int = 2) -> FilterBank:
         raise ValueError("levels must be >= 1")
     if ndim not in (1, 2):
         raise ValueError("only 1-D and 2-D supported")
-    details, low = _haar_cumulative_1d(levels)
-    bands = []
+    details = [np.repeat([-1.0, 1.0], 2 ** (j - 1)) / 2 ** (j / 2) for j in range(1, levels + 1)]
+    lows = [np.ones(2 ** j) / 2 ** (j / 2) for j in range(1, levels + 1)]  # cumulative, like details
     if ndim == 1:
-        bands.append(Band((low,), 2.0 ** -levels, "lowpass", levels, "low"))
-        for j, d in enumerate(details, start=1):
-            bands.append(Band((d,), 2.0 ** -j, "highpass", j, f"d{j}"))
+        bands = [Band((lows[-1],), 2.0 ** -levels, "lowpass", levels, "low")]
+        bands += [Band((d,), 2.0 ** -j, "highpass", j, f"d{j}") for j, d in enumerate(details, 1)]
     else:
-        lows = [_haar_cumulative_1d(j)[1] for j in range(1, levels + 1)]
-        bands.append(Band((low, low), 4.0 ** -levels, "lowpass", levels, "low"))
-        for j in range(1, levels + 1):
-            d, l = details[j - 1], lows[j - 1]
-            gain = 4.0 ** -j
-            bands.append(Band((d, l), gain, "highpass", j, f"lh{j}"))
-            bands.append(Band((l, d), gain, "highpass", j, f"hl{j}"))
-            bands.append(Band((d, d), gain, "highpass", j, f"hh{j}"))
+        bands = [Band((lows[-1],) * 2, 4.0 ** -levels, "lowpass", levels, "low")]
+        for j, d, l in zip(range(1, levels + 1), details, lows):
+            bands += [Band(f, 4.0 ** -j, "highpass", j, f"{o}{j}")
+                      for o, f in (("lh", (d, l)), ("hl", (l, d)), ("hh", (d, d)))]
     return FilterBank(f"haar-uwt-J{levels}-{ndim}d", bands)
 
 

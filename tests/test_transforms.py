@@ -276,6 +276,27 @@ def test_band_synthesis_is_scaled_adjoint_and_stacks(bank):
             np.testing.assert_allclose(stacked[k], single, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("fft_out", [True, False], ids=["transforms-in-out", "transforms-copied"])
+@pytest.mark.parametrize("bank", [tr.bdct8_bank(), tr.haar_uwt_bank(2, ndim=1)], ids=["bdct8", "haar-1d"])
+def test_synthesis_rows_are_the_weighted_kernel_product(bank, fft_out, monkeypatch):
+    # rows are rfftn(coeffs) times the band's kernel spectrum and the Parseval
+    # weight, whether the transforms run in out (numpy >= 2) or are copied in
+    monkeypatch.setattr(tr, "_FFT_OUT", fft_out and tr._FFT_OUT)
+    shape = (12, 10)[: len(bank.bands[0].factors)]
+    z = np.random.default_rng(17).normal(size=(3,) + shape)
+    for i in (None, 0, len(bank.bands) - 1):
+        kernel = tr._parseval_weight(shape) * (1.0 if i is None else bank.bands[i].synth_gain
+                                               * tr._tap_spectra(bank.bands[i].factors, (1,), shape)[0])
+        spectrum = np.fft.rfftn(z, axes=range(1, len(shape) + 1)) * kernel
+        want = spectrum.view(np.float64).reshape(3, -1)
+        out = np.full_like(want, np.nan)
+        got = bank.synthesis_rows(i, z, out=out)
+        assert np.shares_memory(got, out)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        np.testing.assert_allclose(bank.synthesis_rows(i, z), want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+
+
 def dense_tap_spectra(taps, powers, shape):
     """The n-D reference: zero-embed taps ** p at offset zero, then rfftn."""
     emb = np.zeros((len(powers),) + tuple(shape))
@@ -347,17 +368,6 @@ def test_walk_engines_agree(bank, monkeypatch):
                 np.testing.assert_allclose(
                     got[k], want[k], rtol=0, atol=1e-12 * float(np.abs(want[k]).max()),
                     err_msg=f"{band.label}, power {p}, at {y.shape}")
-
-
-@pytest.mark.parametrize("bank", [tr.bdct8_bank(), tr.haar_uwt_bank(3)],
-                         ids=["bdct8", "haar-J3-2d"])
-def test_walk_yields_each_band_valid_until_the_next(bank):
-    # the direct walk reuses one output buffer for every group of bands, so
-    # a yielded band is valid until the next yield: whoever keeps it copies it
-    y = np.random.default_rng(37).normal(size=(40, 24))
-    kept = [corr.copy() for corr in bank.walk(y, range(1, 6))]
-    for band, corr, want in zip(bank.bands, bank.walk(y, range(1, 6)), kept, strict=True):
-        np.testing.assert_array_equal(corr, want, err_msg=band.label)
 
 
 @pytest.mark.parametrize("bank, passes, direct", [(tr.bdct8_bank(), 8, True),
