@@ -43,7 +43,7 @@ __all__ = [
     "SPIN_COUNTS",
 ]
 
-DIRECT_TAPS = 8  # longest factor walked directly: that cost grows with taps, an FFT's does not
+DIRECT_TAPS = 8  # longest factor walked directly (measured crossover): its cost grows with taps
 _FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"  # numpy.fft takes out= from 2.0
 
 
@@ -135,8 +135,8 @@ class FilterBank:
         valid until the next yield, which may reuse its buffer. Consecutive bands with
         the same leading factors share one pass along the leading axes. A bank with at
         most DIRECT_TAPS taps per factor is walked by direct correlation, any other by
-        FFT. When every band's taps have one magnitude c (the Haar frame),
-        only powers 1 and 2 are correlated: taps^p = c^(p - b) taps^b, b = 1 (odd p) or 2.
+        FFT. When every band's taps have one magnitude c (the Haar frame), only powers
+        1 and 2 are correlated: taps^p = c^(p - b) taps^b, b = 1 (odd p) or 2.
         """
         y = np.asarray(y, dtype=np.float64)
         self._check_size(y.shape)
