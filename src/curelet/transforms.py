@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 DIRECT_TAPS = 8  # longest factor walked directly (measured crossover): its cost grows with taps
-_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"  # numpy.fft takes out= from 2.0
 
 
 def _tap_spectra(factors, powers, shape, axes=None) -> np.ndarray:
@@ -60,14 +59,6 @@ def _tap_spectra(factors, powers, shape, axes=None) -> np.ndarray:
     return spectra
 
 
-def _fft_into(transform, a, axis, out) -> None:
-    """out = transform(a, axis=axis), computed in out where numpy.fft takes out=."""
-    if _FFT_OUT:
-        transform(a, axis=axis, out=out)
-    else:
-        out[...] = transform(a, axis=axis)
-
-
 def _parseval_weight(shape) -> np.ndarray:
     """sqrt(w / N) over the last axis of a real field's half spectrum: w = 2,
     but 1 on the DC and (even last axis) Nyquist columns, which have no mirror."""
@@ -76,7 +67,7 @@ def _parseval_weight(shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Band:
-    """One analysis band: 1-D tap factors, synthesis gain, and metadata.
+    """One analysis band: 1-D tap factors, synthesis gain, kind and label.
 
     The taps are the outer product of factors (one 1-D array per axis);
     the synthesis taps are ``synth_gain * taps`` (adjoint-scaled frame), so
@@ -86,7 +77,6 @@ class Band:
     factors: tuple
     synth_gain: float
     kind: str  # "lowpass" | "highpass"
-    level: int
     label: str
 
     @property
@@ -101,15 +91,15 @@ class Band:
 class FilterBank:
     """Undecimated analysis/synthesis filterbank over full-size bands.
 
-    bands[0] is the lowpass (bias-carrying) band. Every analysis quantity
-    is a per-band correlation of the image with a power of the band's
-    taps, and walk streams them one band at a time, each valid until the next
-    (directly for factors of at most DIRECT_TAPS taps, else by FFT). Synthesis
-    convolves a coefficient field (or a stack) with ``synth_gain * taps``:
-    synthesis_rows gives it as Parseval rows and field_of_rows inverts rows.
-    Kernel spectra come from the bands' 1-D factors (_tap_spectra). A bank
-    caches nothing, so it is safe to share. The per-band analysis and full
-    synthesis references live in tests/oracles.py.
+    bands[0] is the lowpass (bias-carrying) band. Every analysis quantity is
+    a per-band correlation of the image with a power of the band's taps, and
+    walk streams them one band at a time, each valid until the next (directly
+    for factors of at most DIRECT_TAPS taps, else by one inverse FFT per band).
+    Synthesis convolves a coefficient field (or a stack) with ``synth_gain *
+    taps``: synthesis_rows gives it as Parseval rows and field_of_rows inverts
+    rows. Kernel spectra come from the bands' 1-D factors (_tap_spectra). A
+    bank caches nothing, so it is safe to share. The per-band analysis and
+    full synthesis references live in tests/oracles.py.
     """
 
     def __init__(self, name: str, bands):
@@ -132,11 +122,12 @@ class FilterBank:
 
         Each yielded array has shape (len(powers), *y.shape); row k is the periodic
         correlation out[n] = sum_m taps[m] ** powers[k] * y[(n + m) mod shape]. It is
-        valid until the next yield, which may reuse its buffer. Consecutive bands with
-        the same leading factors share one pass along the leading axes. A bank with at
-        most DIRECT_TAPS taps per factor is walked by direct correlation, any other by
-        FFT. When every band's taps have one magnitude c (the Haar frame), only powers
-        1 and 2 are correlated: taps^p = c^(p - b) taps^b, b = 1 (odd p) or 2.
+        valid until the next yield, which may reuse its buffer. A bank with at most
+        DIRECT_TAPS taps per factor is walked by direct correlation, where consecutive
+        bands with the same leading factors share one pass along the leading axis; any
+        other bank by one rfftn of y and one irfftn per band. When every band's taps
+        have one magnitude c (the Haar frame), only powers 1 and 2 are correlated:
+        taps^p = c^(p - b) taps^b, b = 1 (odd p) or 2.
         """
         y = np.asarray(y, dtype=np.float64)
         self._check_size(y.shape)
@@ -144,10 +135,8 @@ class FilterBank:
         if set(base) - {1, 2} and all(np.ptp(np.abs(b.taps)) == 0 for b in self.bands):
             pick, picked = [2 - p % 2 for p in powers], np.empty((len(powers),) + y.shape)
             base, exps = sorted(set(pick)), np.subtract(powers, pick).reshape((-1,) + (1,) * y.ndim)
-        groups = [[*g] for _, g in groupby(self.bands,
-                                           lambda b: [f.tobytes() for f in b.factors[:-1]])]
         direct = all(len(f) <= DIRECT_TAPS for b in self.bands for f in b.factors)
-        for band, corr in zip(self.bands, (_direct_walk if direct else _fft_walk)(y, groups, base)):
+        for band, corr in zip(self.bands, (_direct_walk if direct else _fft_walk)(y, self.bands, base)):
             if pick is not None:
                 corr = np.take(corr, [base.index(b) for b in pick], 0, picked, "clip")
                 corr *= np.abs(band.taps).flat[0] ** exps
@@ -158,15 +147,15 @@ class FilterBank:
         along leading axes (for i None, the fields themselves), as real rows
         with the same dot products: the half spectrum rfftn(coeffs) times
         the band's kernel spectrum and _parseval_weight, viewed as reals
-        (Parseval). out, if given, receives them; the transforms run in it,
-        and each axis's 1-D kernel multiplies it in place."""
+        (Parseval). out, if given, receives them; the transforms run in it
+        (numpy.fft's out=), and each axis's 1-D kernel multiplies it in place."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
         lead = coeffs.ndim - len(self.bands[0].factors)
         shape, half = coeffs.shape[lead:], coeffs.shape[:-1] + (coeffs.shape[-1] // 2 + 1,)
         dest = np.empty(half, complex) if out is None else out.view(np.complex128).reshape(half)
-        _fft_into(np.fft.rfft, coeffs, -1, dest)
+        np.fft.rfft(coeffs, out=dest)
         for axis in range(lead, coeffs.ndim - 1):
-            _fft_into(np.fft.fft, dest, axis, dest)
+            np.fft.fft(dest, axis=axis, out=dest)
         band, last = None if i is None else self.bands[i], len(shape) - 1
         for axis in range(last) if band else ():
             dest *= _tap_spectra(band.factors, (1,), shape, [axis])[0]
@@ -182,15 +171,12 @@ class FilterBank:
         return np.fft.irfftn(spectrum / _parseval_weight(shape), s=shape, axes=range(-len(shape), 0))
 
 
-def _fft_walk(y, groups, powers):
-    """FilterBank.walk by FFT: one transform of y, one inverse per group and per band."""
-    y_fft, (*lead, last) = np.fft.rfftn(y), range(y.ndim)
-    for group in groups:
-        stack = np.fft.ifftn(y_fft * np.conj(_tap_spectra(group[0].factors, powers, y.shape, lead)),
-                             axes=[1 + a for a in lead])
-        for band in group:
-            yield np.fft.irfft(stack * np.conj(_tap_spectra(band.factors, powers, y.shape, [last])),
-                               n=y.shape[-1])
+def _fft_walk(y, bands, powers):
+    """FilterBank.walk by FFT: one transform of y, one inverse per band."""
+    y_fft, axes = np.fft.rfftn(y), range(1, y.ndim + 1)
+    for band in bands:
+        yield np.fft.irfftn(y_fft * np.conj(_tap_spectra(band.factors, powers, y.shape)),
+                            s=y.shape, axes=axes)
 
 
 def _correlate(taps, field, axis, shifted, out) -> None:
@@ -201,14 +187,15 @@ def _correlate(taps, field, axis, shifted, out) -> None:
         np.matmul(taps, shifted[:taps.shape[-1], a:a + 8192], out=out[..., a:a + 8192])
 
 
-def _direct_walk(y, groups, powers):
-    """FilterBank.walk on a 1-D or 2-D field: per group, one matmul of the
-    leading factor's powers over row-shifted copies of y, then per power one
-    (bands x taps) @ (taps x pixels) matmul over column-shifted copies of that.
+def _direct_walk(y, bands, powers):
+    """FilterBank.walk on a 1-D or 2-D field: per group (run of bands with equal leading
+    factors), one matmul of that factor's powers over row-shifted copies of y, then per
+    power one (bands x taps) @ (taps x pixels) matmul over column-shifted copies of that.
     Buffer rows lie 64 doubles apart, so rows read together share no cache set."""
+    groups = [[*g] for _, g in groupby(bands, lambda b: [f.tobytes() for f in b.factors[:-1]])]
     p, field = np.reshape(powers, (-1, 1)), y.reshape(-1, y.shape[-1])
     shifted, led, out = (np.empty(shape + (y.size + 64,))[..., :y.size] for shape in [
-        (max(len(f) for g in groups for b in g for f in b.factors),), (len(p),),
+        (max(len(f) for b in bands for f in b.factors),), (len(p),),
         (len(p), max(map(len, groups)))])
     for group in groups:
         f = group[0].factors[0] if y.ndim == 2 else np.ones(1)  # a 1-D field leads with itself
@@ -238,12 +225,12 @@ def haar_uwt_bank(levels: int, ndim: int = 2) -> FilterBank:
     details = [np.repeat([-1.0, 1.0], 2 ** (j - 1)) / 2 ** (j / 2) for j in range(1, levels + 1)]
     lows = [np.ones(2 ** j) / 2 ** (j / 2) for j in range(1, levels + 1)]  # cumulative, like details
     if ndim == 1:
-        bands = [Band((lows[-1],), 2.0 ** -levels, "lowpass", levels, "low")]
-        bands += [Band((d,), 2.0 ** -j, "highpass", j, f"d{j}") for j, d in enumerate(details, 1)]
+        bands = [Band((lows[-1],), 2.0 ** -levels, "lowpass", "low")]
+        bands += [Band((d,), 2.0 ** -j, "highpass", f"d{j}") for j, d in enumerate(details, 1)]
     else:
-        bands = [Band((lows[-1],) * 2, 4.0 ** -levels, "lowpass", levels, "low")]
+        bands = [Band((lows[-1],) * 2, 4.0 ** -levels, "lowpass", "low")]
         for j, d, l in zip(range(1, levels + 1), details, lows):
-            bands += [Band(f, 4.0 ** -j, "highpass", j, f"{o}{j}")
+            bands += [Band(f, 4.0 ** -j, "highpass", f"{o}{j}")
                       for o, f in (("lh", (d, l)), ("hl", (l, d)), ("hh", (d, d)))]
     return FilterBank(f"haar-uwt-J{levels}-{ndim}d", bands)
 
@@ -260,12 +247,12 @@ def bdct8_bank() -> FilterBank:
     basis = np.cos(np.pi * (2 * n[None, :] + 1) * n[:, None] / 16)
     basis[0] *= np.sqrt(1 / 8)
     basis[1:] *= np.sqrt(2 / 8)  # rows now orthonormal DCT-II vectors
-    bands = [Band((basis[0], basis[0]), 1 / 64, "lowpass", 0, "dc")]
+    bands = [Band((basis[0], basis[0]), 1 / 64, "lowpass", "dc")]
     for u in range(8):
         for v in range(8):
             if u == 0 and v == 0:
                 continue
-            bands.append(Band((basis[u], basis[v]), 1 / 64, "highpass", 0, f"ac{u}{v}"))
+            bands.append(Band((basis[u], basis[v]), 1 / 64, "highpass", f"ac{u}{v}"))
     return FilterBank("bdct8", bands)
 
 

@@ -5,7 +5,8 @@ Each holds in exact arithmetic, so rounding leaves ~1e-14 relative, while
 a swapped axis, a mislabeled orientation or a roll in the wrong direction
 deviates at O(1e-3) or more. The data is one piecewise 64x64 chi-square
 draw; the pyramid denoisers are rolled by multiples of 2^J only, since
-their decimation fixes a grid.
+their decimation fixes a grid. The J=4 filterbank cases take the FFT walk,
+the J=3 ones the direct walk.
 """
 
 from functools import partial
@@ -22,7 +23,9 @@ REL = 1e-12
 SIZE, SIGMA, J = 64, 20.0, 3
 
 UWT = {transform: partial(uwt_curelet_denoise, K=2.0, transform=transform, J=J)
-       for transform in ("haar-uwt", "bdct", "mixed")}
+       for transform in ("haar-uwt", "bdct", "mixed")} | {
+    f"{transform}-J4": partial(uwt_curelet_denoise, K=2.0, transform=transform, J=4)
+    for transform in ("haar-uwt", "mixed")}
 PYRAMID = {**{f"haar-cs{n}": partial(haar_curelet_denoise, K=2.0, J=J, spins=n)
               for n in SPIN_COUNTS},
            "cureshrink": partial(cureshrink_denoise, K=2.0, J=J)}

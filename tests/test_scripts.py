@@ -17,6 +17,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ("spin_sweep.py", ["--size", "32", "--sigmas", "20", "--seeds", "1", "--levels", "2"],
      "spins=16"),
     ("threshold_curve.py", ["--size", "32", "--steps", "5", "--level", "2"], "risk_estimate"),
+    ("walk_crossover.py", ["--sizes", "16", "10x9", "--repeats", "1"], "fft/direct"),
 ])
 def test_script_main_runs(script, argv, header, capsys):
     main = runpy.run_path(str(SCRIPTS / script))["main"]

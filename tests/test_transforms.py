@@ -276,12 +276,11 @@ def test_band_synthesis_is_scaled_adjoint_and_stacks(bank):
             np.testing.assert_allclose(stacked[k], single, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("fft_out", [True, False], ids=["transforms-in-out", "transforms-copied"])
-@pytest.mark.parametrize("bank", [tr.bdct8_bank(), tr.haar_uwt_bank(2, ndim=1)], ids=["bdct8", "haar-1d"])
-def test_synthesis_rows_are_the_weighted_kernel_product(bank, fft_out, monkeypatch):
+@pytest.mark.parametrize("bank", [tr.bdct8_bank(), tr.haar_uwt_bank(2, ndim=1)],
+                         ids=["bdct8-transforms-in-out", "haar-1d-transforms-in-out"])
+def test_synthesis_rows_are_the_weighted_kernel_product(bank):
     # rows are rfftn(coeffs) times the band's kernel spectrum and the Parseval
-    # weight, whether the transforms run in out (numpy >= 2) or are copied in
-    monkeypatch.setattr(tr, "_FFT_OUT", fft_out and tr._FFT_OUT)
+    # weight, computed in out when one is given
     shape = (12, 10)[: len(bank.bands[0].factors)]
     z = np.random.default_rng(17).normal(size=(3,) + shape)
     for i in (None, 0, len(bank.bands) - 1):
@@ -335,11 +334,15 @@ def direct_periodic_correlations(taps, powers, y):
     return out
 
 
-@pytest.mark.parametrize("bank", SEPARABLE_BANKS.values(), ids=SEPARABLE_BANKS.keys())
+WALKED_BANKS = SEPARABLE_BANKS | {f"haar-J4-{nd}d": tr.haar_uwt_bank(4, ndim=nd) for nd in (1, 2)}
+
+
+@pytest.mark.parametrize("bank", WALKED_BANKS.values(), ids=WALKED_BANKS.keys())
 def test_walk_matches_direct_periodic_correlation(bank):
+    # bdct8 and Haar J <= 3 take the direct walk, Haar J = 4 (16 taps) the FFT walk
     rng = np.random.default_rng(29)
-    ndim = len(bank.bands[0].factors)
-    for shape in [(37,)] if ndim == 1 else [(12, 10), (117, 93)]:
+    ndim, support = len(bank.bands[0].factors), len(bank.bands[0].factors[0])
+    for shape in [(37,)] if ndim == 1 else [(12, 10) if support <= 10 else (20, 18), (117, 93)]:
         y = rng.normal(size=shape)
         for powers in [(1, 2, 3, 4, 5), (2,)]:
             for band, corr in zip(bank.bands, bank.walk(y, powers)):
@@ -370,17 +373,16 @@ def test_walk_engines_agree(bank, monkeypatch):
                     err_msg=f"{band.label}, power {p}, at {y.shape}")
 
 
-@pytest.mark.parametrize("bank, passes, direct", [(tr.bdct8_bank(), 8, True),
-                                                  (tr.haar_uwt_bank(3), 10, True),
-                                                  (tr.haar_uwt_bank(4), 13, False)],
+@pytest.mark.parametrize("bank, groups", [(tr.bdct8_bank(), 8), (tr.haar_uwt_bank(3), 10),
+                                          (tr.haar_uwt_bank(4), 13)],
                          ids=["bdct8", "haar-J3-2d", "haar-J4-2d"])
-def test_walk_shares_leading_axis_inverse_transforms(bank, passes, direct, monkeypatch):
-    # bdct8 and Haar J <= 3 (at most DIRECT_TAPS taps per factor) are walked
-    # directly, with no transform. The FFT walk (Haar J = 4, or any bank with
-    # DIRECT_TAPS = 0) makes one leading-axis inverse transform per run of
-    # bands with the same leading factor: bdct8's bands run u-major, so its
-    # 64 bands make 8; consecutive Haar bands never share theirs
-    calls = {"ifftn": 0, "irfft": 0}
+def test_walk_shares_leading_axis_inverse_transforms(bank, groups, monkeypatch):
+    # the direct walk (factors of at most DIRECT_TAPS taps: bdct8, Haar J <= 3)
+    # makes one leading-axis correlation per run of bands with the same leading
+    # factor: bdct8's bands run u-major, so its 64 bands make 8; consecutive
+    # Haar bands never share theirs. The FFT walk (Haar J = 4, or any bank with
+    # DIRECT_TAPS = 0) makes one irfftn per band and no other inverse transform
+    calls = {"irfftn": 0, "ifftn": 0, "irfft": 0, "axis-0": 0}
 
     def counting(name):
         inner = getattr(np.fft, name)
@@ -390,8 +392,15 @@ def test_walk_shares_leading_axis_inverse_transforms(bank, passes, direct, monke
             return inner(*args, **kwargs)
         return wrapped
 
-    for name in calls:
+    correlate = tr._correlate
+
+    def correlating(taps, field, axis, shifted, out):
+        calls["axis-0"] += axis == 0
+        correlate(taps, field, axis, shifted, out)
+
+    for name in ("irfftn", "ifftn", "irfft"):
         monkeypatch.setattr(np.fft, name, counting(name))
+    monkeypatch.setattr(tr, "_correlate", correlating)
     y = np.random.default_rng(3).normal(size=(64, 64))
 
     def walked():
@@ -399,10 +408,14 @@ def test_walk_shares_leading_axis_inverse_transforms(bank, passes, direct, monke
         assert sum(1 for _ in bank.walk(y, range(1, 6))) == len(bank.bands)
         return dict(calls)
 
-    fft = {"ifftn": passes, "irfft": len(bank.bands)}
-    assert walked() == ({"ifftn": 0, "irfft": 0} if direct else fft)
+    fft = {"irfftn": len(bank.bands), "ifftn": 0, "irfft": 0, "axis-0": 0}
+    direct = {"irfftn": 0, "ifftn": 0, "irfft": 0, "axis-0": groups}
+    long = max(len(f) for band in bank.bands for f in band.factors) > tr.DIRECT_TAPS
+    assert walked() == (fft if long else direct)
     monkeypatch.setattr(tr, "DIRECT_TAPS", 0)
     assert walked() == fft
+    monkeypatch.setattr(tr, "DIRECT_TAPS", 16)
+    assert walked() == direct
 
 
 @pytest.mark.parametrize("bank", [tr.haar_uwt_bank(J, ndim=nd) for J in (3, 4) for nd in (2, 1)],
@@ -410,28 +423,24 @@ def test_walk_shares_leading_axis_inverse_transforms(bank, passes, direct, monke
 def test_walk_transforms_two_power_rows_per_haar_band(bank, monkeypatch):
     # every Haar-frame tap has one magnitude c per band, so taps^3..5 are
     # c^2 taps, c^2 taps^2 and c^4 taps: either engine correlates 2 power
-    # rows, and each inverse transform of the FFT walk (J = 4) sees 2 rows
-    rows = {"ifftn": [], "irfft": []}
+    # rows, and each irfftn of the FFT walk (J = 4) sees 2 rows
+    rows = []
     asked = []
+    irfftn = np.fft.irfftn
 
-    def recording(name):
-        inner = getattr(np.fft, name)
-
-        def wrapped(a, *args, **kwargs):
-            rows[name].append(len(a))
-            return inner(a, *args, **kwargs)
-        return wrapped
+    def recording(a, *args, **kwargs):
+        rows.append(len(a))
+        return irfftn(a, *args, **kwargs)
 
     def spying(name):
         engine = getattr(tr, name)
 
-        def spy(y, groups, powers):
+        def spy(y, bands, powers):
             asked.append((name, list(powers)))
-            return engine(y, groups, powers)
+            return engine(y, bands, powers)
         return spy
 
-    for name in rows:
-        monkeypatch.setattr(np.fft, name, recording(name))
+    monkeypatch.setattr(np.fft, "irfftn", recording)
     for name in ("_direct_walk", "_fft_walk"):
         monkeypatch.setattr(tr, name, spying(name))
     shape = (64, 64)[: len(bank.bands[0].factors)]
@@ -439,6 +448,4 @@ def test_walk_transforms_two_power_rows_per_haar_band(bank, monkeypatch):
     assert all(corr.shape == (5,) + shape for corr in bank.walk(y, range(1, 6)))
     fft = max(len(f) for band in bank.bands for f in band.factors) > tr.DIRECT_TAPS
     assert asked == [("_fft_walk" if fft else "_direct_walk", [1, 2])]
-    # a 1-D bank has no leading axis to refresh: its one ifftn is the first
-    assert rows["ifftn"] == [2] * (len(bank.bands) if len(shape) == 2 else 1) * fft
-    assert rows["irfft"] == [2] * len(bank.bands) * fft
+    assert rows == [2] * len(bank.bands) * fft
