@@ -246,17 +246,21 @@ def _piecewise(size: int) -> np.ndarray:
     return np.clip(img, 0.0, 255.0)
 
 
-def make_phantom(kind: str, size: int) -> np.ndarray:
-    """Deterministic clean magnitude image with values in [0, 255]."""
+def _phantom_shape(kind: str, size: int) -> tuple:
+    """The shape of make_phantom(kind, size), once its arguments pass its checks."""
     if size < 32:
         raise ValueError("phantom size must be at least 32")
+    if kind not in ("constant", "shepp-logan", "piecewise"):
+        raise ValueError(f"unknown phantom kind {kind!r}")
+    return (size, size)
+
+
+def make_phantom(kind: str, size: int) -> np.ndarray:
+    """Deterministic clean magnitude image with values in [0, 255]."""
+    _phantom_shape(kind, size)
     if kind == "constant":
         return np.full((size, size), 128.0)
-    if kind == "shepp-logan":
-        return _shepp_logan(size)
-    if kind == "piecewise":
-        return _piecewise(size)
-    raise ValueError(f"unknown phantom kind {kind!r}")
+    return _shepp_logan(size) if kind == "shepp-logan" else _piecewise(size)
 
 
 # ----------------------------------------------------------------- denoising
@@ -348,7 +352,7 @@ class ExperimentProtocol:
             if len(set(values)) != len(values):
                 raise ValueError(f"protocol repeats a {name}: {tuple(values)}")
         _check_blend(self.lam)
-        _check_levels(make_phantom(self.phantom, self.size).shape, self.J)
+        _check_levels(_phantom_shape(self.phantom, self.size), self.J)
 
 
 def _max_workers(n_jobs: int) -> int:
@@ -379,11 +383,11 @@ def _mc_single(mu, protocol, method, sig, seed):
 def monte_carlo_experiment(protocol: ExperimentProtocol) -> list[dict]:
     """Mean and standard error of every metric per (method, sigma) cell.
 
-    Runs are independent and pure, so they fan out over a thread pool
-    (numpy releases the GIL in the heavy kernels); CURE_THREADS caps the
-    pool. Results are keyed, not appended, so scheduling cannot change
-    the table. cure and mse are both x-domain quantities: their means
-    converge to each other by unbiasedness.
+    Runs are independent and pure, so they fan out over a thread pool,
+    which overlaps them only while numpy calls hold no GIL (hence the
+    filterbank's band stacks); CURE_THREADS caps the pool. Results are
+    keyed, not appended, so scheduling cannot change the table. cure and
+    mse are both x-domain quantities: their means converge by unbiasedness.
     """
     protocol.validate()
     mu = make_phantom(protocol.phantom, protocol.size)

@@ -8,16 +8,16 @@ K_j). A band's divergence dots theta's partials with five correlation
 fields (BandDivergenceFields); shrinkage's fused ramp-atom kernel folds
 them into a few fields per carrier, for every atom of all three
 estimator families, and never forms a partial field. The fields have
-two layouts, one constructor each: of_band for a filterbank band
-(correlations of y with the taps to the powers 2..5, scaled by the
-synthesis gain; no operator matrices) and of_subband for a Haar DWT
-subband, whose s doubles as the variance channel: (s - K_j/2, w, w, w,
-s). That layout holds for any subband whose coefficient is a +-1
-combination of a disjoint block of input samples summing to s (the 2-D
-LH/HL/HH bands, K_j = 4^j K); the risk's expectation then equals the
-subband's mean squared error. The evaluators the tests trust as
-references, atoms with all six partials included, live in
-tests/oracles.py.
+two layouts, one constructor each: of_band for a stack of filterbank
+bands (the walk's correlations of y with the taps to the powers 2..5,
+per unit synthesis gain, which scales the divergence instead; no
+operator matrices) and of_subband for a Haar DWT subband, whose s
+doubles as the variance channel: (s - K_j/2, w, w, w, s). That layout
+holds for any subband whose coefficient is a +-1 combination of a
+disjoint block of input samples summing to s (the 2-D LH/HL/HH bands,
+K_j = 4^j K); the risk's expectation then equals the subband's mean
+squared error. The evaluators the tests trust as references, atoms with
+all six partials included, live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .transforms import Band
 
 __all__ = [
     "RiskReport",
@@ -71,21 +69,21 @@ class BandDivergenceFields:
     z12: np.ndarray
 
     @classmethod
-    def of_band(cls, band: Band, K: float, corr, out=None) -> "BandDivergenceFields":
-        """Fields of a band with analysis taps d and synthesis taps g*d.
+    def of_band(cls, bands, K: float, corr, out=None) -> "BandDivergenceFields":
+        """Fields of a stack of bands with analysis taps d, per unit synthesis gain.
 
-        corr holds the correlations of y with d^p for p = 2..5 (d^2 are
-        the variance taps). The divergence sums need them scaled by g;
-        correlation is linear, so the (y - K/2) variants subtract K/2
-        times the kernel sum. out, a (5, *shape) stack, receives the fields.
+        corr, a (4, items, *field) stack, holds the correlations of y with
+        d^p for p = 2..5 (d^2 are the variance taps), and they are the
+        fields. Correlation is linear, so the (y - K/2) variants subtract
+        K/2 times the kernel sum: z1 in place in corr[0], z2 into out, if
+        given. A band with synthesis taps g*d contributes g times these
+        fields' divergence, which is linear in them.
         """
-        g = band.synth_gain
-        z = np.empty((5,) + np.shape(corr[0])) if out is None else out
-        np.multiply(corr[0], g, out=z[0])
-        np.multiply(corr[1:], g, out=z[2:])  # z11, z12, z22
-        z[0] -= 0.5 * K * g * float((band.taps ** 2).sum())
-        np.subtract(z[2], 0.5 * K * g * float((band.taps ** 3).sum()), out=z[1])
-        return cls(z1=z[0], z2=z[1], z11=z[2], z22=z[4], z12=z[3])
+        shifts = [0.5 * K * np.reshape([float((b.taps ** p).sum()) for b in bands],
+                                       (-1,) + (1,) * (np.ndim(corr[0]) - 1)) for p in (2, 3)]
+        z1 = np.subtract(corr[0], shifts[0], out=corr[0])
+        z2 = np.subtract(corr[1], shifts[1], out=out)
+        return cls(z1=z1, z2=z2, z11=corr[1], z22=corr[3], z12=corr[2])
 
     @classmethod
     def of_subband(cls, w, s, K_j: float) -> "BandDivergenceFields":

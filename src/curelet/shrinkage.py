@@ -12,8 +12,8 @@ with all six partials, are in tests/oracles.py.
 Three denoisers:
 
 * uwt_curelet_denoise: pointwise shrinkage atoms per undecimated band
-  (Haar frame, overlapping block DCT, or both pooled), built band by band
-  and kept only as Parseval rows of their synthesis; weights solved
+  (Haar frame, overlapping block DCT, or both pooled), built in stacks of
+  bands and kept only as Parseval rows of their synthesis; weights solved
   globally from those rows' dot products, which are the image domain's.
 * cureshrink_denoise: per-subband soft thresholding in the unnormalized
   Haar DWT (_denoise_pyramid), threshold a sqrt(s), a picked by risk
@@ -126,17 +126,16 @@ def _keep_ratio(w, v, eps=None, work=None):
     r_wv)) with r_vv = 0, in work's buffers (_buffers); eps is
     _inverse_energy's, per item by default. r_ww is nan where w^2 overflows.
     """
-    w2, iq, r, r_wv, r_w, r_ww = _buffers(work, "keep", 6, np.shape(w))
-    _inverse_energy(np.square(w, out=w2), eps, out=iq)
+    r_ww, iq, r, r_wv, r_w = _buffers(work, "keep", 5, np.shape(w))
+    _inverse_energy(np.square(w, out=r_ww), eps, out=iq)  # r_ww holds w^2 until it is formed
     np.multiply(v, iq, out=r)
+    np.multiply(8.0, r_ww, out=r_ww)  # r_ww = (8 w^2 iq - 2) r iq
+    r_ww *= iq
+    r_ww -= 2.0
+    r_ww *= np.multiply(r, iq, out=r_w)  # r_w holds r iq until it is formed
     np.multiply(-2.0, w, out=r_wv)  # r_wv = -2 w iq^2
     r_wv *= np.square(iq, out=r_w)
     np.multiply(v, r_wv, out=r_w)
-    np.multiply(8.0, w2, out=w2)  # r_ww = r iq (8 w2 iq - 2)
-    w2 *= iq
-    w2 -= 2.0
-    np.multiply(r, iq, out=r_ww)
-    r_ww *= w2
     return r, (r_w, iq, r_ww, 0.0, r_wv)
 
 
@@ -334,19 +333,20 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
                         lambdas=LAMBDAS):
     """Risk-optimal linear expansion over undecimated-band atoms.
 
-    One walk over the bands of each bank. A band's correlations with its
-    taps to the powers 1..5 are its coefficients, its variance channel
-    and (2..5) its divergence fields. A lowpass band gets one bias atom,
-    w - tap_sum K, which synthesizes to the unbiased lowpass of x; a
-    highpass band gets one keep-factor atom per lambda, thetas and
-    divergences from one fused pass (_fused_atoms, carrier w) in buffers
-    that every band reuses. The band's thetas become their rows of one
-    matrix of Parseval rows (FilterBank.synthesis_rows); nothing else of
-    the band outlives it. _fit_expansion solves the weights on those rows,
-    one inverse transform gives the estimate of x, and cure_expression
-    scores its residual. "mixed" pools the Haar-frame and block-DCT atoms
-    into one joint system. The report's per_band maps "<bank>/<band>:bias"
-    and "<bank>/<band>:l<lambda>" to the atom's weight.
+    One walk over the bands of each bank, in stacks (FilterBank.walk). A
+    band's correlations with its taps to the powers 1..5 are its
+    coefficients, its variance channel and (2..5) its divergence fields,
+    per unit synthesis gain. A lowpass band gets one bias atom, w - tap_sum
+    K, which synthesizes to the unbiased lowpass of x; a highpass band gets
+    one keep-factor atom per lambda, thetas and divergences from one fused
+    pass per stack (_fused_atoms, carrier w) in buffers every stack reuses.
+    A stack's thetas become their rows of one matrix of Parseval rows
+    (FilterBank.synthesis_rows), its divergences times the gains their
+    entries of div; nothing else of the stack outlives it. _fit_expansion
+    solves the weights on those rows, one inverse transform gives the
+    estimate of x, and cure_expression scores its residual. "mixed" pools
+    the Haar-frame and block-DCT atoms into one joint system. per_band maps
+    "<bank>/<band>:bias" and "<bank>/<band>:l<lambda>" to the atom's weight.
     """
     y = _checked_data(y, K)
     lambdas = _checked_lambdas(lambdas)
@@ -365,23 +365,29 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
     rows = np.empty((n_atoms, target.size))
     div, labels, work = np.empty(n_atoms), [], {}
     for bank in banks:
-        for i, (band, corr) in enumerate(zip(bank.bands, bank.walk(y, range(1, 6)))):
-            fields = BandDivergenceFields.of_band(  # a stack of one field
-                band, K, corr[1:, None], _buffers(work, "fields", 1, (5, 1) + y.shape)[0])
-            name = f"{bank.name}/{band.label}"
-            if band.kind == "lowpass":
-                thetas, band_div = (corr[0] - band.tap_sum * K)[None], [fields.z1.sum()]
-                labels.append(f"{name}:bias")
+        spectra = bank.kernel_spectra(y.shape)
+        for indices, corr in bank.walk(y, range(1, 6)):
+            stack = [bank.bands[i] for i in indices]
+            if stack[0].kind == "lowpass":
+                fields = BandDivergenceFields.of_band(stack, K, corr[1:])
+                tap_sums = np.reshape([band.tap_sum for band in stack], (-1,) + (1,) * y.ndim)
+                thetas, tags = (corr[0] - tap_sums * K)[:, None], [":bias"]
+                divs = [[z.sum()] for z in fields.z1]
             else:
-                thetas, band_div = (t[0, 0] for t in _fused_atoms(  # stacks of one: corr[:1]
-                    _UNIT, _keep_ratio(corr[:1], corr[1:2], work=work), [(corr[:1], 1.0, 0.0)],
-                    fields, work)(kappas))
-                if not np.isfinite(band_div).all():
-                    raise ValueError(f"divergence of band {name} is not finite")
-                labels.extend(f"{name}:l{lam:g}" for lam in lambdas)
-            at = slice(len(labels) - len(thetas), len(labels))
-            div[at] = band_div
-            bank.synthesis_rows(i, thetas, out=rows[at])
+                ratio = _keep_ratio(corr[0], corr[1], work=work)  # before of_band shifts corr[1]
+                fields = BandDivergenceFields.of_band(
+                    stack, K, corr[1:], _buffers(work, "z2", 1, corr.shape[1:])[0])
+                thetas, divs = (t[:, 0] for t in _fused_atoms(
+                    _UNIT, ratio, [(corr[0], 1.0, 0.0)], fields, work)(kappas))
+                tags = [f":l{lam:g}" for lam in lambdas]
+            divs = np.multiply(divs, [[band.synth_gain] for band in stack])
+            bad = [band.label for band, d in zip(stack, divs) if not np.isfinite(d).all()]
+            if bad:
+                raise ValueError(f"divergence of band {bank.name}/{bad[0]} is not finite")
+            labels += [f"{bank.name}/{band.label}{tag}" for band in stack for tag in tags]
+            at = slice(len(labels) - divs.size, len(labels))
+            div[at] = divs.ravel()
+            bank.synthesis_rows(indices, thetas, out=rows[at], spectra=spectra)
     (a,), (combined,) = _fit_expansion(rows[None], target[None], div[None])
     estimate = FilterBank.field_of_rows(combined, y.shape)
     cure = cure_expression(estimate - (y - K), float(a @ div), y - K / 2)

@@ -44,15 +44,15 @@ __all__ = [
 ]
 
 DIRECT_TAPS = 8  # longest factor walked directly (measured crossover): its cost grows with taps
+BAND_STACK = 1 << 15  # coefficients per stack of walk (measured: 2 bands at 128^2, 1 from 256^2)
 
 
-def _tap_spectra(factors, powers, shape, axes=None) -> np.ndarray:
+def _tap_spectra(factors, powers, shape) -> np.ndarray:
     """rfftn of outer(*factors) ** p zero-embedded in a field of the given
     shape, stacked over powers: the outer product of the 1-D spectra of
-    factors ** p (rfft on the last axis, fft on the others) along axes, or all."""
+    factors ** p (rfft on the last axis, fft on the others)."""
     spectra = np.ones((len(powers),) + (1,) * len(shape))
-    for axis in range(len(shape)) if axes is None else axes:
-        f, n = factors[axis], shape[axis]
+    for axis, (f, n) in enumerate(zip(factors, shape)):
         fft = np.fft.rfft if axis == len(shape) - 1 else np.fft.fft
         spec = fft(np.stack([f ** p for p in powers]), n=n)
         spectra = spectra * np.expand_dims(spec, [1 + a for a in range(len(shape)) if a != axis])
@@ -93,11 +93,11 @@ class FilterBank:
 
     bands[0] is the lowpass (bias-carrying) band. Every analysis quantity is
     a per-band correlation of the image with a power of the band's taps, and
-    walk streams them one band at a time, each valid until the next (directly
+    walk streams them in stacks of bands, each valid until the next (directly
     for factors of at most DIRECT_TAPS taps, else by one inverse FFT per band).
-    Synthesis convolves a coefficient field (or a stack) with ``synth_gain *
-    taps``: synthesis_rows gives it as Parseval rows and field_of_rows inverts
-    rows. Kernel spectra come from the bands' 1-D factors (_tap_spectra). A
+    Synthesis convolves a coefficient field with ``synth_gain * taps``:
+    synthesis_rows gives a stack of bands' as Parseval rows, with the bank's
+    1-D kernel spectra (kernel_spectra), and field_of_rows inverts rows. A
     bank caches nothing, so it is safe to share. The per-band analysis and
     full synthesis references live in tests/oracles.py.
     """
@@ -118,49 +118,69 @@ class FilterBank:
             raise ValueError("image dimensionality does not match the band taps")
 
     def walk(self, y: np.ndarray, powers):
-        """Yield, band by band, the correlations of y with taps ** p.
-
-        Each yielded array has shape (len(powers), *y.shape); row k is the periodic
-        correlation out[n] = sum_m taps[m] ** powers[k] * y[(n + m) mod shape]. It is
-        valid until the next yield, which may reuse its buffer. A bank with at most
-        DIRECT_TAPS taps per factor is walked by direct correlation, where consecutive
-        bands with the same leading factors share one pass along the leading axis; any
-        other bank by one rfftn of y and one irfftn per band. When every band's taps
-        have one magnitude c (the Haar frame), only powers 1 and 2 are correlated:
-        taps^p = c^(p - b) taps^b, b = 1 (odd p) or 2.
-        """
+        """Yield (band indices, correlations of y with their taps ** p), a stack at a time:
+        consecutive bands of one kind (the lowpass band alone), of at most BAND_STACK
+        coefficients unless one band is larger. Row [k, i] of a stack's (len(powers),
+        len(indices), *y.shape) array is the periodic correlation out[n] = sum_m taps[m] **
+        powers[k] * y[(n + m) mod shape] of band indices[i]; the caller may write in it, and
+        the next yield may reuse it. A bank with at most DIRECT_TAPS taps per factor is
+        walked by direct correlation, where consecutive bands with the same leading factors
+        share one pass along the leading axis, whose output their stacks view; any other
+        bank by one rfftn of y and one irfftn per band. When every band's taps have one
+        magnitude c (the Haar frame), only powers 1 and 2 are correlated: taps^p = c^(p - b)
+        taps^b, b = 1 (odd p) or 2, into a stack buffer."""
         y = np.asarray(y, dtype=np.float64)
         self._check_size(y.shape)
-        base, pick = list(powers), None
+        base, pick, picked = list(powers), None, np.empty(0)
         if set(base) - {1, 2} and all(np.ptp(np.abs(b.taps)) == 0 for b in self.bands):
-            pick, picked = [2 - p % 2 for p in powers], np.empty((len(powers),) + y.shape)
+            pick = [2 - p % 2 for p in powers]
             base, exps = sorted(set(pick)), np.subtract(powers, pick).reshape((-1,) + (1,) * y.ndim)
         direct = all(len(f) <= DIRECT_TAPS for b in self.bands for f in b.factors)
-        for band, corr in zip(self.bands, (_direct_walk if direct else _fft_walk)(y, self.bands, base)):
+        for indices, corr in (_direct_walk if direct else _fft_walk)(
+                y, self.bands, base, max(1, BAND_STACK // y.size)):
             if pick is not None:
-                corr = np.take(corr, [base.index(b) for b in pick], 0, picked, "clip")
-                corr *= np.abs(band.taps).flat[0] ** exps
-            yield corr
+                size = len(powers) * corr[0].size
+                picked = picked if picked.size >= size else np.empty(size)  # the largest stack yet
+                corr = np.take(corr, [base.index(b) for b in pick], 0,
+                               picked[:size].reshape((len(powers),) + corr.shape[1:]), "clip")
+                for k, i in enumerate(indices):
+                    corr[:, k] *= np.abs(self.bands[i].taps).flat[0] ** exps
+            yield indices, corr
 
-    def synthesis_rows(self, i, coeffs, out=None) -> np.ndarray:
-        """Band i's synthesis of a coefficient field, or of a stack of them
-        along leading axes (for i None, the fields themselves), as real rows
-        with the same dot products: the half spectrum rfftn(coeffs) times
-        the band's kernel spectrum and _parseval_weight, viewed as reals
-        (Parseval). out, if given, receives them; the transforms run in it
-        (numpy.fft's out=), and each axis's 1-D kernel multiplies it in place."""
+    def kernel_spectra(self, shape) -> list:
+        """Per axis of a field of the given shape, every band's 1-D synthesis kernel
+        spectrum, stacked over bands: the fft of its factor along a leading axis, the
+        rfft along the last, there times synth_gain and _parseval_weight."""
+        spectra = [(np.fft.rfft if axis == len(shape) - 1 else np.fft.fft)(
+            _zero_padded([b.factors[axis] for b in self.bands]), n=n)
+            for axis, n in enumerate(shape)]
+        gains = np.array([[b.synth_gain] for b in self.bands])
+        spectra[-1] = _parseval_weight(shape) * (gains * spectra[-1])
+        return spectra
+
+    def synthesis_rows(self, bands, coeffs, out=None, spectra=None) -> np.ndarray:
+        """The synthesis of a stack of coefficient fields (len(bands), ..., *shape),
+        coeffs[i] by band bands[i] (for bands None, of any stack: the fields
+        themselves), as real rows with the same dot products: the half spectrum
+        rfftn(coeffs) times the bands' kernel_spectra, formed here if spectra does not
+        hold them, or else _parseval_weight, viewed as reals (Parseval). out, if given,
+        receives them; the transforms run in it (numpy.fft's out=), and each axis's
+        kernels multiply it in place."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        lead = coeffs.ndim - len(self.bands[0].factors)
+        ndim = len(self.bands[0].factors)
+        lead = coeffs.ndim - ndim
         shape, half = coeffs.shape[lead:], coeffs.shape[:-1] + (coeffs.shape[-1] // 2 + 1,)
         dest = np.empty(half, complex) if out is None else out.view(np.complex128).reshape(half)
         np.fft.rfft(coeffs, out=dest)
         for axis in range(lead, coeffs.ndim - 1):
             np.fft.fft(dest, axis=axis, out=dest)
-        band, last = None if i is None else self.bands[i], len(shape) - 1
-        for axis in range(last) if band else ():
-            dest *= _tap_spectra(band.factors, (1,), shape, [axis])[0]
-        dest *= _parseval_weight(shape) * (1.0 if band is None else band.synth_gain
-                                           * _tap_spectra(band.factors, (1,), shape, [last])[0])
+        if bands is None:
+            dest *= _parseval_weight(shape)
+        else:
+            spectra = spectra or self.kernel_spectra(shape)
+        for axis, kernels in enumerate(() if bands is None else spectra):
+            dest *= kernels[bands].reshape(
+                (len(bands),) + (1,) * (lead - 1 + axis) + (-1,) + (1,) * (ndim - 1 - axis))
         return dest.view(np.float64).reshape(half[:lead] + (-1,))
 
     @staticmethod
@@ -171,42 +191,62 @@ class FilterBank:
         return np.fft.irfftn(spectrum / _parseval_weight(shape), s=shape, axes=range(-len(shape), 0))
 
 
-def _fft_walk(y, bands, powers):
-    """FilterBank.walk by FFT: one transform of y, one inverse per band."""
-    y_fft, axes = np.fft.rfftn(y), range(1, y.ndim + 1)
-    for band in bands:
-        yield np.fft.irfftn(y_fft * np.conj(_tap_spectra(band.factors, powers, y.shape)),
-                            s=y.shape, axes=axes)
+def _zero_padded(arrays) -> np.ndarray:
+    """The arrays (..., length) stacked on a new first axis, zero-padded to the longest."""
+    out = np.zeros((len(arrays),) + arrays[0].shape[:-1] + (max(a.shape[-1] for a in arrays),))
+    for row, a in zip(out, arrays):
+        row[..., :a.shape[-1]] = a
+    return out
+
+
+def _stacks(indices, bands, n):
+    """The indices of bands, in runs of one kind cut into stacks of at most n."""
+    for _, run in groupby(indices, lambda i: bands[i].kind):
+        run = [*run]
+        yield from (run[k:k + n] for k in range(0, len(run), n))
+
+
+def _fft_walk(y, bands, powers, n):
+    """FilterBank.walk by FFT: one transform of y, one inverse per band into its stack."""
+    y_fft, out = np.fft.rfftn(y), np.empty((len(powers), n) + y.shape)
+    for stack in _stacks(range(len(bands)), bands, n):
+        for k, i in enumerate(stack):
+            np.fft.irfftn(y_fft * np.conj(_tap_spectra(bands[i].factors, powers, y.shape)),
+                          s=y.shape, axes=range(-y.ndim, 0), out=out[:, k])
+        yield stack, out[:, :len(stack)]
 
 
 def _correlate(taps, field, axis, shifted, out) -> None:
     """out = taps @ shifted, row m the field rolled by -m along axis, in cache-sized blocks."""
+    along = field.swapaxes(0, axis)
     for m in range(taps.shape[-1]):
-        np.concatenate(np.split(field, [m], axis)[::-1], axis, out=shifted[m].reshape(field.shape))
+        rolled, rest = shifted[m].reshape(field.shape).swapaxes(0, axis), len(along) - m
+        rolled[:rest], rolled[rest:] = along[m:], along[:m]
     for a in range(0, field.size, 8192):
         np.matmul(taps, shifted[:taps.shape[-1], a:a + 8192], out=out[..., a:a + 8192])
 
 
-def _direct_walk(y, bands, powers):
+def _direct_walk(y, bands, powers, n):
     """FilterBank.walk on a 1-D or 2-D field: per group (run of bands with equal leading
     factors), one matmul of that factor's powers over row-shifted copies of y, then per
-    power one (bands x taps) @ (taps x pixels) matmul over column-shifted copies of that.
-    Buffer rows lie 64 doubles apart, so rows read together share no cache set."""
-    groups = [[*g] for _, g in groupby(bands, lambda b: [f.tobytes() for f in b.factors[:-1]])]
+    power one (bands x taps) @ (taps x pixels) matmul over column-shifted copies of that,
+    whose output the group's stacks view. Buffer rows lie 64 doubles apart, so rows read
+    together share no cache set."""
+    groups = [[*g] for _, g in groupby(range(len(bands)),
+                                       lambda i: [f.tobytes() for f in bands[i].factors[:-1]])]
     p, field = np.reshape(powers, (-1, 1)), y.reshape(-1, y.shape[-1])
     shifted, led, out = (np.empty(shape + (y.size + 64,))[..., :y.size] for shape in [
         (max(len(f) for b in bands for f in b.factors),), (len(p),),
         (len(p), max(map(len, groups)))])
     for group in groups:
-        f = group[0].factors[0] if y.ndim == 2 else np.ones(1)  # a 1-D field leads with itself
+        f = bands[group[0]].factors[0] if y.ndim == 2 else np.ones(1)  # 1-D leads with itself
         _correlate(f ** p, field, 0, shifted, led)
-        width = max(len(b.factors[-1]) for b in group)
-        taps = np.stack([np.pad(b.factors[-1] ** p, [(0, 0), (0, width - len(b.factors[-1]))])
-                         for b in group], 1)
+        taps = _zero_padded([bands[i].factors[-1] ** p for i in group]).swapaxes(0, 1)
         for k in range(len(p)):
             _correlate(taps[k], led[k].reshape(field.shape), 1, shifted, out[k, :len(group)])
-        for g in range(len(group)):
-            yield out[:, g].reshape((len(p),) + y.shape)
+        for stack in _stacks(group, bands, n):
+            at = slice(stack[0] - group[0], stack[-1] + 1 - group[0])
+            yield stack, out[:, at].reshape((len(p), -1) + y.shape)
 
 
 def haar_uwt_bank(levels: int, ndim: int = 2) -> FilterBank:

@@ -391,13 +391,14 @@ def analyze(bank, y, power=1) -> list[np.ndarray]:
     """Per-band correlations of y with taps ** power: the coefficients w_b
     for power 1, the variance channel wbar_b for power 2 (for chi-square
     data, Var(w) = 4 (E[wbar] - K/2))."""
-    return [corr[0].copy() for corr in bank.walk(y, (power,))]
+    return [w.copy() for _, corr in bank.walk(y, (power,)) for w in corr[0]]
 
 
 def synthesize(bank, coeffs) -> np.ndarray:
     """sum_b R_b coeffs_b: the bands' synthesis rows added, inverted once."""
     return FilterBank.field_of_rows(
-        sum(bank.synthesis_rows(i, c) for i, c in enumerate(coeffs)), np.shape(coeffs[0]))
+        sum(bank.synthesis_rows([i], c[None])[0] for i, c in enumerate(coeffs)),
+        np.shape(coeffs[0]))
 
 
 def pyramid_round_trip_error(y, J: int, K: float = 2.0) -> float:
@@ -415,9 +416,16 @@ def pyramid_round_trip_error(y, J: int, K: float = 2.0) -> float:
 
 
 def band_divergence_fields(y, K: float, bank) -> list[BandDivergenceFields]:
-    """Divergence correlation fields of every band of the bank."""
-    return [BandDivergenceFields.of_band(band, K, corr)
-            for band, corr in zip(bank.bands, bank.walk(y, range(2, 6)))]
+    """Divergence correlation fields of every band of the bank, scaled by its
+    synthesis gain g (of_band's, per unit gain, times g), so that a band's
+    divergence is atom_divergence of its own fields."""
+    out = []
+    for indices, corr in bank.walk(y, range(2, 6)):
+        fields = BandDivergenceFields.of_band([bank.bands[i] for i in indices], K, corr)
+        out += [BandDivergenceFields(**{name: bank.bands[i].synth_gain * z[k]
+                                        for name, z in vars(fields).items()})
+                for k, i in enumerate(indices)]
+    return out
 
 
 def cure_filterbank_divergence(y, K: float, evs, bank) -> float:

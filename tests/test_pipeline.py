@@ -350,6 +350,22 @@ def test_protocol_validation():
     small_protocol().validate()
 
 
+def test_protocol_validation_builds_no_phantom(monkeypatch):
+    # monte_carlo_experiment builds the phantom; validate checks its kind
+    # and size without one
+    def forbidden(size):
+        raise AssertionError("validate built a phantom")
+
+    for name in ("_shepp_logan", "_piecewise"):
+        monkeypatch.setattr(pipeline, name, forbidden)
+    small_protocol().validate()
+    replace(small_protocol(), phantom="piecewise").validate()
+    with pytest.raises(ValueError, match="unknown phantom kind"):
+        ExperimentProtocol(phantom="brain").validate()
+    with pytest.raises(ValueError, match="at least 32"):
+        replace(small_protocol(), size=16).validate()
+
+
 @pytest.mark.parametrize("repeat", [{"seeds": (0, 0, 1)}, {"sigmas": (20.0, 20)},
                                     {"methods": ("haar-cs1", "haar-cs1")}],
                          ids=["seeds", "sigmas", "methods"])

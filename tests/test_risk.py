@@ -257,6 +257,29 @@ def test_band_divergence_fields_shift_structure():
         assert isinstance(fl, BandDivergenceFields)
 
 
+@pytest.mark.parametrize("make_bank", [lambda: haar_uwt_bank(2), bdct8_bank],
+                         ids=["haar-J2", "bdct8"])
+def test_of_band_fields_are_the_walk_rows(make_bank):
+    # of_band copies nothing: on a walk stack, z11, z12 and z22 are its rows
+    # of the taps^3, ^4 and ^5 correlations, z1 is its taps^2 row less K/2
+    # times the kernel sum, in place, and z2 alone lands in out; the fields
+    # carry no synthesis gain
+    bank, K = make_bank(), 2.0
+    y = rng_of(9).uniform(0.1, 10.0, size=(16, 16))
+    for indices, corr in bank.walk(y, range(2, 6)):
+        bands = [bank.bands[i] for i in indices]
+        rows, out = corr.copy(), np.empty(corr.shape[1:])
+        fields = BandDivergenceFields.of_band(bands, K, corr, out)
+        for name, row in (("z1", 0), ("z11", 1), ("z12", 2), ("z22", 3)):
+            assert np.shares_memory(getattr(fields, name), corr[row]), name
+        assert fields.z2 is out
+        for k, band in enumerate(bands):
+            for z, row, p in ((fields.z1, 0, 2), (fields.z2, 1, 3)):
+                np.testing.assert_array_equal(
+                    z[k], rows[row, k] - 0.5 * K * float((band.taps ** p).sum()))
+            np.testing.assert_array_equal(fields.z11[k], rows[1, k])
+
+
 @pytest.mark.parametrize(
     "make_bank,shape",
     [

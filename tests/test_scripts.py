@@ -4,6 +4,7 @@ The scripts import the package's public names; running each main once
 catches an export they rely on going missing.
 """
 
+import json
 import runpy
 from pathlib import Path
 
@@ -18,6 +19,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
      "spins=16"),
     ("threshold_curve.py", ["--size", "32", "--steps", "5", "--level", "2"], "risk_estimate"),
     ("walk_crossover.py", ["--sizes", "16", "10x9", "--repeats", "1"], "fft/direct"),
+    ("pool_scaling.py", ["--sizes", "32", "--methods", "uwt", "haar-cs1", "--calls", "2",
+                         "--repeats", "1"], "speedup"),
 ])
 def test_script_main_runs(script, argv, header, capsys):
     main = runpy.run_path(str(SCRIPTS / script))["main"]
@@ -25,3 +28,28 @@ def test_script_main_runs(script, argv, header, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert header in lines[0]
     assert len(lines) >= 2
+
+
+def test_bench_pairs_alternates_the_sides_and_counts_wins(tmp_path, capsys):
+    # stub checkouts whose run.py logs its side and prints a fixed result:
+    # the change is faster in every pair, and the parent's spread is 0
+    log = tmp_path / "order.log"
+    spec = {"end_to_end": [{"name": "denoise_s_p50", "better": "lower"},
+                           {"name": "throughput_mpix_s", "better": "higher"}]}
+    for side, seconds in (("parent", 2.0), ("change", 1.0)):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+        result = {"correct": True, "attempted": 4, "failed": 0, "metrics": {
+            "denoise_s_p50": {"value": seconds, "unit": "s"},
+            "throughput_mpix_s": {"value": 1 / seconds, "unit": "Mpix/s"}}}
+        (tmp_path / side / "perfbench" / "run.py").write_text(
+            f"open({str(log)!r}, 'a').write({side!r} + ' ')\n"
+            f"print('a line before the result')\nprint({json.dumps(result)!r})\n")
+    main = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["main"]
+    assert main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "sweep-128",
+                 "--seed", "1", "--pairs", "3"]) == 0
+    assert log.read_text().split() == ["parent", "change", "change", "parent", "parent", "change"]
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
+    for name in ("denoise_s_p50", "throughput_mpix_s"):
+        assert rows[name][-2:] == ["3/3", "yes"]
+    assert rows["failed"] == ["failed", "change", "0/4", "0/4", "0/4"]

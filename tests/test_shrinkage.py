@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curelet import shrinkage
+from curelet import shrinkage, transforms
 from curelet.chi2model import (
     rescale_squared,
     reconstruct_magnitude,
@@ -293,20 +293,22 @@ def fused_and_reference_atoms(source, y, K, lambdas):
     reference atoms in the same order. Some coefficients are set to
     exactly 0."""
     if isinstance(source, FilterBank):
-        for band, corr in zip(source.bands, source.walk(y, range(1, 6))):
-            if band.kind == "lowpass":
-                continue
-            w, v = corr[0].copy(), corr[1]
-            w[::5, ::3] = 0.0
-            fields = BandDivergenceFields.of_band(band, K, corr[1:])
-            thetas, divs = fused_let_atoms(  # on a stack of one
-                shrinkage._keep_ratio(w[None], v[None]), [(w[None], 1.0, 0.0)],
-                BandDivergenceFields.of_band(band, K, corr[1:, None]), lambdas)
-            for lam in lambdas:
-                u = 1.0 - 4.0 * lam * v / (w ** 2 + 1e-12 * (float((w ** 2).mean()) + 1.0))
-                assert (u < -1e6).any() and (u > 0.5).any()
-            yield (w, fields, thetas[0, 0], divs[0, 0],
-                   [let_atom_pointwise(w, v, lam) for lam in lambdas])
+        scaled = band_divergence_fields(y, K, source)
+        for indices, corr in source.walk(y, range(1, 6)):
+            for k, i in enumerate(indices):
+                band = source.bands[i]
+                if band.kind == "lowpass":
+                    continue
+                w, v = corr[0, k].copy(), corr[1, k].copy()
+                w[::5, ::3] = 0.0
+                thetas, divs = fused_let_atoms(  # on a stack of one, per unit synthesis gain
+                    shrinkage._keep_ratio(w[None], v[None]), [(w[None], 1.0, 0.0)],
+                    BandDivergenceFields.of_band([band], K, corr[1:, k:k + 1].copy()), lambdas)
+                for lam in lambdas:
+                    u = 1.0 - 4.0 * lam * v / (w ** 2 + 1e-12 * (float((w ** 2).mean()) + 1.0))
+                    assert (u < -1e6).any() and (u > 0.5).any()
+                yield (w, scaled[i], thetas[0, 0], band.synth_gain * divs[0, 0],
+                       [let_atom_pointwise(w, v, lam) for lam in lambdas])
         return
     s, details = haar_step(y)
     for orient, w in details.items():
@@ -826,8 +828,8 @@ def image_domain_fit(banks, y, K):
                                          d11=0.0, d22=0.0, d12=0.0)]
             else:
                 evs = [let_atom_pointwise(w, wbar, lam) for lam in shrinkage.LAMBDAS]
-            rows += [FilterBank.field_of_rows(bank.synthesis_rows(i, ev.theta), y.shape).ravel()
-                     for ev in evs]
+            rows += [FilterBank.field_of_rows(bank.synthesis_rows([i], ev.theta[None])[0],
+                                              y.shape).ravel() for ev in evs]
             div += [atom_divergence(fields, ev) for ev in evs]
     rows, div, target = np.array(rows), np.array(div), (y - K).ravel()
     (a,), (estimate,) = shrinkage._fit_expansion(rows[None], target[None], div[None])
@@ -868,6 +870,29 @@ def test_uwt_fit_is_the_image_domain_risk_minimizer(transform, data):
     np.testing.assert_allclose(weights, a, rtol=0.0, atol=1e-8 * float(np.abs(a).max()))
     np.testing.assert_allclose(est, ref, rtol=0.0, atol=1e-10 * float(np.abs(ref).max()))
     assert report.cure == pytest.approx(cure, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("transform, data, J", [
+    ("mixed", partial(shepp_logan_crop, 64, 64), 3),
+    ("mixed", partial(shepp_logan_crop, 128, 128), 3),
+    ("mixed", partial(shepp_logan_crop, 117, 93), 3),
+    ("haar-uwt", partial(piecewise_1d, 64, 6), 3),
+    ("haar-uwt", partial(shepp_logan_crop, 128, 128), 4),
+    ("mixed", partial(shepp_logan_crop, 64, 64), 4),
+], ids=["mixed-64x64", "mixed-128x128", "mixed-117x93", "haar-1d-64", "haar-J4-128x128",
+        "mixed-J4-64x64"])
+def test_uwt_band_stacks_match_one_band_per_stack(transform, data, J, monkeypatch):
+    # every step of a stack is per item, and the divergence is formed per
+    # unit synthesis gain, a power of two, so stacking bands moves no bit:
+    # the direct walk (J = 3) and the FFT walk with the Haar pick (J = 4)
+    y, K = data()
+    est, report = uwt_curelet_denoise(y, K, transform=transform, J=J)
+    assert transforms.BAND_STACK // y.size >= 2  # some stack holds two bands or more
+    monkeypatch.setattr(transforms, "BAND_STACK", 1)
+    alone, alone_report = uwt_curelet_denoise(y, K, transform=transform, J=J)
+    np.testing.assert_array_equal(est, alone)
+    assert report.cure == alone_report.cure
+    assert report.per_band == alone_report.per_band
 
 
 @pytest.mark.parametrize("transform", ["haar-uwt", "bdct", "mixed"])

@@ -260,40 +260,61 @@ def test_haar_dwt_round_trip_property(y, levels):
 @pytest.mark.parametrize("bank", [tr.haar_uwt_bank(2), tr.haar_uwt_bank(2, ndim=1), tr.bdct8_bank()],
                          ids=["haar-2d", "haar-1d", "bdct8"])
 def test_band_synthesis_is_scaled_adjoint_and_stacks(bank):
+    # a stack of every band, each with a stack of three fields, synthesizes
+    # each field by its band alone
     rng = np.random.default_rng(13)
     shape = (12, 10)[: bank.bands[0].taps.ndim]
     y = rng.normal(size=shape)
-    z = rng.normal(size=(3,) + shape)
+    z = rng.normal(size=(len(bank.bands), 3) + shape)
+    stacked = tr.FilterBank.field_of_rows(bank.synthesis_rows(range(len(bank.bands)), z), shape)
+    assert stacked.shape == z.shape
     for i, (band, w) in enumerate(zip(bank.bands, analyze(bank, y))):
         # <R_i z, y> == g_i <z, A_i y>
-        lhs = float((tr.FilterBank.field_of_rows(bank.synthesis_rows(i, z[0]), shape) * y).sum())
-        rhs = band.synth_gain * float((z[0] * w).sum())
+        alone = bank.synthesis_rows([i], z[i, :1])[0]
+        lhs = float((tr.FilterBank.field_of_rows(alone, shape) * y).sum())
+        rhs = band.synth_gain * float((z[i, 0] * w).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-        stacked = tr.FilterBank.field_of_rows(bank.synthesis_rows(i, z), shape)
-        assert stacked.shape == z.shape
-        for k in range(len(z)):
-            single = tr.FilterBank.field_of_rows(bank.synthesis_rows(i, z[k]), shape)
-            np.testing.assert_allclose(stacked[k], single, rtol=0, atol=1e-14)
+        for k in range(len(z[i])):
+            single = tr.FilterBank.field_of_rows(bank.synthesis_rows([i], z[i, k][None])[0], shape)
+            np.testing.assert_allclose(stacked[i, k], single, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("bank", [tr.bdct8_bank(), tr.haar_uwt_bank(2, ndim=1)],
                          ids=["bdct8-transforms-in-out", "haar-1d-transforms-in-out"])
 def test_synthesis_rows_are_the_weighted_kernel_product(bank):
-    # rows are rfftn(coeffs) times the band's kernel spectrum and the Parseval
-    # weight, computed in out when one is given
+    # rows are rfftn(coeffs) times each band's kernel spectrum and the Parseval
+    # weight (only the weight for bands None), computed in out when one is
+    # given, from the bank's kernel_spectra whether passed in or formed
     shape = (12, 10)[: len(bank.bands[0].factors)]
     z = np.random.default_rng(17).normal(size=(3,) + shape)
-    for i in (None, 0, len(bank.bands) - 1):
-        kernel = tr._parseval_weight(shape) * (1.0 if i is None else bank.bands[i].synth_gain
-                                               * tr._tap_spectra(bank.bands[i].factors, (1,), shape)[0])
-        spectrum = np.fft.rfftn(z, axes=range(1, len(shape) + 1)) * kernel
-        want = spectrum.view(np.float64).reshape(3, -1)
-        out = np.full_like(want, np.nan)
-        got = bank.synthesis_rows(i, z, out=out)
-        assert np.shares_memory(got, out)
-        np.testing.assert_allclose(out, want, rtol=0, atol=1e-13 * np.abs(want).max())
-        np.testing.assert_allclose(bank.synthesis_rows(i, z), want, rtol=0,
+    spectrum = np.fft.rfftn(z, axes=range(1, len(shape) + 1))
+    for bands in (None, [0, len(bank.bands) - 1, 0]):
+        kernels = [tr._parseval_weight(shape) * (1.0 if i is None else bank.bands[i].synth_gain
+                                                 * tr._tap_spectra(bank.bands[i].factors, (1,),
+                                                                   shape)[0])
+                   for i in bands or [None] * len(z)]
+        want = (spectrum * np.array([np.broadcast_to(kernel, spectrum.shape[1:])
+                                     for kernel in kernels])).view(np.float64).reshape(3, -1)
+        for spectra in (None, bank.kernel_spectra(shape)):
+            out = np.full_like(want, np.nan)
+            got = bank.synthesis_rows(bands, z, out=out, spectra=spectra)
+            assert np.shares_memory(got, out)
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        np.testing.assert_allclose(bank.synthesis_rows(bands, z), want, rtol=0,
                                    atol=1e-13 * np.abs(want).max())
+
+
+BANKS_OF_EVERY_J = {f"haar-J{J}-{nd}d": tr.haar_uwt_bank(J, ndim=nd)
+                    for J in range(1, 8) for nd in (1, 2)} | {"bdct8": tr.bdct8_bank()}
+
+
+@pytest.mark.parametrize("bank", BANKS_OF_EVERY_J.values(), ids=BANKS_OF_EVERY_J.keys())
+def test_synthesis_gains_are_powers_of_two(bank):
+    # uwt_curelet_denoise forms divergences per unit gain and scales them
+    # after, which is exact only when every gain is a power of two
+    for band in bank.bands:
+        mantissa, _ = np.frexp(band.synth_gain)
+        assert mantissa == 0.5, band.label
 
 
 def dense_tap_spectra(taps, powers, shape):
@@ -337,6 +358,16 @@ def direct_periodic_correlations(taps, powers, y):
 WALKED_BANKS = SEPARABLE_BANKS | {f"haar-J4-{nd}d": tr.haar_uwt_bank(4, ndim=nd) for nd in (1, 2)}
 
 
+def walked(bank, y, powers):
+    """Per band, in bank order, a copy of its (len(powers), *y.shape) rows of walk's stacks."""
+    bands = []
+    for indices, corr in bank.walk(y, powers):
+        assert corr.shape == (len(powers), len(indices)) + y.shape
+        bands += [(i, corr[:, k].copy()) for k, i in enumerate(indices)]
+    assert [i for i, _ in bands] == list(range(len(bank.bands)))
+    return [rows for _, rows in bands]
+
+
 @pytest.mark.parametrize("bank", WALKED_BANKS.values(), ids=WALKED_BANKS.keys())
 def test_walk_matches_direct_periodic_correlation(bank):
     # bdct8 and Haar J <= 3 take the direct walk, Haar J = 4 (16 taps) the FFT walk
@@ -345,8 +376,7 @@ def test_walk_matches_direct_periodic_correlation(bank):
     for shape in [(37,)] if ndim == 1 else [(12, 10) if support <= 10 else (20, 18), (117, 93)]:
         y = rng.normal(size=shape)
         for powers in [(1, 2, 3, 4, 5), (2,)]:
-            for band, corr in zip(bank.bands, bank.walk(y, powers)):
-                assert corr.shape == (len(powers),) + shape
+            for band, corr in zip(bank.bands, walked(bank, y, powers)):
                 ref = direct_periodic_correlations(band.taps, powers, y)
                 for k, p in enumerate(powers):
                     np.testing.assert_allclose(
@@ -361,12 +391,12 @@ def test_walk_engines_agree(bank, monkeypatch):
     # DIRECT_TAPS = 0 every bank takes the FFT walk
     rng = np.random.default_rng(31)
     shapes = [(37,)] if len(bank.bands[0].factors) == 1 else [(12, 10), (117, 93)]
-    cases = [(y, powers, [corr.copy() for corr in bank.walk(y, powers)])
+    cases = [(y, powers, walked(bank, y, powers))
              for y in [rng.normal(size=shape) for shape in shapes]
              for powers in [(1, 2, 3, 4, 5), (2,), (4, 1)]]
     monkeypatch.setattr(tr, "DIRECT_TAPS", 0)
     for y, powers, direct in cases:
-        for band, got, want in zip(bank.bands, direct, bank.walk(y, powers), strict=True):
+        for band, got, want in zip(bank.bands, direct, walked(bank, y, powers), strict=True):
             for k, p in enumerate(powers):
                 np.testing.assert_allclose(
                     got[k], want[k], rtol=0, atol=1e-12 * float(np.abs(want[k]).max()),
@@ -405,7 +435,7 @@ def test_walk_shares_leading_axis_inverse_transforms(bank, groups, monkeypatch):
 
     def walked():
         calls.update(dict.fromkeys(calls, 0))
-        assert sum(1 for _ in bank.walk(y, range(1, 6))) == len(bank.bands)
+        assert sum(len(indices) for indices, _ in bank.walk(y, range(1, 6))) == len(bank.bands)
         return dict(calls)
 
     fft = {"irfftn": len(bank.bands), "ifftn": 0, "irfft": 0, "axis-0": 0}
@@ -435,9 +465,9 @@ def test_walk_transforms_two_power_rows_per_haar_band(bank, monkeypatch):
     def spying(name):
         engine = getattr(tr, name)
 
-        def spy(y, bands, powers):
+        def spy(y, bands, powers, n):
             asked.append((name, list(powers)))
-            return engine(y, bands, powers)
+            return engine(y, bands, powers, n)
         return spy
 
     monkeypatch.setattr(np.fft, "irfftn", recording)
@@ -445,7 +475,46 @@ def test_walk_transforms_two_power_rows_per_haar_band(bank, monkeypatch):
         monkeypatch.setattr(tr, name, spying(name))
     shape = (64, 64)[: len(bank.bands[0].factors)]
     y = np.random.default_rng(5).normal(size=shape)
-    assert all(corr.shape == (5,) + shape for corr in bank.walk(y, range(1, 6)))
+    assert all(corr.shape == (5, len(indices)) + shape
+               for indices, corr in bank.walk(y, range(1, 6)))
     fft = max(len(f) for band in bank.bands for f in band.factors) > tr.DIRECT_TAPS
     assert asked == [("_fft_walk" if fft else "_direct_walk", [1, 2])]
     assert rows == [2] * len(bank.bands) * fft
+
+
+@pytest.mark.parametrize("bank, shape, stacks", [
+    (tr.bdct8_bank(), (64, 64), 9), (tr.bdct8_bank(), (128, 128), 33),
+    (tr.bdct8_bank(), (256, 256), 64), (tr.bdct8_bank(), (117, 93), 25),
+    (tr.haar_uwt_bank(3), (64, 64), 10), (tr.haar_uwt_bank(4), (64, 64), 3),
+    (tr.haar_uwt_bank(4), (128, 128), 7), (tr.haar_uwt_bank(4, ndim=1), (37,), 2),
+], ids=["bdct8-64", "bdct8-128", "bdct8-256", "bdct8-117x93", "haar-J3-64", "haar-J4-64",
+        "haar-J4-128", "haar-J4-1d-37"])
+def test_walk_stacks_fill_the_coefficient_budget(bank, shape, stacks):
+    # a stack holds consecutive bands of one kind, at most BAND_STACK
+    # coefficients unless it is one band, and is cut only where the kind or
+    # (direct walk: factors of at most DIRECT_TAPS taps) the leading factor
+    # changes or the budget is full; direct stacks of a bank without the
+    # Haar pick view one buffer
+    y = np.random.default_rng(7).normal(size=shape)
+    n = max(1, tr.BAND_STACK // y.size)
+    direct = max(len(f) for band in bank.bands for f in band.factors) <= tr.DIRECT_TAPS
+    picked = all(np.ptp(np.abs(band.taps)) == 0 for band in bank.bands)
+
+    def lead(i):
+        return bank.bands[i].factors[0].tobytes() if direct and y.ndim == 2 else None
+
+    walk, previous, first = list(enumerate(bank.walk(y, range(1, 6)))), None, None
+    assert len(walk) == stacks
+    for k, (indices, corr) in walk:
+        assert 1 <= len(indices) <= n
+        assert len({bank.bands[i].kind for i in indices}) == len({lead(i) for i in indices}) == 1
+        if previous is not None:
+            assert indices[0] == previous[-1] + 1
+            kinds = {bank.bands[i].kind for i in (previous[-1], indices[0])}
+            assert len(previous) == n or len(kinds) == 2 or lead(previous[-1]) != lead(indices[0])
+        while corr.base is not None:
+            corr = corr.base
+        if direct and not picked:
+            first = corr if first is None else first
+            assert corr is first
+        previous = indices
