@@ -90,14 +90,15 @@ def _dots(a, b) -> np.ndarray:
     return (a.reshape(len(a), 1, -1) @ b.reshape(len(b), -1, 1))[:, 0, 0]
 
 
-def _smooth_pos3(u, beta: float, work=None):
-    """(u + sqrt(u^2 + beta^2)) / 2 with first and second derivatives.
+def _smooth_pos3(u, beta: float, work=None, out=None):
+    """(u + sqrt(u^2 + beta^2)) / 2 with first and second derivatives, in
+    the four buffers out (g, g', g'' and a scratch one) or in work's.
 
     With root = sqrt(u^2 + beta^2), g = max(u, 0) + beta^2 / (2 (root + |u|)),
     g' = g / root and g'' = beta^2 / (2 root^3): one branch; neither tail cancels.
     """
     u = np.asarray(u, dtype=np.float64)
-    g, dg, d2g, root = _buffers(work, "ramp", 4, u.shape)
+    g, dg, d2g, root = _buffers(work, "ramp", 4, u.shape) if out is None else out
     np.multiply(u, u, out=d2g)  # root^2 until root^3 is formed
     d2g += beta ** 2
     np.sqrt(d2g, out=root)
@@ -183,7 +184,8 @@ def _fused_atoms(u0, q, carriers, fields, work=None):
     q), Q = -h B(q, q), A(x) = z1 x_w + z2 x_s - z11 x_ww - z22 x_ss - 2
     z12 x_ws, T(x) = z11 x_w + z12 x_s and B(x, y) = x_w T(y) + x_s (z12 y_w
     + z22 y_s). These six fields per carrier are formed once, in work's
-    buffers (_buffers); no partial field of an atom is, and a scalar-0
+    buffers (_buffers), and the ramps reuse four that no folded field
+    holds; no partial field of an atom is formed, and a scalar-0
     partial costs no pass: the LET atoms (u0 = _UNIT, kappa = 4 lam, carrier
     (w, 1, 0) or a fixed (p, 0, 0)) form P and Q alone. Returns atoms(kappas,
     out=None): per kappa one ramp and, per carrier, theta and the dots with
@@ -192,7 +194,9 @@ def _fused_atoms(u0, q, carriers, fields, work=None):
     """
     z, shape = fields, np.shape(q[0])
     tmp, u = _buffers(work, "fused", 2, shape)
-    pool = (_buffers(work, f"field{n}", 1, shape)[0] for n in itertools.count())
+    made = [tmp]  # and every buffer the pool hands out, for the ramps to reuse
+    pool = (made.append(b) or b for n in itertools.count()
+            for b in _buffers(work, f"field{n}", 1, shape))
     (T0, A0), (T, A) = ((_signed_sum([(1, z.z11, x_w), (1, z.z12, x_s)], pool, tmp),
                          _signed_sum([(1, z.z1, x_w), (1, z.z2, x_s), (-1, z.z11, x_ww),
                                       (-1, z.z22, x_ss), (-2, z.z12, x_ws)], pool, tmp))
@@ -209,6 +213,8 @@ def _fused_atoms(u0, q, carriers, fields, work=None):
             [(1, T, 2.0 * h_w), (-1, h, A)], [(-1, h, B[0])], [(1, h, 2.0 * B[1])],
             [(-1, h, B[2])])]
         folded.append((h, [(n, f) for n, f in enumerate(fs) if _live(f)]))
+    # the buffers that hold no folded field are free: the ramps take four of them
+    spare = [b for b in made if not any(b is f for _, fs in folded for _, f in fs)][:4]
 
     def atoms(kappas, out=None):
         if out is None:
@@ -216,7 +222,7 @@ def _fused_atoms(u0, q, carriers, fields, work=None):
         divs = np.empty((shape[0], len(folded), len(kappas)))
         for k, kappa in enumerate(kappas):
             np.subtract(u0[0], np.multiply(kappa, q[0], out=u), out=u)
-            ramp = _smooth_pos3(u, DEFAULT_BETA, work)  # g, g', g''
+            ramp = _smooth_pos3(u, DEFAULT_BETA, work, spare if len(spare) == 4 else None)
             scale = (1.0, 1.0, kappa, 1.0, kappa, kappa ** 2)
             for i, (h, fs) in enumerate(folded):
                 np.multiply(ramp[0], h, out=out[:, i, k])
