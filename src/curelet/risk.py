@@ -75,9 +75,9 @@ class BandDivergenceFields:
         corr, a (4, items, *field) stack, holds the correlations of y with
         d^p for p = 2..5 (d^2 are the variance taps), and they are the
         fields. Correlation is linear, so the (y - K/2) variants subtract
-        K/2 times the kernel sum: z1 in place in corr[0], z2 into out, if
-        given. A band with synthesis taps g*d contributes g times these
-        fields' divergence, which is linear in them.
+        K/2 times the kernel sum: z1 in place, overwriting corr[0] (read v
+        before), z2 into out, if given. A band with synthesis taps g*d
+        contributes g times these fields' divergence, linear in them.
         """
         shifts = [0.5 * K * np.reshape([float((b.taps ** p).sum()) for b in bands],
                                        (-1,) + (1,) * (np.ndim(corr[0]) - 1)) for p in (2, 3)]

@@ -90,15 +90,14 @@ def _dots(a, b) -> np.ndarray:
     return (a.reshape(len(a), 1, -1) @ b.reshape(len(b), -1, 1))[:, 0, 0]
 
 
-def _smooth_pos3(u, beta: float, work=None, out=None):
-    """(u + sqrt(u^2 + beta^2)) / 2 with first and second derivatives, in
-    the four buffers out (g, g', g'' and a scratch one) or in work's.
+def _smooth_pos3(u, beta: float, out=None):
+    """(u + sqrt(u^2 + beta^2)) / 2 and its two derivatives, in out's four buffers or new ones.
 
     With root = sqrt(u^2 + beta^2), g = max(u, 0) + beta^2 / (2 (root + |u|)),
     g' = g / root and g'' = beta^2 / (2 root^3): one branch; neither tail cancels.
     """
     u = np.asarray(u, dtype=np.float64)
-    g, dg, d2g, root = _buffers(work, "ramp", 4, u.shape) if out is None else out
+    g, dg, d2g, root = out or [np.empty(u.shape) for _ in range(4)]
     np.multiply(u, u, out=d2g)  # root^2 until root^3 is formed
     d2g += beta ** 2
     np.sqrt(d2g, out=root)
@@ -184,13 +183,13 @@ def _fused_atoms(u0, q, carriers, fields, work=None):
     q), Q = -h B(q, q), A(x) = z1 x_w + z2 x_s - z11 x_ww - z22 x_ss - 2
     z12 x_ws, T(x) = z11 x_w + z12 x_s and B(x, y) = x_w T(y) + x_s (z12 y_w
     + z22 y_s). These six fields per carrier are formed once, in work's
-    buffers (_buffers), and the ramps reuse four that no folded field
-    holds; no partial field of an atom is formed, and a scalar-0
-    partial costs no pass: the LET atoms (u0 = _UNIT, kappa = 4 lam, carrier
-    (w, 1, 0) or a fixed (p, 0, 0)) form P and Q alone. Returns atoms(kappas,
-    out=None): per kappa one ramp and, per carrier, theta and the dots with
-    the live fields, giving thetas (items, carriers, kappas, *field), into
-    out if given, and divergences (items, carriers, kappas), unchecked.
+    buffers (_buffers), and the ramps reuse four that no folded field holds,
+    topped up from the pool; no partial field of an atom is formed, and a
+    scalar-0 partial costs no pass: the LET atoms (u0 = _UNIT, kappa = 4 lam,
+    carrier (w, 1, 0) or a fixed (p, 0, 0)) form P and Q alone. Returns
+    atoms(kappas, out=None): per kappa one ramp and, per carrier, theta and
+    the dots with the live fields, giving thetas (items, carriers, kappas,
+    *field), into out if given, and divergences (items, carriers, kappas), unchecked.
     """
     z, shape = fields, np.shape(q[0])
     tmp, u = _buffers(work, "fused", 2, shape)
@@ -213,8 +212,9 @@ def _fused_atoms(u0, q, carriers, fields, work=None):
             [(1, T, 2.0 * h_w), (-1, h, A)], [(-1, h, B[0])], [(1, h, 2.0 * B[1])],
             [(-1, h, B[2])])]
         folded.append((h, [(n, f) for n, f in enumerate(fs) if _live(f)]))
-    # the buffers that hold no folded field are free: the ramps take four of them
+    # the buffers that hold no folded field are free: the ramps take four, from the pool if short
     spare = [b for b in made if not any(b is f for _, fs in folded for _, f in fs)][:4]
+    spare += [next(pool) for _ in range(4 - len(spare))]
 
     def atoms(kappas, out=None):
         if out is None:
@@ -222,7 +222,7 @@ def _fused_atoms(u0, q, carriers, fields, work=None):
         divs = np.empty((shape[0], len(folded), len(kappas)))
         for k, kappa in enumerate(kappas):
             np.subtract(u0[0], np.multiply(kappa, q[0], out=u), out=u)
-            ramp = _smooth_pos3(u, DEFAULT_BETA, work, spare if len(spare) == 4 else None)
+            ramp = _smooth_pos3(u, DEFAULT_BETA, spare)  # g, g', g''
             scale = (1.0, 1.0, kappa, 1.0, kappa, kappa ** 2)
             for i, (h, fs) in enumerate(folded):
                 np.multiply(ramp[0], h, out=out[:, i, k])
@@ -339,19 +339,18 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
                         lambdas=LAMBDAS):
     """Risk-optimal linear expansion over undecimated-band atoms.
 
-    One walk over the bands of each bank, in stacks (FilterBank.walk). A
-    band's correlations with its taps to the powers 1..5 are its
-    coefficients, its variance channel and (2..5) its divergence fields,
-    per unit synthesis gain. A lowpass band gets one bias atom, w - tap_sum
-    K, which synthesizes to the unbiased lowpass of x; a highpass band gets
-    one keep-factor atom per lambda, thetas and divergences from one fused
-    pass per stack (_fused_atoms, carrier w) in buffers every stack reuses.
-    A stack's thetas become their rows of one matrix of Parseval rows
-    (FilterBank.synthesis_rows), its divergences times the gains their
-    entries of div; nothing else of the stack outlives it. _fit_expansion
-    solves the weights on those rows, one inverse transform gives the
-    estimate of x, and cure_expression scores its residual. "mixed" pools
-    the Haar-frame and block-DCT atoms into one joint system. per_band maps
+    One walk over each bank's bands, in stacks (FilterBank.walk). A band's
+    correlations with its taps to the powers 1..5 are its coefficients, its
+    variance channel and (2..5) its divergence fields per unit synthesis gain.
+    A lowpass band gets one bias atom, w - tap_sum K, which synthesizes to the
+    unbiased lowpass of x; a highpass band gets one keep-factor atom per
+    lambda, thetas and divergences from one fused pass per stack (_fused_atoms,
+    carrier w) in buffers every stack reuses. A stack's thetas become its rows
+    of one matrix of Parseval rows (synthesis_rows), its divergences times the
+    gains its entries of div; nothing else of it outlives it. _fit_expansion
+    solves the weights on those rows, one inverse transform gives the estimate
+    of x, and cure_expression scores its residual. "mixed" pools the
+    Haar-frame and block-DCT atoms into one joint system. per_band maps
     "<bank>/<band>:bias" and "<bank>/<band>:l<lambda>" to the atom's weight.
     """
     y = _checked_data(y, K)
@@ -375,10 +374,10 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
         for indices, corr in bank.walk(y, range(1, 6)):
             stack = [bank.bands[i] for i in indices]
             if stack[0].kind == "lowpass":
-                fields = BandDivergenceFields.of_band(stack, K, corr[1:])
                 tap_sums = np.reshape([band.tap_sum for band in stack], (-1,) + (1,) * y.ndim)
                 thetas, tags = (corr[0] - tap_sums * K)[:, None], [":bias"]
-                divs = [[z.sum()] for z in fields.z1]
+                divs = [[(z - 0.5 * K * float((band.taps ** 2).sum())).sum()]  # of_band's z1
+                        for band, z in zip(stack, corr[1])]
             else:
                 ratio = _keep_ratio(corr[0], corr[1], work=work)  # before of_band shifts corr[1]
                 fields = BandDivergenceFields.of_band(

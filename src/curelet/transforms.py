@@ -118,54 +118,47 @@ class FilterBank:
             raise ValueError("image dimensionality does not match the band taps")
 
     def walk(self, y: np.ndarray, powers):
-        """Yield (band indices, correlations of y with their taps ** p), a stack at a time:
-        consecutive bands of one kind (the lowpass band alone), of at most BAND_STACK
-        coefficients unless one band is larger. Row [k, i] of a stack's (len(powers),
-        len(indices), *y.shape) array is the periodic correlation out[n] = sum_m taps[m] **
-        powers[k] * y[(n + m) mod shape] of band indices[i]; the caller may write in it, and
-        the next yield may reuse it. A bank with at most DIRECT_TAPS taps per factor is
-        walked by direct correlation, where consecutive bands with the same leading factors
-        share one pass along the leading axis, whose output their stacks view; any other
-        bank by one rfftn of y and one irfftn per band. When every band's taps have one
-        magnitude c (the Haar frame), only powers 1 and 2 are correlated: taps^p = c^(p - b)
-        taps^b, b = 1 (odd p) or 2, into a stack buffer."""
+        """Yield (band indices, correlations) a stack at a time: consecutive bands of one
+        kind (the lowpass band alone) of at most BAND_STACK coefficients, or one band.
+        Row [k, i] of the (len(powers), len(indices), *y.shape) array is the periodic
+        correlation out[n] = sum_m taps[m] ** powers[k] * y[(n + m) mod shape] of band
+        indices[i]; the caller may write in it, and the next yield may reuse it. A bank of
+        at most DIRECT_TAPS taps per factor is walked by direct correlation, bands with
+        equal leading factors sharing one pass, whose output their stacks view; any other
+        by one rfftn of y and one irfftn per band. When all taps have one magnitude c (the
+        Haar frame), only powers 1 and 2 are correlated: taps^p = c^(p - b) taps^b, b = 1
+        (odd p) or 2, into a stack buffer."""
         y = np.asarray(y, dtype=np.float64)
         self._check_size(y.shape)
-        base, pick, picked = list(powers), None, np.empty(0)
+        base, pick, n = list(powers), None, max(1, BAND_STACK // y.size)
         if set(base) - {1, 2} and all(np.ptp(np.abs(b.taps)) == 0 for b in self.bands):
-            pick = [2 - p % 2 for p in powers]
+            pick, picked = [2 - p % 2 for p in powers], np.empty(len(powers) * n * y.size)
             base, exps = sorted(set(pick)), np.subtract(powers, pick).reshape((-1,) + (1,) * y.ndim)
         direct = all(len(f) <= DIRECT_TAPS for b in self.bands for f in b.factors)
-        for indices, corr in (_direct_walk if direct else _fft_walk)(
-                y, self.bands, base, max(1, BAND_STACK // y.size)):
-            if pick is not None:
-                size = len(powers) * corr[0].size
-                picked = picked if picked.size >= size else np.empty(size)  # the largest stack yet
-                corr = np.take(corr, [base.index(b) for b in pick], 0,
-                               picked[:size].reshape((len(powers),) + corr.shape[1:]), "clip")
+        for indices, corr in (_direct_walk if direct else _fft_walk)(y, self.bands, base, n):
+            if pick is not None:  # into picked's head: a smaller stack touches no more of it
+                head = picked[:len(powers) * corr[0].size].reshape((len(powers),) + corr.shape[1:])
+                corr = np.take(corr, [base.index(b) for b in pick], 0, head, "clip")
                 for k, i in enumerate(indices):
                     corr[:, k] *= np.abs(self.bands[i].taps).flat[0] ** exps
             yield indices, corr
 
     def kernel_spectra(self, shape) -> list:
-        """Per axis of a field of the given shape, every band's 1-D synthesis kernel
-        spectrum, stacked over bands: the fft of its factor along a leading axis, the
-        rfft along the last, there times synth_gain and _parseval_weight."""
-        spectra = [(np.fft.rfft if axis == len(shape) - 1 else np.fft.fft)(
-            _zero_padded([b.factors[axis] for b in self.bands]), n=n)
+        """Per axis of shape, every band's 1-D synthesis kernel spectrum, stacked over bands:
+        its factor's fft, or on the last axis its rfft times synth_gain and _parseval_weight."""
+        self._check_size(shape)
+        spectra = [(np.fft.rfft if axis == len(shape) - 1 else np.fft.fft)(np.stack(
+            [np.pad(b.factors[axis], (0, n - len(b.factors[axis]))) for b in self.bands]))
             for axis, n in enumerate(shape)]
-        gains = np.array([[b.synth_gain] for b in self.bands])
-        spectra[-1] = _parseval_weight(shape) * (gains * spectra[-1])
+        spectra[-1] = _parseval_weight(shape) * ([[b.synth_gain] for b in self.bands] * spectra[-1])
         return spectra
 
     def synthesis_rows(self, bands, coeffs, out=None, spectra=None) -> np.ndarray:
-        """The synthesis of a stack of coefficient fields (len(bands), ..., *shape),
-        coeffs[i] by band bands[i] (for bands None, of any stack: the fields
-        themselves), as real rows with the same dot products: the half spectrum
-        rfftn(coeffs) times the bands' kernel_spectra, formed here if spectra does not
-        hold them, or else _parseval_weight, viewed as reals (Parseval). out, if given,
-        receives them; the transforms run in it (numpy.fft's out=), and each axis's
-        kernels multiply it in place."""
+        """Coefficient fields (len(bands), ..., *shape), coeffs[i] synthesized by band
+        bands[i] (for bands None, any stack, unfiltered), as real rows with the same dot
+        products (Parseval): rfftn(coeffs) times the bands' kernel_spectra (spectra, or
+        formed here), or _parseval_weight alone, viewed as reals. out, if given, receives
+        them; the transforms run in it (numpy.fft's out=), the kernels multiply it in place."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
         ndim = len(self.bands[0].factors)
         lead = coeffs.ndim - ndim
@@ -176,9 +169,7 @@ class FilterBank:
             np.fft.fft(dest, axis=axis, out=dest)
         if bands is None:
             dest *= _parseval_weight(shape)
-        else:
-            spectra = spectra or self.kernel_spectra(shape)
-        for axis, kernels in enumerate(() if bands is None else spectra):
+        for axis, kernels in enumerate(spectra or self.kernel_spectra(shape) if bands else ()):
             dest *= kernels[bands].reshape(
                 (len(bands),) + (1,) * (lead - 1 + axis) + (-1,) + (1,) * (ndim - 1 - axis))
         return dest.view(np.float64).reshape(half[:lead] + (-1,))
@@ -191,19 +182,10 @@ class FilterBank:
         return np.fft.irfftn(spectrum / _parseval_weight(shape), s=shape, axes=range(-len(shape), 0))
 
 
-def _zero_padded(arrays) -> np.ndarray:
-    """The arrays (..., length) stacked on a new first axis, zero-padded to the longest."""
-    out = np.zeros((len(arrays),) + arrays[0].shape[:-1] + (max(a.shape[-1] for a in arrays),))
-    for row, a in zip(out, arrays):
-        row[..., :a.shape[-1]] = a
-    return out
-
-
 def _stacks(indices, bands, n):
     """The indices of bands, in runs of one kind cut into stacks of at most n."""
-    for _, run in groupby(indices, lambda i: bands[i].kind):
-        run = [*run]
-        yield from (run[k:k + n] for k in range(0, len(run), n))
+    runs = [[*run] for _, run in groupby(indices, lambda i: bands[i].kind)]
+    return [run[k:k + n] for run in runs for k in range(0, len(run), n)]
 
 
 def _fft_walk(y, bands, powers, n):
@@ -241,7 +223,9 @@ def _direct_walk(y, bands, powers, n):
     for group in groups:
         f = bands[group[0]].factors[0] if y.ndim == 2 else np.ones(1)  # 1-D leads with itself
         _correlate(f ** p, field, 0, shifted, led)
-        taps = _zero_padded([bands[i].factors[-1] ** p for i in group]).swapaxes(0, 1)
+        last = [bands[i].factors[-1] for i in group]
+        width = max(map(len, last))
+        taps = np.stack([np.pad(f ** p, [(0, 0), (0, width - len(f))]) for f in last], 1)
         for k in range(len(p)):
             _correlate(taps[k], led[k].reshape(field.shape), 1, shifted, out[k, :len(group)])
         for stack in _stacks(group, bands, n):

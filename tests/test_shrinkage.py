@@ -895,6 +895,22 @@ def test_uwt_band_stacks_match_one_band_per_stack(transform, data, J, monkeypatc
     assert report.per_band == alone_report.per_band
 
 
+@pytest.mark.parametrize("transform", ["haar-uwt", "bdct"])
+def test_uwt_keep_ratio_reads_v_before_of_band_shifts_it(transform, monkeypatch):
+    # of_band subtracts z1's K/2 offset in place in the walk's variance
+    # rows, which the keep ratio reads first: an of_band that shifts a copy
+    # instead must move no bit
+    y, K = shepp_logan_crop(64, 64)
+    est, report = uwt_curelet_denoise(y, K, transform=transform)
+    of_band = BandDivergenceFields.of_band
+    monkeypatch.setattr(BandDivergenceFields, "of_band", classmethod(
+        lambda cls, bands, K, corr, out=None: of_band(bands, K, corr.copy(), out)))
+    copied, copied_report = uwt_curelet_denoise(y, K, transform=transform)
+    np.testing.assert_array_equal(est, copied)
+    assert report.cure == copied_report.cure
+    assert report.per_band == copied_report.per_band
+
+
 @pytest.mark.parametrize("transform", ["haar-uwt", "bdct", "mixed"])
 def test_uwt_denoise_makes_one_inverse_transform(transform, monkeypatch):
     # the fit runs on half spectra, so only its result goes back to the
