@@ -1,7 +1,7 @@
 """Time FilterBank.walk under each engine, to place transforms.DIRECT_TAPS.
 
 Walks bdct8 and the 2-D Haar frame at J = 1..6 over a random field of each
-given size, with powers 1..5 (what uwt_curelet_denoise asks), once by FFT
+given size (every walk yields the powers 1..5 of the taps), once by FFT
 and once by direct correlation, and prints the best time of each and their
 ratio. A ratio above 1 means the direct walk is the faster one. Banks whose
 support exceeds a size are skipped. Run single-threaded for stable figures:
@@ -29,7 +29,7 @@ def walk_ms(bank, y, direct, repeats):
         best = np.inf
         for _ in range(repeats):
             start = time.perf_counter()
-            for _ in bank.walk(y, range(1, 6)):
+            for _ in bank.walk(y):
                 pass
             best = min(best, time.perf_counter() - start)
     finally:

@@ -9,15 +9,15 @@ fields (BandDivergenceFields); shrinkage's fused ramp-atom kernel folds
 them into a few fields per carrier, for every atom of all three
 estimator families, and never forms a partial field. The fields have
 two layouts, one constructor each: of_band for a stack of filterbank
-bands (the walk's correlations of y with the taps to the powers 2..5,
-per unit synthesis gain, which scales the divergence instead; no
-operator matrices) and of_subband for a Haar DWT subband, whose s
-doubles as the variance channel: (s - K_j/2, w, w, w, s). That layout
-holds for any subband whose coefficient is a +-1 combination of a
-disjoint block of input samples summing to s (the 2-D LH/HL/HH bands,
-K_j = 4^j K); the risk's expectation then equals the subband's mean
-squared error. The evaluators the tests trust as references, atoms with
-all six partials included, live in tests/oracles.py.
+bands (the walk's correlations of y with the taps to the powers 2..5
+and the bank's tap sums, per unit synthesis gain, which scales the
+divergence instead; no taps, no operator matrices) and of_subband for a
+Haar DWT subband, whose s doubles as the variance channel: (s - K_j/2,
+w, w, w, s). That layout holds for any subband whose coefficient is a
++-1 combination of a disjoint block of input samples summing to s (the
+2-D LH/HL/HH bands, K_j = 4^j K); the risk's expectation then equals
+the subband's mean squared error. The evaluators the tests trust as
+references, atoms with all six partials, live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -69,18 +69,18 @@ class BandDivergenceFields:
     z12: np.ndarray
 
     @classmethod
-    def of_band(cls, bands, K: float, corr, out=None) -> "BandDivergenceFields":
+    def of_band(cls, sums, K: float, corr, out=None) -> "BandDivergenceFields":
         """Fields of a stack of bands with analysis taps d, per unit synthesis gain.
 
         corr, a (4, items, *field) stack, holds the correlations of y with
         d^p for p = 2..5 (d^2 are the variance taps), and they are the
-        fields. Correlation is linear, so the (y - K/2) variants subtract
-        K/2 times the kernel sum: z1 in place, overwriting corr[0] (read v
-        before), z2 into out, if given. A band with synthesis taps g*d
-        contributes g times these fields' divergence, linear in them.
+        fields. Correlation is linear, so the (y - K/2) variants subtract K/2
+        times sum(d^p), column p - 1 of sums, the stack's rows of its bank's
+        tap_sums: z1 in place, overwriting corr[0] (read v before), z2 into
+        out, if given. A band with synthesis taps g*d contributes g times
+        these fields' divergence, linear in them.
         """
-        shifts = [0.5 * K * np.reshape([float((b.taps ** p).sum()) for b in bands],
-                                       (-1,) + (1,) * (np.ndim(corr[0]) - 1)) for p in (2, 3)]
+        shifts = 0.5 * K * sums[:, 1:].T.reshape((2, -1) + (1,) * (np.ndim(corr[0]) - 1))
         z1 = np.subtract(corr[0], shifts[0], out=corr[0])
         z2 = np.subtract(corr[1], shifts[1], out=out)
         return cls(z1=z1, z2=z2, z11=corr[1], z22=corr[3], z12=corr[2])

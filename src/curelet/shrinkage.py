@@ -341,9 +341,10 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
 
     One walk over each bank's bands, in stacks (FilterBank.walk). A band's
     correlations with its taps to the powers 1..5 are its coefficients, its
-    variance channel and (2..5) its divergence fields per unit synthesis gain.
-    A lowpass band gets one bias atom, w - tap_sum K, which synthesizes to the
-    unbiased lowpass of x; a highpass band gets one keep-factor atom per
+    variance channel and (2..5) its divergence fields per unit synthesis gain,
+    shifted by the bank's tap_sums. The lowpass band, band 0 of each bank,
+    gets one bias atom, w - K sum(taps), which synthesizes to the unbiased
+    lowpass of x; every other band gets one keep-factor atom per
     lambda, thetas and divergences from one fused pass per stack (_fused_atoms,
     carrier w) in buffers every stack reuses. A stack's thetas become its rows
     of one matrix of Parseval rows (synthesis_rows), its divergences times the
@@ -364,24 +365,21 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
         banks.append(haar_uwt_bank(_check_levels(y.shape, J), ndim=y.ndim))
     if transform in ("bdct", "mixed"):
         banks.append(bdct8_bank())
-    n_atoms = sum(1 if band.kind == "lowpass" else len(lambdas)
-                  for bank in banks for band in bank.bands)
+    n_atoms = sum(1 + (len(bank.bands) - 1) * len(lambdas) for bank in banks)
     target = banks[0].synthesis_rows(None, y - K)
     rows = np.empty((n_atoms, target.size))
     div, labels, work = np.empty(n_atoms), [], {}
     for bank in banks:
         spectra = bank.kernel_spectra(y.shape)
-        for indices, corr in bank.walk(y, range(1, 6)):
-            stack = [bank.bands[i] for i in indices]
-            if stack[0].kind == "lowpass":
-                tap_sums = np.reshape([band.tap_sum for band in stack], (-1,) + (1,) * y.ndim)
-                thetas, tags = (corr[0] - tap_sums * K)[:, None], [":bias"]
-                divs = [[(z - 0.5 * K * float((band.taps ** 2).sum())).sum()]  # of_band's z1
-                        for band, z in zip(stack, corr[1])]
+        for indices, corr in bank.walk(y):
+            stack, sums = [bank.bands[i] for i in indices], bank.tap_sums[indices]
+            if indices[0] == 0:  # the lowpass band, alone in its stack
+                thetas, tags = (corr[0] - sums[0, 0] * K)[:, None], [":bias"]
+                divs = [[(corr[1, 0] - 0.5 * K * sums[0, 1]).sum()]]  # of_band's z1
             else:
                 ratio = _keep_ratio(corr[0], corr[1], work=work)  # before of_band shifts corr[1]
                 fields = BandDivergenceFields.of_band(
-                    stack, K, corr[1:], _buffers(work, "z2", 1, corr.shape[1:])[0])
+                    sums, K, corr[1:], _buffers(work, "z2", 1, corr.shape[1:])[0])
                 thetas, divs = (t[:, 0] for t in _fused_atoms(
                     _UNIT, ratio, [(corr[0], 1.0, 0.0)], fields, work)(kappas))
                 tags = [f":l{lam:g}" for lam in lambdas]

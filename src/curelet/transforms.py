@@ -7,8 +7,8 @@ Two transform families back the denoisers:
   small tap array anchored at offset zero, the outer product of 1-D
   factors, and synthesis is the adjoint correlation scaled by a per-band
   gain. FilterBank owns the spectral format (no other module calls
-  numpy.fft): walk streams each band's correlations with powers of its
-  taps, by direct correlation or FFT, and synthesis_rows gives a band's
+  numpy.fft): walk streams each band's correlations with its taps to the
+  powers 1..5, by direct correlation or FFT, and synthesis_rows gives a band's
   synthesis as Parseval-weighted half spectra, real rows with the image
   domain's dot products, so a fit over all bands inverts only its result.
 * The unnormalized Haar DWT: critically sampled pairwise sums/differences
@@ -24,6 +24,7 @@ Boundaries are periodic everywhere; the analysis operators are circulant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
@@ -47,16 +48,13 @@ DIRECT_TAPS = 8  # longest factor walked directly (measured crossover): its cost
 BAND_STACK = 1 << 15  # coefficients per stack of walk (measured: 2 bands at 128^2, 1 from 256^2)
 
 
-def _tap_spectra(factors, powers, shape) -> np.ndarray:
-    """rfftn of outer(*factors) ** p zero-embedded in a field of the given
-    shape, stacked over powers: the outer product of the 1-D spectra of
-    factors ** p (rfft on the last axis, fft on the others)."""
-    spectra = np.ones((len(powers),) + (1,) * len(shape))
-    for axis, (f, n) in enumerate(zip(factors, shape)):
-        fft = np.fft.rfft if axis == len(shape) - 1 else np.fft.fft
-        spec = fft(np.stack([f ** p for p in powers]), n=n)
-        spectra = spectra * np.expand_dims(spec, [1 + a for a in range(len(shape)) if a != axis])
-    return spectra
+def _factor_spectra(bands, shape, powers) -> list:
+    """Per axis of shape, the 1-D spectra of every band's factor ** p zero-embedded at
+    offset zero, an (len(powers), len(bands), n) array: rfft on the last axis, fft on the
+    others. The rfftn of a band's taps ** p is the outer product of its rows over the axes."""
+    return [(np.fft.rfft if axis == len(shape) - 1 else np.fft.fft)(np.stack(
+        [[np.pad(b.factors[axis] ** p, (0, n - len(b.factors[axis]))) for b in bands]
+         for p in powers])) for axis, n in enumerate(shape)]
 
 
 def _parseval_weight(shape) -> np.ndarray:
@@ -67,7 +65,7 @@ def _parseval_weight(shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Band:
-    """One analysis band: 1-D tap factors, synthesis gain, kind and label.
+    """One analysis band: 1-D tap factors, synthesis gain and label.
 
     The taps are the outer product of factors (one 1-D array per axis);
     the synthesis taps are ``synth_gain * taps`` (adjoint-scaled frame), so
@@ -76,16 +74,7 @@ class Band:
 
     factors: tuple
     synth_gain: float
-    kind: str  # "lowpass" | "highpass"
     label: str
-
-    @property
-    def taps(self) -> np.ndarray:
-        return reduce(np.multiply.outer, self.factors)
-
-    @property
-    def tap_sum(self) -> float:
-        return float(self.taps.sum())
 
 
 class FilterBank:
@@ -98,60 +87,64 @@ class FilterBank:
     Synthesis convolves a coefficient field with ``synth_gain * taps``:
     synthesis_rows gives a stack of bands' as Parseval rows, with the bank's
     1-D kernel spectra (kernel_spectra), and field_of_rows inverts rows. A
-    bank caches nothing, so it is safe to share. The per-band analysis and
-    full synthesis references live in tests/oracles.py.
+    bank holds only values fixed at construction, so it is safe to share:
+    read-only factors, the per-axis support and, formed once, what the risk
+    needs of band b's taps: tap_sums[b, p - 1] = sum(taps ** p), p = 1..3,
+    and magnitudes[b] = |taps| (None unless each band has one: Haar frame).
+    References for analysis and synthesis live in tests/oracles.py.
     """
 
     def __init__(self, name: str, bands):
-        self.name = name
-        self.bands = tuple(bands)
-        if self.bands[0].kind != "lowpass":
-            raise ValueError("bands[0] must be the lowpass band")
+        self.name, self.bands = name, tuple(bands)
+        if not self.bands:
+            raise ValueError(f"filter bank {name!r} has no bands")
+        sums, magnitudes, haar = [], [], True
+        for band in self.bands:
+            for f in band.factors:
+                f.flags.writeable = False  # the tables below must not go stale
+            taps = reduce(np.multiply.outer, band.factors)
+            sums.append([float((taps ** p).sum()) for p in (1, 2, 3)])
+            magnitudes.append(abs(taps.flat[0]))
+            haar = haar and np.ptp(np.abs(taps)) == 0  # so far, one magnitude per band
+        self.tap_sums = np.array(sums)
+        self.magnitudes = np.array(magnitudes) if haar else None
+        self.support = tuple(map(max, zip(*(map(len, b.factors) for b in self.bands))))
 
     def _check_size(self, shape) -> None:
-        # support and dimensionality come from the 1-D factors: no n-D taps
-        support = np.max([[len(f) for f in b.factors] for b in self.bands], axis=0)
-        if any(s < t for s, t in zip(shape, support)):
-            raise ValueError(f"image shape {shape} smaller than filter support "
-                             f"{tuple(support.tolist())}")
-        if len(shape) != len(self.bands[0].factors):
+        if any(s < t for s, t in zip(shape, self.support)):
+            raise ValueError(f"image shape {shape} smaller than filter support {self.support}")
+        if len(shape) != len(self.support):
             raise ValueError("image dimensionality does not match the band taps")
 
-    def walk(self, y: np.ndarray, powers):
-        """Yield (band indices, correlations) a stack at a time: consecutive bands of one
-        kind (the lowpass band alone) of at most BAND_STACK coefficients, or one band.
-        Row [k, i] of the (len(powers), len(indices), *y.shape) array is the periodic
-        correlation out[n] = sum_m taps[m] ** powers[k] * y[(n + m) mod shape] of band
-        indices[i]; the caller may write in it, and the next yield may reuse it. A bank of
-        at most DIRECT_TAPS taps per factor is walked by direct correlation, bands with
-        equal leading factors sharing one pass, whose output their stacks view; any other
-        by one rfftn of y and one irfftn per band. When all taps have one magnitude c (the
-        Haar frame), only powers 1 and 2 are correlated: taps^p = c^(p - b) taps^b, b = 1
-        (odd p) or 2, into a stack buffer."""
+    def walk(self, y: np.ndarray):
+        """Yield (band indices, correlations) a stack at a time: consecutive bands of at
+        most BAND_STACK coefficients, or one band, the lowpass band 0 alone. Row [k, i] of
+        the (5, len(indices), *y.shape) array is the periodic correlation out[n] = sum_m
+        taps[m] ** (k + 1) * y[(n + m) mod shape] of band indices[i], for the risk's powers
+        1..5; the caller may write in it, and the next yield may reuse it. A bank of at
+        most DIRECT_TAPS taps per factor is walked by direct correlation, bands with equal
+        leading factors sharing one pass, whose output their stacks view; any other by one
+        rfftn of y and one irfftn per band. With magnitudes c (the Haar frame), only powers
+        1 and 2 are correlated: taps^p = c^(p - b) taps^b, b = 1 (odd p) or 2."""
         y = np.asarray(y, dtype=np.float64)
         self._check_size(y.shape)
-        base, pick, n = list(powers), None, max(1, BAND_STACK // y.size)
-        if set(base) - {1, 2} and all(np.ptp(np.abs(b.taps)) == 0 for b in self.bands):
-            pick, picked = [2 - p % 2 for p in powers], np.empty(len(powers) * n * y.size)
-            base, exps = sorted(set(pick)), np.subtract(powers, pick).reshape((-1,) + (1,) * y.ndim)
-        direct = all(len(f) <= DIRECT_TAPS for b in self.bands for f in b.factors)
-        for indices, corr in (_direct_walk if direct else _fft_walk)(y, self.bands, base, n):
-            if pick is not None:  # into picked's head: a smaller stack touches no more of it
-                head = picked[:len(powers) * corr[0].size].reshape((len(powers),) + corr.shape[1:])
-                corr = np.take(corr, [base.index(b) for b in pick], 0, head, "clip")
-                for k, i in enumerate(indices):
-                    corr[:, k] *= np.abs(self.bands[i].taps).flat[0] ** exps
+        n, c = max(1, BAND_STACK // y.size), self.magnitudes
+        engine = _direct_walk if max(self.support) <= DIRECT_TAPS else _fft_walk
+        picked = None if c is None else np.empty(5 * n * y.size)
+        for indices, corr in engine(y, self.bands, [1, 2, 3, 4, 5] if c is None else [1, 2], n):
+            if c is not None:  # into picked's head: a smaller stack touches no more of it
+                head = picked[:5 * corr[0].size].reshape((5,) + corr.shape[1:])
+                corr = np.take(corr, [0, 1, 0, 1, 0], 0, head, "clip")
+                scale = c[indices] ** np.c_[[0, 0, 2, 2, 4]]  # c^(p - b), per power and band
+                corr *= scale.reshape(scale.shape + (1,) * y.ndim)
             yield indices, corr
 
     def kernel_spectra(self, shape) -> list:
         """Per axis of shape, every band's 1-D synthesis kernel spectrum, stacked over bands:
         its factor's fft, or on the last axis its rfft times synth_gain and _parseval_weight."""
         self._check_size(shape)
-        spectra = [(np.fft.rfft if axis == len(shape) - 1 else np.fft.fft)(np.stack(
-            [np.pad(b.factors[axis], (0, n - len(b.factors[axis]))) for b in self.bands]))
-            for axis, n in enumerate(shape)]
-        spectra[-1] = _parseval_weight(shape) * ([[b.synth_gain] for b in self.bands] * spectra[-1])
-        return spectra
+        *spectra, last = (s[0] for s in _factor_spectra(self.bands, shape, [1]))
+        return spectra + [_parseval_weight(shape) * ([[b.synth_gain] for b in self.bands] * last)]
 
     def synthesis_rows(self, bands, coeffs, out=None, spectra=None) -> np.ndarray:
         """Coefficient fields (len(bands), ..., *shape), coeffs[i] synthesized by band
@@ -160,7 +153,7 @@ class FilterBank:
         formed here), or _parseval_weight alone, viewed as reals. out, if given, receives
         them; the transforms run in it (numpy.fft's out=), the kernels multiply it in place."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        ndim = len(self.bands[0].factors)
+        ndim = len(self.support)
         lead = coeffs.ndim - ndim
         shape, half = coeffs.shape[lead:], coeffs.shape[:-1] + (coeffs.shape[-1] // 2 + 1,)
         dest = np.empty(half, complex) if out is None else out.view(np.complex128).reshape(half)
@@ -182,19 +175,22 @@ class FilterBank:
         return np.fft.irfftn(spectrum / _parseval_weight(shape), s=shape, axes=range(-len(shape), 0))
 
 
-def _stacks(indices, bands, n):
-    """The indices of bands, in runs of one kind cut into stacks of at most n."""
-    runs = [[*run] for _, run in groupby(indices, lambda i: bands[i].kind)]
+def _stacks(indices, n):
+    """indices cut into stacks of at most n, the lowpass band 0 alone."""
+    runs = [[i for i in indices if i == 0], [i for i in indices if i != 0]]
     return [run[k:k + n] for run in runs for k in range(0, len(run), n)]
 
 
 def _fft_walk(y, bands, powers, n):
-    """FilterBank.walk by FFT: one transform of y, one inverse per band into its stack."""
+    """FilterBank.walk by FFT: one transform of y and the bands' 1-D factor spectra, then
+    one inverse per band into its stack, of y's times their outer product's conjugate."""
     y_fft, out = np.fft.rfftn(y), np.empty((len(powers), n) + y.shape)
-    for stack in _stacks(range(len(bands)), bands, n):
+    spectra = [np.expand_dims(s, [2 + a for a in range(y.ndim) if a != axis])
+               for axis, s in enumerate(_factor_spectra(bands, y.shape, powers))]
+    for stack in _stacks(range(len(bands)), n):
         for k, i in enumerate(stack):
-            np.fft.irfftn(y_fft * np.conj(_tap_spectra(bands[i].factors, powers, y.shape)),
-                          s=y.shape, axes=range(-y.ndim, 0), out=out[:, k])
+            kernel = math.prod(s[:, i] for s in spectra)  # the rfftn of band i's taps ** powers
+            np.fft.irfftn(y_fft * np.conj(kernel), s=y.shape, axes=range(-y.ndim, 0), out=out[:, k])
         yield stack, out[:, :len(stack)]
 
 
@@ -228,7 +224,7 @@ def _direct_walk(y, bands, powers, n):
         taps = np.stack([np.pad(f ** p, [(0, 0), (0, width - len(f))]) for f in last], 1)
         for k in range(len(p)):
             _correlate(taps[k], led[k].reshape(field.shape), 1, shifted, out[k, :len(group)])
-        for stack in _stacks(group, bands, n):
+        for stack in _stacks(group, n):
             at = slice(stack[0] - group[0], stack[-1] + 1 - group[0])
             yield stack, out[:, at].reshape((len(p), -1) + y.shape)
 
@@ -249,12 +245,12 @@ def haar_uwt_bank(levels: int, ndim: int = 2) -> FilterBank:
     details = [np.repeat([-1.0, 1.0], 2 ** (j - 1)) / 2 ** (j / 2) for j in range(1, levels + 1)]
     lows = [np.ones(2 ** j) / 2 ** (j / 2) for j in range(1, levels + 1)]  # cumulative, like details
     if ndim == 1:
-        bands = [Band((lows[-1],), 2.0 ** -levels, "lowpass", "low")]
-        bands += [Band((d,), 2.0 ** -j, "highpass", f"d{j}") for j, d in enumerate(details, 1)]
+        bands = [Band((lows[-1],), 2.0 ** -levels, "low")]
+        bands += [Band((d,), 2.0 ** -j, f"d{j}") for j, d in enumerate(details, 1)]
     else:
-        bands = [Band((lows[-1],) * 2, 4.0 ** -levels, "lowpass", "low")]
+        bands = [Band((lows[-1],) * 2, 4.0 ** -levels, "low")]
         for j, d, l in zip(range(1, levels + 1), details, lows):
-            bands += [Band(f, 4.0 ** -j, "highpass", f"{o}{j}")
+            bands += [Band(f, 4.0 ** -j, f"{o}{j}")
                       for o, f in (("lh", (d, l)), ("hl", (l, d)), ("hh", (d, d)))]
     return FilterBank(f"haar-uwt-J{levels}-{ndim}d", bands)
 
@@ -271,13 +267,8 @@ def bdct8_bank() -> FilterBank:
     basis = np.cos(np.pi * (2 * n[None, :] + 1) * n[:, None] / 16)
     basis[0] *= np.sqrt(1 / 8)
     basis[1:] *= np.sqrt(2 / 8)  # rows now orthonormal DCT-II vectors
-    bands = [Band((basis[0], basis[0]), 1 / 64, "lowpass", "dc")]
-    for u in range(8):
-        for v in range(8):
-            if u == 0 and v == 0:
-                continue
-            bands.append(Band((basis[u], basis[v]), 1 / 64, "highpass", f"ac{u}{v}"))
-    return FilterBank("bdct8", bands)
+    return FilterBank("bdct8", [Band((basis[u], basis[v]), 1 / 64, f"ac{u}{v}" if u or v else "dc")
+                                for u in range(8) for v in range(8)])
 
 
 # detail keys of one level, in the order haar_step makes them

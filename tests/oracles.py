@@ -14,6 +14,7 @@ smoothing as a sum of rolls and SSIM as a direct window sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -23,6 +24,11 @@ from curelet.shrinkage import (DEFAULT_BETA, LAMBDAS, _denoise_pyramid, _keep_ra
 from curelet.transforms import SPIN_COUNTS, SPIN_SHIFTS, FilterBank
 
 POINTWISE_LAMBDAS = (3.0, 9.0)
+
+
+def taps(band) -> np.ndarray:
+    """A band's analysis taps, the outer product of its 1-D factors."""
+    return reduce(np.multiply.outer, band.factors)
 
 
 def _full(value, shape) -> np.ndarray:
@@ -129,10 +135,11 @@ def dense_band_matrices(bank, shape):
     n = h * w
     mats = []
     for band in bank.bands:
+        d = taps(band)
         emb = np.zeros(shape)
         embbar = np.zeros(shape)
-        emb[: band.taps.shape[0], : band.taps.shape[1]] = band.taps
-        embbar[: band.taps.shape[0], : band.taps.shape[1]] = band.taps ** 2
+        emb[: d.shape[0], : d.shape[1]] = d
+        embbar[: d.shape[0], : d.shape[1]] = d ** 2
         D = np.empty((n, n))
         Dbar = np.empty((n, n))
         idx = 0
@@ -217,30 +224,32 @@ def subband_normal_weights(w, s, K_j, atoms):
     return a
 
 
-def pointwise_let_evaluations(bank, y, K, weights):
-    """One weighted SubbandEvaluation per band of the pointwise LET expansion.
+def pointwise_let_evaluations(banks, y, K, weights):
+    """One weighted SubbandEvaluation per band of the pointwise LET expansion
+    over the bands of banks, a list of banks, in order.
 
-    Each band's atoms are built on their own, in bank order: a lowpass
-    band gets the bias-removing atom w - tap_sum K (d1 = 1), labelled
-    "<band>:bias"; a highpass band gets let_atom_pointwise(w, wbar, lam)
-    for each lambda, labelled "<band>:l<lam>". weights receives the
-    (band index, label) of every atom, in that order, and returns one
-    weight per atom; each band's atoms are then combined with
-    combine_evaluations.
+    Each band's atoms are built on their own, in bank order: a bank's
+    lowpass band 0 gets the bias-removing atom w - sum(taps) K (d1 = 1),
+    labelled "<band>:bias"; any other band gets let_atom_pointwise(w, wbar,
+    lam) for each lambda, labelled "<band>:l<lam>". weights receives the
+    (band index, label) of every atom, in that order, band indices running
+    over all banks' bands, and returns one weight per atom; each band's
+    atoms are then combined with combine_evaluations.
     """
-    atoms = []
-    for i, (band, w, wbar) in enumerate(zip(bank.bands, analyze(bank, y),
-                                            analyze(bank, y, 2))):
-        if band.kind == "lowpass":
+    atoms, bands = [], [(k, band) for bank in banks for k, band in enumerate(bank.bands)]
+    coeffs = [c for bank in banks for c in zip(analyze(bank, y), analyze(bank, y, 2))]
+    for i, ((k, band), (w, wbar)) in enumerate(zip(bands, coeffs)):
+        if k == 0:
             atoms.append((i, f"{band.label}:bias", SubbandEvaluation(
-                theta=w - band.tap_sum * K, d1=1.0, d2=0.0, d11=0.0, d22=0.0, d12=0.0)))
+                theta=w - float(taps(band).sum()) * K, d1=1.0, d2=0.0, d11=0.0, d22=0.0,
+                d12=0.0)))
         else:
             atoms += [(i, f"{band.label}:l{lam:g}", let_atom_pointwise(w, wbar, lam))
                       for lam in POINTWISE_LAMBDAS]
     a = np.asarray(weights([(i, label) for i, label, _ in atoms]), dtype=np.float64)
     band_of = np.array([i for i, _, _ in atoms])
     return [combine_evaluations([ev for j, _, ev in atoms if j == i], a[band_of == i])
-            for i in range(len(bank.bands))]
+            for i in range(len(bands))]
 
 
 def smooth_pos(u, beta: float):
@@ -388,10 +397,10 @@ def mse_oracle(f, x) -> float:
 
 
 def analyze(bank, y, power=1) -> list[np.ndarray]:
-    """Per-band correlations of y with taps ** power: the coefficients w_b
-    for power 1, the variance channel wbar_b for power 2 (for chi-square
-    data, Var(w) = 4 (E[wbar] - K/2))."""
-    return [w.copy() for _, corr in bank.walk(y, (power,)) for w in corr[0]]
+    """Per-band correlations of y with taps ** power, 1 <= power <= 5: the
+    coefficients w_b for power 1, the variance channel wbar_b for power 2
+    (for chi-square data, Var(w) = 4 (E[wbar] - K/2))."""
+    return [w.copy() for _, corr in bank.walk(y) for w in corr[power - 1]]
 
 
 def synthesize(bank, coeffs) -> np.ndarray:
@@ -420,8 +429,8 @@ def band_divergence_fields(y, K: float, bank) -> list[BandDivergenceFields]:
     synthesis gain g (of_band's, per unit gain, times g), so that a band's
     divergence is atom_divergence of its own fields."""
     out = []
-    for indices, corr in bank.walk(y, range(2, 6)):
-        fields = BandDivergenceFields.of_band([bank.bands[i] for i in indices], K, corr)
+    for indices, corr in bank.walk(y):
+        fields = BandDivergenceFields.of_band(bank.tap_sums[indices], K, corr[1:])
         out += [BandDivergenceFields(**{name: bank.bands[i].synth_gain * z[k]
                                         for name, z in vars(fields).items()})
                 for k, i in enumerate(indices)]

@@ -106,7 +106,7 @@ def test_criterion_01_image_risk_unbiased():
     for seed in range(MC_RUNS):
         y = sample_chi2(MC_X, 2, seed=seed).samples
         evs = pointwise_let_evaluations(
-            bank, y, 2.0, lambda atoms: [POINTWISE_FIXED[label.rsplit(":", 1)[1]]
+            [bank], y, 2.0, lambda atoms: [POINTWISE_FIXED[label.rsplit(":", 1)[1]]
                                          for _, label in atoms])
         cures.append(cure_filterbank_divergence(y, 2.0, evs, bank))
         mses.append(mse_oracle(synthesize(bank, [ev.theta for ev in evs]),
@@ -169,7 +169,7 @@ def test_criterion_03_correlation_risk_equals_dense():
                 x = rng.uniform(0.0, 25.0, size=(size, size))
                 y = sample_chi2(x, 2, seed=31500 + 100 * size + trial).samples
                 evs = pointwise_let_evaluations(
-                    bank, y, 2.0,
+                    [bank], y, 2.0,
                     lambda atoms: rng.uniform(-0.5, 1.5, size=len(atoms)))
                 fast = cure_filterbank_divergence(y, 2.0, evs, bank)
                 dense = dense_filterbank_cure(y, 2.0, evs, bank, mats=mats)

@@ -24,6 +24,7 @@ from oracles import (
     dense_filterbank_cure,
     mse_oracle,
     synthesize,
+    taps,
 )
 
 
@@ -210,13 +211,13 @@ def test_helper_partials_match_finite_differences():
 
 
 def identity_evaluations(bank, coeffs, K):
-    """theta_b = w_b for details, theta_0 = w_0 - tap_sum*K for the lowpass.
+    """theta_b = w_b for details, theta_0 = w_0 - sum(taps_0)*K for the lowpass.
 
     Synthesizing these gives exactly y - K on a perfect-reconstruction bank.
     """
     evs = []
-    for band, w in zip(bank.bands, coeffs):
-        shift = band.tap_sum * K if band.kind == "lowpass" else 0.0
+    for i, (band, w) in enumerate(zip(bank.bands, coeffs)):
+        shift = float(taps(band).sum()) * K if i == 0 else 0.0
         evs.append(
             SubbandEvaluation(theta=w - shift, d1=1.0, d2=0.0, d11=0.0, d22=0.0, d12=0.0)
         )
@@ -251,7 +252,7 @@ def test_band_divergence_fields_shift_structure():
     K = 2.0
     fields = band_divergence_fields(y, K, bank)
     for band, fl in zip(bank.bands, fields):
-        sum3 = band.synth_gain * (band.taps ** 3).sum()
+        sum3 = band.synth_gain * (taps(band) ** 3).sum()
         np.testing.assert_allclose(fl.z2, fl.z11 - 0.5 * K * sum3, rtol=1e-10, atol=1e-12)
         assert fl.z12.shape == y.shape
         assert isinstance(fl, BandDivergenceFields)
@@ -266,17 +267,17 @@ def test_of_band_fields_are_the_walk_rows(make_bank):
     # carry no synthesis gain
     bank, K = make_bank(), 2.0
     y = rng_of(9).uniform(0.1, 10.0, size=(16, 16))
-    for indices, corr in bank.walk(y, range(2, 6)):
-        bands = [bank.bands[i] for i in indices]
+    for indices, walked in bank.walk(y):
+        corr = walked[1:]  # the taps^2..5 rows
         rows, out = corr.copy(), np.empty(corr.shape[1:])
-        fields = BandDivergenceFields.of_band(bands, K, corr, out)
+        fields = BandDivergenceFields.of_band(bank.tap_sums[indices], K, corr, out)
         for name, row in (("z1", 0), ("z11", 1), ("z12", 2), ("z22", 3)):
             assert np.shares_memory(getattr(fields, name), corr[row]), name
         assert fields.z2 is out
-        for k, band in enumerate(bands):
+        for k, band in enumerate(bank.bands[i] for i in indices):
             for z, row, p in ((fields.z1, 0, 2), (fields.z2, 1, 3)):
                 np.testing.assert_array_equal(
-                    z[k], rows[row, k] - 0.5 * K * float((band.taps ** p).sum()))
+                    z[k], rows[row, k] - 0.5 * K * float((taps(band) ** p).sum()))
             np.testing.assert_array_equal(fields.z11[k], rows[1, k])
 
 
@@ -423,11 +424,11 @@ def test_cure_filterbank_unbiased_fixed_shrinker():
         coeffs = analyze(bank, y)
         variances = analyze(bank, y, 2)
         evs = []
-        for band, w, v in zip(bank.bands, coeffs, variances):
-            if band.kind == "lowpass":
+        for i, (band, w, v) in enumerate(zip(bank.bands, coeffs, variances)):
+            if i == 0:
                 evs.append(
                     SubbandEvaluation(
-                        theta=w - band.tap_sum * K, d1=1.0, d2=0.0,
+                        theta=w - float(taps(band).sum()) * K, d1=1.0, d2=0.0,
                         d11=0.0, d22=0.0, d12=0.0,
                     )
                 )

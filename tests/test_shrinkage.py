@@ -54,6 +54,7 @@ from oracles import (
     smooth_pos,
     subband_normal_weights,
     synthesize,
+    taps,
 )
 
 
@@ -294,16 +295,17 @@ def fused_and_reference_atoms(source, y, K, lambdas):
     exactly 0."""
     if isinstance(source, FilterBank):
         scaled = band_divergence_fields(y, K, source)
-        for indices, corr in source.walk(y, range(1, 6)):
+        for indices, corr in source.walk(y):
             for k, i in enumerate(indices):
                 band = source.bands[i]
-                if band.kind == "lowpass":
+                if i == 0:  # the lowpass band
                     continue
                 w, v = corr[0, k].copy(), corr[1, k].copy()
                 w[::5, ::3] = 0.0
                 thetas, divs = fused_let_atoms(  # on a stack of one, per unit synthesis gain
                     shrinkage._keep_ratio(w[None], v[None]), [(w[None], 1.0, 0.0)],
-                    BandDivergenceFields.of_band([band], K, corr[1:, k:k + 1].copy()), lambdas)
+                    BandDivergenceFields.of_band(
+                        source.tap_sums[[i]], K, corr[1:, k:k + 1].copy()), lambdas)
                 for lam in lambdas:
                     u = 1.0 - 4.0 * lam * v / (w ** 2 + 1e-12 * (float((w ** 2).mean()) + 1.0))
                     assert (u < -1e6).any() and (u > 0.5).any()
@@ -764,7 +766,7 @@ def test_uwt_report_names_every_atom():
     y = sample_chi2(np.full((16, 16), 20.0), 2.0, seed=2).samples
     est, report = uwt_curelet_denoise(y, 2.0, J=2)
     bank = haar_uwt_bank(2)
-    n_high = sum(1 for b in bank.bands if b.kind != "lowpass")
+    n_high = len(bank.bands) - 1  # all but the lowpass band 0
     assert len(report.per_band) == 1 + 2 * n_high
     assert est.shape == y.shape
     assert np.isfinite(report.cure)
@@ -775,7 +777,7 @@ def test_uwt_report_names_every_atom():
 def test_uwt_fit_matches_filterbank_evaluator(transform, sigma):
     # the returned risk and estimate must be what the filterbank evaluator
     # gives for the reported weights; "mixed" is checked as one bank
-    # holding both banks' bands
+    # holding both banks' bands, each bank's band 0 a lowpass
     y, K = rescaled_shepp_logan(64, sigma)
     est, report = uwt_curelet_denoise(y, K, transform=transform)
     banks = {"haar-uwt": [haar_uwt_bank(3)], "bdct": [bdct8_bank()],
@@ -788,7 +790,7 @@ def test_uwt_fit_matches_filterbank_evaluator(transform, sigma):
         assert keys == list(report.per_band)
         return [report.per_band[key] for key in keys]
 
-    evs = pointwise_let_evaluations(bank, y, K, reported_weights)
+    evs = pointwise_let_evaluations(banks, y, K, reported_weights)
     assert report.cure == pytest.approx(
         cure_filterbank_divergence(y, K, evs, bank), rel=1e-10, abs=0.0)
     ref = synthesize(bank, [ev.theta for ev in evs])
@@ -823,8 +825,8 @@ def image_domain_fit(banks, y, K):
         for i, (band, fields, w, wbar) in enumerate(zip(
                 bank.bands, band_divergence_fields(y, K, bank), analyze(bank, y),
                 analyze(bank, y, 2))):
-            if band.kind == "lowpass":
-                evs = [SubbandEvaluation(theta=w - band.tap_sum * K, d1=1.0, d2=0.0,
+            if i == 0:  # the lowpass band
+                evs = [SubbandEvaluation(theta=w - float(taps(band).sum()) * K, d1=1.0, d2=0.0,
                                          d11=0.0, d22=0.0, d12=0.0)]
             else:
                 evs = [let_atom_pointwise(w, wbar, lam) for lam in shrinkage.LAMBDAS]
@@ -904,7 +906,7 @@ def test_uwt_keep_ratio_reads_v_before_of_band_shifts_it(transform, monkeypatch)
     est, report = uwt_curelet_denoise(y, K, transform=transform)
     of_band = BandDivergenceFields.of_band
     monkeypatch.setattr(BandDivergenceFields, "of_band", classmethod(
-        lambda cls, bands, K, corr, out=None: of_band(bands, K, corr.copy(), out)))
+        lambda cls, sums, K, corr, out=None: of_band(sums, K, corr.copy(), out)))
     copied, copied_report = uwt_curelet_denoise(y, K, transform=transform)
     np.testing.assert_array_equal(est, copied)
     assert report.cure == copied_report.cure
@@ -926,6 +928,24 @@ def test_uwt_denoise_makes_one_inverse_transform(transform, monkeypatch):
     y, K = rescaled_shepp_logan(32, 20.0)
     uwt_curelet_denoise(y, K, transform=transform)
     assert len(calls) == 1
+
+
+def test_uwt_denoise_forms_each_band_taps_once(monkeypatch):
+    # the tap facts the fit needs (tap sums, the Haar magnitude) are read
+    # off the bank's tables, which its constructor forms from one outer
+    # product of each band's factors: a call forms no tap outer product more
+    y, K = rescaled_shepp_logan(32, 20.0)
+    bands = len(haar_uwt_bank(3).bands) + len(bdct8_bank().bands)
+    calls = []
+    reduce = transforms.reduce
+
+    def counting(*args):
+        calls.append(1)
+        return reduce(*args)
+
+    monkeypatch.setattr(transforms, "reduce", counting)
+    uwt_curelet_denoise(y, K, transform="mixed", J=3)
+    assert 0 < len(calls) <= bands
 
 
 # ------------------------------------------------------- pyramid denoisers

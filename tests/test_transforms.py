@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import hypothesis.extra.numpy as hnp
 from curelet.chi2model import sample_chi2
 from curelet import transforms as tr
 
-from oracles import analyze, pyramid_round_trip_error, synthesize
+from oracles import analyze, pyramid_round_trip_error, synthesize, taps
 
 
 PR_SIZES = [(8, 8), (16, 16), (64, 64), (17, 13)]
@@ -45,11 +46,12 @@ def test_haar_dwt_round_trip(shape, levels):
 
 @pytest.mark.parametrize("bank", [tr.haar_uwt_bank(3), tr.haar_uwt_bank(2, ndim=1), tr.bdct8_bank()])
 def test_band_norms_and_tap_sums(bank):
+    # band 0 is the lowpass, the one band whose taps do not sum to zero
     for band in bank.bands:
-        assert np.sqrt((band.taps ** 2).sum()) == pytest.approx(1.0, abs=1e-12)
-        if band.kind == "highpass":
-            assert band.tap_sum == pytest.approx(0.0, abs=1e-12)
-    assert bank.bands[0].kind == "lowpass"
+        assert np.sqrt((taps(band) ** 2).sum()) == pytest.approx(1.0, abs=1e-12)
+    for band in bank.bands[1:]:
+        assert taps(band).sum() == pytest.approx(0.0, abs=1e-12)
+    assert taps(bank.bands[0]).sum() >= 1.0
 
 
 def test_uwt_constant_image():
@@ -86,7 +88,7 @@ def test_support_check_forms_no_band_taps():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="smaller than filter support"):
-            next(bank.walk(np.zeros((64, 64)), (1,)))
+            next(bank.walk(np.zeros((64, 64))))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -129,11 +131,12 @@ def test_variance_channel_monte_carlo():
     y = sample_chi2(np.full((M, 8, 8), x), K=K, seed=77).samples
     Y = np.fft.rfft2(y, axes=(-2, -1))
     for i, band in enumerate(bank.bands):
+        d = taps(band)
         emb = np.zeros((8, 8))
-        emb[: band.taps.shape[0], : band.taps.shape[1]] = band.taps
+        emb[: d.shape[0], : d.shape[1]] = d
         W = np.fft.irfft2(Y * np.conj(np.fft.rfft2(emb))[None], s=(8, 8), axes=(-2, -1))
         emb2 = np.zeros((8, 8))
-        emb2[: band.taps.shape[0], : band.taps.shape[1]] = band.taps ** 2
+        emb2[: d.shape[0], : d.shape[1]] = d ** 2
         Wbar = np.fft.irfft2(Y * np.conj(np.fft.rfft2(emb2))[None], s=(8, 8), axes=(-2, -1))
         # tie the batch path to the library path on one draw
         np.testing.assert_allclose(W[0], analyze(bank, y[0])[i], atol=1e-9)
@@ -263,7 +266,7 @@ def test_band_synthesis_is_scaled_adjoint_and_stacks(bank):
     # a stack of every band, each with a stack of three fields, synthesizes
     # each field by its band alone
     rng = np.random.default_rng(13)
-    shape = (12, 10)[: bank.bands[0].taps.ndim]
+    shape = (12, 10)[: len(bank.bands[0].factors)]
     y = rng.normal(size=shape)
     z = rng.normal(size=(len(bank.bands), 3) + shape)
     stacked = tr.FilterBank.field_of_rows(bank.synthesis_rows(range(len(bank.bands)), z), shape)
@@ -288,10 +291,10 @@ def test_synthesis_rows_are_the_weighted_kernel_product(bank):
     shape = (12, 10)[: len(bank.bands[0].factors)]
     z = np.random.default_rng(17).normal(size=(3,) + shape)
     spectrum = np.fft.rfftn(z, axes=range(1, len(shape) + 1))
+    factor_spectra = tr._factor_spectra(bank.bands, shape, [1])
     for bands in (None, [0, len(bank.bands) - 1, 0]):
         kernels = [tr._parseval_weight(shape) * (1.0 if i is None else bank.bands[i].synth_gain
-                                                 * tr._tap_spectra(bank.bands[i].factors, (1,),
-                                                                   shape)[0])
+                                                 * outer_spectrum(factor_spectra, i)[0])
                    for i in bands or [None] * len(z)]
         want = (spectrum * np.array([np.broadcast_to(kernel, spectrum.shape[1:])
                                      for kernel in kernels])).view(np.float64).reshape(3, -1)
@@ -302,6 +305,13 @@ def test_synthesis_rows_are_the_weighted_kernel_product(bank):
             np.testing.assert_allclose(out, want, rtol=0, atol=1e-13 * np.abs(want).max())
         np.testing.assert_allclose(bank.synthesis_rows(bands, z), want, rtol=0,
                                    atol=1e-13 * np.abs(want).max())
+
+
+def outer_spectrum(factor_spectra, i):
+    """Band i's (powers, *half spectrum) array from _factor_spectra: per power,
+    the outer product of its 1-D factor spectra over the axes."""
+    return np.array([reduce(np.multiply.outer, [s[k, i] for s in factor_spectra])
+                     for k in range(len(factor_spectra[0]))])
 
 
 BANKS_OF_EVERY_J = {f"haar-J{J}-{nd}d": tr.haar_uwt_bank(J, ndim=nd)
@@ -315,6 +325,46 @@ def test_synthesis_gains_are_powers_of_two(bank):
     for band in bank.bands:
         mantissa, _ = np.frexp(band.synth_gain)
         assert mantissa == 0.5, band.label
+
+
+@pytest.mark.parametrize("bank", BANKS_OF_EVERY_J.values(), ids=BANKS_OF_EVERY_J.keys())
+def test_bank_tables_are_the_outer_product_taps_facts(bank):
+    # the tables a bank forms once hold, bit for bit, what the outer-product
+    # taps give: sums of taps ** 1..3, the one magnitude of each Haar band's
+    # taps (bdct8 bands have none) and the largest tap extent per axis
+    reference = [taps(band) for band in bank.bands]
+    assert bank.tap_sums.shape == (len(bank.bands), 3)
+    for row, d in zip(bank.tap_sums, reference):
+        for p in (1, 2, 3):
+            assert row[p - 1] == (d ** p).sum()
+    if bank.name == "bdct8":
+        assert bank.magnitudes is None
+        assert bank.support == (8, 8)
+    else:
+        np.testing.assert_array_equal(bank.magnitudes, [np.abs(d).flat[0] for d in reference])
+        assert all((np.abs(d) == c).all() for d, c in zip(reference, bank.magnitudes))
+        ndim = reference[0].ndim
+        levels = (len(bank.bands) - 1) // (2 ** ndim - 1)  # detail bands per level
+        assert bank.support == (2 ** levels,) * ndim
+    assert bank.support == tuple(np.max([d.shape for d in reference], axis=0).tolist())
+
+
+def test_empty_bank_is_refused():
+    with pytest.raises(ValueError, match="filter bank 'empty' has no bands"):
+        tr.FilterBank("empty", [])
+
+
+def test_band_factors_are_read_only():
+    # the tables are formed from the factors once, so no factor may change after
+    factor = np.array([0.5, 0.5])
+    bank = tr.FilterBank("user", [tr.Band((factor, factor), 1.0, "low")])
+    for bank in (bank, tr.haar_uwt_bank(2), tr.haar_uwt_bank(2, ndim=1), tr.bdct8_bank()):
+        for band in bank.bands:
+            for f in band.factors:
+                with pytest.raises(ValueError, match="read-only"):
+                    f[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        factor[1] = 1.0
 
 
 def dense_tap_spectra(taps, powers, shape):
@@ -334,14 +384,15 @@ def test_separable_tap_spectra_match_the_dense_transform(bank):
     ndim = len(bank.bands[0].factors)
     shapes = [(37,)] if ndim == 1 else [(256, 256), (12, 10), (117, 93)]
     powers = (1, 2, 3, 4, 5)
-    for band in bank.bands:
+    spectra = {shape: tr._factor_spectra(bank.bands, shape, powers) for shape in shapes}
+    for i, band in enumerate(bank.bands):
         assert len(band.factors) == ndim and all(f.ndim == 1 for f in band.factors)
         outer = band.factors[0] if ndim == 1 else np.outer(*band.factors)
-        np.testing.assert_array_equal(band.taps, outer)
+        np.testing.assert_array_equal(taps(band), outer)
         for shape in shapes:
             np.testing.assert_allclose(
-                tr._tap_spectra(band.factors, powers, shape),
-                dense_tap_spectra(band.taps, powers, shape), rtol=0, atol=1e-12,
+                outer_spectrum(spectra[shape], i),
+                dense_tap_spectra(taps(band), powers, shape), rtol=0, atol=1e-12,
                 err_msg=f"{band.label} at {shape}")
 
 
@@ -358,11 +409,11 @@ def direct_periodic_correlations(taps, powers, y):
 WALKED_BANKS = SEPARABLE_BANKS | {f"haar-J4-{nd}d": tr.haar_uwt_bank(4, ndim=nd) for nd in (1, 2)}
 
 
-def walked(bank, y, powers):
-    """Per band, in bank order, a copy of its (len(powers), *y.shape) rows of walk's stacks."""
+def walked(bank, y):
+    """Per band, in bank order, a copy of its (5, *y.shape) rows of walk's stacks."""
     bands = []
-    for indices, corr in bank.walk(y, powers):
-        assert corr.shape == (len(powers), len(indices)) + y.shape
+    for indices, corr in bank.walk(y):
+        assert corr.shape == (5, len(indices)) + y.shape
         bands += [(i, corr[:, k].copy()) for k, i in enumerate(indices)]
     assert [i for i, _ in bands] == list(range(len(bank.bands)))
     return [rows for _, rows in bands]
@@ -375,13 +426,13 @@ def test_walk_matches_direct_periodic_correlation(bank):
     ndim, support = len(bank.bands[0].factors), len(bank.bands[0].factors[0])
     for shape in [(37,)] if ndim == 1 else [(12, 10) if support <= 10 else (20, 18), (117, 93)]:
         y = rng.normal(size=shape)
-        for powers in [(1, 2, 3, 4, 5), (2,)]:
-            for band, corr in zip(bank.bands, walked(bank, y, powers)):
-                ref = direct_periodic_correlations(band.taps, powers, y)
-                for k, p in enumerate(powers):
-                    np.testing.assert_allclose(
-                        corr[k], ref[k], rtol=0, atol=1e-12 * float(np.abs(ref[k]).max()),
-                        err_msg=f"{band.label}, power {p}, at {shape}")
+        powers = (1, 2, 3, 4, 5)
+        for band, corr in zip(bank.bands, walked(bank, y)):
+            ref = direct_periodic_correlations(taps(band), powers, y)
+            for k, p in enumerate(powers):
+                np.testing.assert_allclose(
+                    corr[k], ref[k], rtol=0, atol=1e-12 * float(np.abs(ref[k]).max()),
+                    err_msg=f"{band.label}, power {p}, at {shape}")
 
 
 @pytest.mark.parametrize("bank", [tr.bdct8_bank(), tr.haar_uwt_bank(3), tr.haar_uwt_bank(3, ndim=1)],
@@ -391,13 +442,11 @@ def test_walk_engines_agree(bank, monkeypatch):
     # DIRECT_TAPS = 0 every bank takes the FFT walk
     rng = np.random.default_rng(31)
     shapes = [(37,)] if len(bank.bands[0].factors) == 1 else [(12, 10), (117, 93)]
-    cases = [(y, powers, walked(bank, y, powers))
-             for y in [rng.normal(size=shape) for shape in shapes]
-             for powers in [(1, 2, 3, 4, 5), (2,), (4, 1)]]
+    cases = [(y, walked(bank, y)) for y in [rng.normal(size=shape) for shape in shapes]]
     monkeypatch.setattr(tr, "DIRECT_TAPS", 0)
-    for y, powers, direct in cases:
-        for band, got, want in zip(bank.bands, direct, walked(bank, y, powers), strict=True):
-            for k, p in enumerate(powers):
+    for y, direct in cases:
+        for band, got, want in zip(bank.bands, direct, walked(bank, y), strict=True):
+            for k, p in enumerate((1, 2, 3, 4, 5)):
                 np.testing.assert_allclose(
                     got[k], want[k], rtol=0, atol=1e-12 * float(np.abs(want[k]).max()),
                     err_msg=f"{band.label}, power {p}, at {y.shape}")
@@ -435,7 +484,7 @@ def test_walk_shares_leading_axis_inverse_transforms(bank, groups, monkeypatch):
 
     def walked():
         calls.update(dict.fromkeys(calls, 0))
-        assert sum(len(indices) for indices, _ in bank.walk(y, range(1, 6))) == len(bank.bands)
+        assert sum(len(indices) for indices, _ in bank.walk(y)) == len(bank.bands)
         return dict(calls)
 
     fft = {"irfftn": len(bank.bands), "ifftn": 0, "irfft": 0, "axis-0": 0}
@@ -476,7 +525,7 @@ def test_walk_transforms_two_power_rows_per_haar_band(bank, monkeypatch):
     shape = (64, 64)[: len(bank.bands[0].factors)]
     y = np.random.default_rng(5).normal(size=shape)
     assert all(corr.shape == (5, len(indices)) + shape
-               for indices, corr in bank.walk(y, range(1, 6)))
+               for indices, corr in bank.walk(y))
     fft = max(len(f) for band in bank.bands for f in band.factors) > tr.DIRECT_TAPS
     assert asked == [("_fft_walk" if fft else "_direct_walk", [1, 2])]
     assert rows == [2] * len(bank.bands) * fft
@@ -490,28 +539,28 @@ def test_walk_transforms_two_power_rows_per_haar_band(bank, monkeypatch):
 ], ids=["bdct8-64", "bdct8-128", "bdct8-256", "bdct8-117x93", "haar-J3-64", "haar-J4-64",
         "haar-J4-128", "haar-J4-1d-37"])
 def test_walk_stacks_fill_the_coefficient_budget(bank, shape, stacks):
-    # a stack holds consecutive bands of one kind, at most BAND_STACK
-    # coefficients unless it is one band, and is cut only where the kind or
-    # (direct walk: factors of at most DIRECT_TAPS taps) the leading factor
+    # a stack holds consecutive bands, the lowpass band 0 alone, at most
+    # BAND_STACK coefficients unless it is one band, and is cut only after
+    # band 0 or where (direct walk: factors of at most DIRECT_TAPS taps) the leading factor
     # changes or the budget is full; direct stacks of a bank without the
     # Haar pick view one buffer
     y = np.random.default_rng(7).normal(size=shape)
     n = max(1, tr.BAND_STACK // y.size)
     direct = max(len(f) for band in bank.bands for f in band.factors) <= tr.DIRECT_TAPS
-    picked = all(np.ptp(np.abs(band.taps)) == 0 for band in bank.bands)
+    picked = all(np.ptp(np.abs(taps(band))) == 0 for band in bank.bands)
 
     def lead(i):
         return bank.bands[i].factors[0].tobytes() if direct and y.ndim == 2 else None
 
-    walk, previous, first = list(enumerate(bank.walk(y, range(1, 6)))), None, None
+    walk, previous, first = list(enumerate(bank.walk(y))), None, None
     assert len(walk) == stacks
     for k, (indices, corr) in walk:
         assert 1 <= len(indices) <= n
-        assert len({bank.bands[i].kind for i in indices}) == len({lead(i) for i in indices}) == 1
+        assert len({i == 0 for i in indices}) == len({lead(i) for i in indices}) == 1
         if previous is not None:
             assert indices[0] == previous[-1] + 1
-            kinds = {bank.bands[i].kind for i in (previous[-1], indices[0])}
-            assert len(previous) == n or len(kinds) == 2 or lead(previous[-1]) != lead(indices[0])
+            lowpass = {i == 0 for i in (previous[-1], indices[0])}
+            assert len(previous) == n or len(lowpass) == 2 or lead(previous[-1]) != lead(indices[0])
         while corr.base is not None:
             corr = corr.base
         if direct and not picked:
