@@ -103,7 +103,7 @@ class FilterBank:
             for f in band.factors:
                 f.flags.writeable = False  # the tables below must not go stale
             taps = reduce(np.multiply.outer, band.factors)
-            sums.append([float((taps ** p).sum()) for p in (1, 2, 3)])
+            sums.append([float(taps.sum()), float((taps ** 2).sum()), float((taps ** 3).sum())])
             magnitudes.append(abs(taps.flat[0]))
             haar = haar and np.ptp(np.abs(taps)) == 0  # so far, one magnitude per band
         self.tap_sums = np.array(sums)
@@ -135,7 +135,7 @@ class FilterBank:
             if c is not None:  # into picked's head: a smaller stack touches no more of it
                 head = picked[:5 * corr[0].size].reshape((5,) + corr.shape[1:])
                 corr = np.take(corr, [0, 1, 0, 1, 0], 0, head, "clip")
-                scale = c[indices] ** np.c_[[0, 0, 2, 2, 4]]  # c^(p - b), per power and band
+                scale = c[indices] ** [[0], [0], [2], [2], [4]]  # c^(p - b), per power and band
                 corr *= scale.reshape(scale.shape + (1,) * y.ndim)
             yield indices, corr
 

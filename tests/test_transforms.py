@@ -82,8 +82,8 @@ def test_bdct_rejects_small_image():
 
 
 def test_support_check_forms_no_band_taps():
-    # twelve levels need a 4096-wide support: the check reads it off the
-    # 1-D factors, where a band's 4096x4096 taps would take 134 MB
+    # twelve levels need a 4096-wide support: walk's check reads the bank's
+    # support table, where a band's 4096x4096 taps would take 134 MB
     bank = tr.haar_uwt_bank(12)
     tracemalloc.start()
     try:
