@@ -241,8 +241,7 @@ def pointwise_let_evaluations(banks, y, K, weights):
     for i, ((k, band), (w, wbar)) in enumerate(zip(bands, coeffs)):
         if k == 0:
             atoms.append((i, f"{band.label}:bias", SubbandEvaluation(
-                theta=w - float(taps(band).sum()) * K, d1=1.0, d2=0.0, d11=0.0, d22=0.0,
-                d12=0.0)))
+                theta=w - taps(band).sum() * K, d1=1.0, d2=0.0, d11=0.0, d22=0.0, d12=0.0)))
         else:
             atoms += [(i, f"{band.label}:l{lam:g}", let_atom_pointwise(w, wbar, lam))
                       for lam in POINTWISE_LAMBDAS]

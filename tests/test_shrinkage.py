@@ -933,7 +933,7 @@ def test_uwt_denoise_makes_one_inverse_transform(transform, monkeypatch):
 def test_uwt_denoise_forms_each_band_taps_once(monkeypatch):
     # the tap facts the fit needs (tap sums, the Haar magnitude) are read
     # off the bank's tables, which its constructor forms from one outer
-    # product of each band's factors: a call forms no tap outer product more
+    # product of each band's factors: a call forms no other tap outer product
     y, K = rescaled_shepp_logan(32, 20.0)
     bands = len(haar_uwt_bank(3).bands) + len(bdct8_bank().bands)
     calls = []

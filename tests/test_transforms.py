@@ -357,8 +357,8 @@ def test_empty_bank_is_refused():
 def test_band_factors_are_read_only():
     # the tables are formed from the factors once, so no factor may change after
     factor = np.array([0.5, 0.5])
-    bank = tr.FilterBank("user", [tr.Band((factor, factor), 1.0, "low")])
-    for bank in (bank, tr.haar_uwt_bank(2), tr.haar_uwt_bank(2, ndim=1), tr.bdct8_bank()):
+    user = tr.FilterBank("user", [tr.Band((factor, factor), 1.0, "low")])
+    for bank in (user, tr.haar_uwt_bank(2), tr.haar_uwt_bank(2, ndim=1), tr.bdct8_bank()):
         for band in bank.bands:
             for f in band.factors:
                 with pytest.raises(ValueError, match="read-only"):
