@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .transforms import (
     SPIN_COUNTS,
     SPIN_SHIFTS,
     FilterBank,
+    _level_count,
     bdct8_bank,
     haar_step,
     haar_unstep,
@@ -291,15 +291,13 @@ def _checked_data(y, K) -> np.ndarray:
 
 
 def _check_levels(shape, J) -> int:
-    """J as an int, the one check of a level count: a whole number, at least
-    1, with 2^J at most the smallest side. A J-level Haar pyramid pads each
-    side to a multiple of 2^J, and the undecimated bank's support check
-    (FilterBank.walk) asks the same of the same J."""
+    """J as an int, a level count (transforms._level_count) with 2^J at most the
+    smallest side. A J-level Haar pyramid pads each side to a multiple of 2^J, and
+    the undecimated bank's support check (FilterBank.walk) asks the same of the same J."""
     most = min(shape, default=0).bit_length() - 1  # no power of 2 is formed for a huge J
-    if not (isinstance(J, numbers.Real) and float(J).is_integer() and 1 <= J <= most):
-        raise ValueError(f"J={J} must be a whole number of levels, at least 1 and with 2^J "
-                         f"at most the image's smallest side: shape {tuple(shape)} holds "
-                         f"at most J={most}")
+    if _level_count(J) > most:
+        raise ValueError(f"J={J} levels need 2^J at most the image's smallest side: shape "
+                         f"{tuple(shape)} holds at most J={most}")
     return int(J)
 
 
@@ -569,9 +567,9 @@ def _pyramid_levels(cs, K: float, j: int, J: int, level_fn, shifts):
     level_fn call fits every field's stepped residues, one recursion runs on
     all their sums (cs is emptied once stepped). Not a closure, which would
     keep level_fn's buffers in a reference cycle until collected."""
-    if j > J:
-        return [(c - K, lowpass, {"lowpass": lowpass})
-                for c in cs for lowpass in [4.0 * float((c - K / 2).sum()) / c.size]]
+    if j > J:  # s - K_J is its own unbiased target: no residual, div = sum(s - K_J/2)
+        return [(c - K, risk, {"lowpass": risk}) for c in cs for half in [float((c - K / 2).sum())]
+                for risk in [cure_expression(np.zeros(c.size), half, half)]]
     axes, branch = tuple(range(cs[0].ndim)), 2 ** cs[0].ndim
     residues = [{} for _ in cs]
     for rs, field_shifts in zip(residues, shifts):

@@ -25,8 +25,8 @@ Boundaries are periodic everywhere; the analysis operators are circulant.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import reduce
 from itertools import groupby
 
 import numpy as np
@@ -48,13 +48,12 @@ DIRECT_TAPS = 8  # longest factor walked directly (measured crossover): its cost
 BAND_STACK = 1 << 15  # coefficients per stack of walk (measured: 2 bands at 128^2, 1 from 256^2)
 
 
-def _factor_spectra(bands, shape, powers) -> list:
-    """Per axis of shape, the 1-D spectra of every band's factor ** p zero-embedded at
-    offset zero, an (len(powers), len(bands), n) array: rfft on the last axis, fft on the
-    others. The rfftn of a band's taps ** p is the outer product of its rows over the axes."""
-    return [(np.fft.rfft if axis == len(shape) - 1 else np.fft.fft)(np.stack(
-        [[np.pad(b.factors[axis] ** p, (0, n - len(b.factors[axis]))) for b in bands]
-         for p in powers])) for axis, n in enumerate(shape)]
+def _factor_spectra(bank, shape, powers) -> list:
+    """Per axis of shape, the 1-D spectra of the bank's factor_powers rows for powers, an
+    (len(powers), len(bands), n) array zero-padded to n by the transform: rfft on the last
+    axis, fft on the others. The rfftn of a band's taps ** p is the outer product of its rows."""
+    return [(np.fft.rfft if axis == len(shape) - 1 else np.fft.fft)(t[np.subtract(powers, 1)], n)
+            for axis, (t, n) in enumerate(zip(bank.factor_powers, shape))]
 
 
 def _parseval_weight(shape) -> np.ndarray:
@@ -88,50 +87,50 @@ class FilterBank:
     synthesis_rows gives a stack of bands' as Parseval rows, with the bank's
     1-D kernel spectra (kernel_spectra), and field_of_rows inverts rows. A
     bank holds only values fixed at construction, so it is safe to share:
-    read-only factors, the per-axis support and, formed once, what the risk
-    needs of band b's taps: tap_sums[b, p - 1] = sum(taps ** p), p = 1..3,
-    and magnitudes[b] = |taps| (None unless each band has one: Haar frame).
-    References for analysis and synthesis live in tests/oracles.py.
+    read-only factors, the per-axis support, factor_powers[axis][p - 1, b] = band
+    b's factor zero-padded to the support, ** p, p = 1..5, and from it what the risk
+    needs of band b's taps: tap_sums[b, p - 1] = sum(taps ** p) = the product over
+    axes of fsum(f ** p), p = 1..3, and magnitudes[b] = |taps| (None unless each has
+    one: Haar). References for analysis and synthesis live in tests/oracles.py.
     """
 
     def __init__(self, name: str, bands):
         self.name, self.bands = name, tuple(bands)
         if not self.bands:
             raise ValueError(f"filter bank {name!r} has no bands")
-        sums, magnitudes, haar = [], [], True
-        for band in self.bands:
-            for f in band.factors:
-                f.flags.writeable = False  # the tables below must not go stale
-            taps = reduce(np.multiply.outer, band.factors)
-            sums.append([float(taps.sum()), float((taps ** 2).sum()), float((taps ** 3).sum())])
-            magnitudes.append(abs(taps.flat[0]))
-            haar = haar and np.ptp(np.abs(taps)) == 0  # so far, one magnitude per band
-        self.tap_sums = np.array(sums)
-        self.magnitudes = np.array(magnitudes) if haar else None
         self.support = tuple(map(max, zip(*(map(len, b.factors) for b in self.bands))))
+        padded = [np.zeros((len(self.bands), n)) for n in self.support]  # row b: band b's factor
+        for b, band in enumerate(self.bands):
+            for table, f in zip(padded, band.factors):
+                table[b, :len(f)] = f
+                f.flags.writeable = False  # the tables below must not go stale
+        self.factor_powers = [t ** np.arange(1, 6)[:, None, None] for t in padded]
+        self.tap_sums = math.prod(np.array([[math.fsum(r) for r in rows.tolist()] for rows in
+                                            t[:3].swapaxes(0, 1)]) for t in self.factor_powers)
+        haar = all(np.ptp(np.abs(f)) == 0 for b in self.bands for f in b.factors)  # one |tap| each
+        self.magnitudes = math.prod(abs(t[0, :, 0]) for t in self.factor_powers) if haar else None
 
     def _check_size(self, shape) -> None:
-        if any(s < t for s, t in zip(shape, self.support)):
-            raise ValueError(f"image shape {shape} smaller than filter support {self.support}")
         if len(shape) != len(self.support):
             raise ValueError("image dimensionality does not match the band taps")
+        if any(s < t for s, t in zip(shape, self.support)):
+            raise ValueError(f"image shape {shape} smaller than filter support {self.support}")
 
     def walk(self, y: np.ndarray):
         """Yield (band indices, correlations) a stack at a time: consecutive bands of at
         most BAND_STACK coefficients, or one band, the lowpass band 0 alone. Row [k, i] of
         the (5, len(indices), *y.shape) array is the periodic correlation out[n] = sum_m
         taps[m] ** (k + 1) * y[(n + m) mod shape] of band indices[i], for the risk's powers
-        1..5; the caller may write in it, and the next yield may reuse it. A bank of at
-        most DIRECT_TAPS taps per factor is walked by direct correlation, bands with equal
-        leading factors sharing one pass, whose output their stacks view; any other by one
-        rfftn of y and one irfftn per band. With magnitudes c (the Haar frame), only powers
-        1 and 2 are correlated: taps^p = c^(p - b) taps^b, b = 1 (odd p) or 2."""
+        1..5; the caller may write in it, and the next yield may reuse it. Banks of at most
+        DIRECT_TAPS taps per factor take _direct_walk, others _fft_walk, both reading the
+        powers off factor_powers. With magnitudes c (the Haar frame), only powers 1 and 2
+        are correlated: taps^p = c^(p - b) taps^b, b = 1 (odd p) or 2."""
         y = np.asarray(y, dtype=np.float64)
         self._check_size(y.shape)
         n, c = max(1, BAND_STACK // y.size), self.magnitudes
         engine = _direct_walk if max(self.support) <= DIRECT_TAPS else _fft_walk
         picked = None if c is None else np.empty(5 * n * y.size)
-        for indices, corr in engine(y, self.bands, [1, 2, 3, 4, 5] if c is None else [1, 2], n):
+        for indices, corr in engine(y, self, [1, 2, 3, 4, 5] if c is None else [1, 2], n):
             if c is not None:  # into picked's head: a smaller stack touches no more of it
                 head = picked[:5 * corr[0].size].reshape((5,) + corr.shape[1:])
                 corr = np.take(corr, [0, 1, 0, 1, 0], 0, head, "clip")
@@ -143,7 +142,7 @@ class FilterBank:
         """Per axis of shape, every band's 1-D synthesis kernel spectrum, stacked over bands:
         its factor's fft, or on the last axis its rfft times synth_gain and _parseval_weight."""
         self._check_size(shape)
-        *spectra, last = (s[0] for s in _factor_spectra(self.bands, shape, [1]))
+        *spectra, last = (s[0] for s in _factor_spectra(self, shape, [1]))
         return spectra + [_parseval_weight(shape) * ([[b.synth_gain] for b in self.bands] * last)]
 
     def synthesis_rows(self, bands, coeffs, out=None, spectra=None) -> np.ndarray:
@@ -181,13 +180,13 @@ def _stacks(indices, n):
     return [run[k:k + n] for run in runs for k in range(0, len(run), n)]
 
 
-def _fft_walk(y, bands, powers, n):
-    """FilterBank.walk by FFT: one transform of y and the bands' 1-D factor spectra, then
+def _fft_walk(y, bank, powers, n):
+    """FilterBank.walk by FFT: one transform of y and the bank's 1-D factor spectra, then
     one inverse per band into its stack, of y's times their outer product's conjugate."""
     y_fft, out = np.fft.rfftn(y), np.empty((len(powers), n) + y.shape)
     spectra = [np.expand_dims(s, [2 + a for a in range(y.ndim) if a != axis])
-               for axis, s in enumerate(_factor_spectra(bands, y.shape, powers))]
-    for stack in _stacks(range(len(bands)), n):
+               for axis, s in enumerate(_factor_spectra(bank, y.shape, powers))]
+    for stack in _stacks(range(len(bank.bands)), n):
         for k, i in enumerate(stack):
             kernel = math.prod(s[:, i] for s in spectra)  # the rfftn of band i's taps ** powers
             np.fft.irfftn(y_fft * np.conj(kernel), s=y.shape, axes=range(-y.ndim, 0), out=out[:, k])
@@ -204,29 +203,34 @@ def _correlate(taps, field, axis, shifted, out) -> None:
         np.matmul(taps, shifted[:taps.shape[-1], a:a + 8192], out=out[..., a:a + 8192])
 
 
-def _direct_walk(y, bands, powers, n):
+def _direct_walk(y, bank, powers, n):
     """FilterBank.walk on a 1-D or 2-D field: per group (run of bands with equal leading
     factors), one matmul of that factor's powers over row-shifted copies of y, then per
     power one (bands x taps) @ (taps x pixels) matmul over column-shifted copies of that,
-    whose output the group's stacks view. Buffer rows lie 64 doubles apart, so rows read
-    together share no cache set."""
+    whose output the group's stacks view; both tap matrices slice the bank's factor_powers.
+    Buffer rows lie 64 doubles apart, so rows read together share no cache set."""
+    bands, p, field = bank.bands, len(powers), y.reshape(-1, y.shape[-1])
     groups = [[*g] for _, g in groupby(range(len(bands)),
                                        lambda i: [f.tobytes() for f in bands[i].factors[:-1]])]
-    p, field = np.reshape(powers, (-1, 1)), y.reshape(-1, y.shape[-1])
-    shifted, led, out = (np.empty(shape + (y.size + 64,))[..., :y.size] for shape in [
-        (max(len(f) for b in bands for f in b.factors),), (len(p),),
-        (len(p), max(map(len, groups)))])
+    *lead, last = (t[np.subtract(powers, 1)] for t in bank.factor_powers)
+    lead = lead[0] if lead else np.ones((p, len(bands), 1))  # a 1-D bank leads with 1
+    shifted, led, out = (np.empty(shape + (y.size + 64,))[..., :y.size]
+                         for shape in [(max(bank.support),), (p,), (p, max(map(len, groups)))])
     for group in groups:
-        f = bands[group[0]].factors[0] if y.ndim == 2 else np.ones(1)  # 1-D leads with itself
-        _correlate(f ** p, field, 0, shifted, led)
-        last = [bands[i].factors[-1] for i in group]
-        width = max(map(len, last))
-        taps = np.stack([np.pad(f ** p, [(0, 0), (0, width - len(f))]) for f in last], 1)
-        for k in range(len(p)):
+        _correlate(lead[:, group[0], :len(bands[group[0]].factors[0])], field, 0, shifted, led)
+        taps = last[:, group[0]:group[-1] + 1, :max(len(bands[i].factors[-1]) for i in group)]
+        for k in range(p):
             _correlate(taps[k], led[k].reshape(field.shape), 1, shifted, out[k, :len(group)])
         for stack in _stacks(group, n):
             at = slice(stack[0] - group[0], stack[-1] + 1 - group[0])
-            yield stack, out[:, at].reshape((len(p), -1) + y.shape)
+            yield stack, out[:, at].reshape((p, -1) + y.shape)
+
+
+def _level_count(J) -> int:
+    """J as an int, the one rule of a level count: a whole number, never a bool, at least 1."""
+    if type(J) is bool or not (isinstance(J, numbers.Real) and J >= 1 and float(J).is_integer()):
+        raise ValueError(f"J={J!r} must be a whole number of levels, at least 1")
+    return int(J)
 
 
 def haar_uwt_bank(levels: int, ndim: int = 2) -> FilterBank:
@@ -238,20 +242,15 @@ def haar_uwt_bank(levels: int, ndim: int = 2) -> FilterBank:
     (1/2)(h~ h + g~ g) = Id of the unit-norm Haar pair; the frame is not
     tight for J >= 2, so the gains are per-band, not global.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    levels = _level_count(levels)
     if ndim not in (1, 2):
         raise ValueError("only 1-D and 2-D supported")
     details = [np.repeat([-1.0, 1.0], 2 ** (j - 1)) / 2 ** (j / 2) for j in range(1, levels + 1)]
     lows = [np.ones(2 ** j) / 2 ** (j / 2) for j in range(1, levels + 1)]  # cumulative, like details
-    if ndim == 1:
-        bands = [Band((lows[-1],), 2.0 ** -levels, "low")]
-        bands += [Band((d,), 2.0 ** -j, f"d{j}") for j, d in enumerate(details, 1)]
-    else:
-        bands = [Band((lows[-1],) * 2, 4.0 ** -levels, "low")]
-        for j, d, l in zip(range(1, levels + 1), details, lows):
-            bands += [Band(f, 4.0 ** -j, f"{o}{j}")
-                      for o, f in (("lh", (d, l)), ("hl", (l, d)), ("hh", (d, d)))]
+    bands = [Band((lows[-1],) * ndim, 2.0 ** -(ndim * levels), "low")]
+    for j, d, l in zip(range(1, levels + 1), details, lows):
+        kinds = [("d", (d,))] if ndim == 1 else [("lh", (d, l)), ("hl", (l, d)), ("hh", (d, d))]
+        bands += [Band(f, 2.0 ** -(ndim * j), f"{o}{j}") for o, f in kinds]
     return FilterBank(f"haar-uwt-J{levels}-{ndim}d", bands)
 
 

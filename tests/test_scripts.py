@@ -8,6 +8,7 @@ import json
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -53,3 +54,28 @@ def test_bench_pairs_alternates_the_sides_and_counts_wins(tmp_path, capsys):
     for name in ("denoise_s_p50", "throughput_mpix_s"):
         assert rows[name][-2:] == ["3/3", "yes"]
     assert rows["failed"] == ["failed", "change", "0/4", "0/4", "0/4"]
+
+
+def test_risk_bias_writes_every_cell_of_its_protocol(tmp_path, capsys):
+    # schema only: item 4 of the roadmap adds the gate on the values
+    out = tmp_path / "bias.json"
+    main = runpy.run_path(str(SCRIPTS / "risk_bias.py"))["main"]
+    assert main(["--size", "64", "--seeds", "2", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert set(result) == {"protocol", "env", "cells"}
+    assert set(result["env"]) == {"python", "numpy", "commit", "curelet"}
+    protocol = result["protocol"]
+    assert (protocol["size"], protocol["seeds"]) == (64, 2)
+    assert protocol["methods"] == ["haar-cs1", "haar-cs16", "uwt", "uwt-bdct", "cureshrink"]
+    keys = [(c["phantom"], c["sigma"], c["method"]) for c in result["cells"]]
+    assert keys == [(p, s, m) for p in protocol["phantoms"] for s in protocol["sigmas"]
+                    for m in protocol["methods"]]
+    assert len(keys) == 2 * 3 * 5
+    for c in result["cells"]:
+        assert c["seeds"] == 2
+        assert set(c) == {"phantom", "sigma", "method", "seeds", "bias", "se", "bias_se",
+                          "bias_share", "mse_mean", "psnr_mean"}
+        assert all(np.isfinite(c[k]) for k in ("bias", "se", "bias_se", "bias_share",
+                                                "mse_mean", "psnr_mean"))
+        assert c["bias_se"] == c["bias"] / c["se"]
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(keys)

@@ -930,24 +930,6 @@ def test_uwt_denoise_makes_one_inverse_transform(transform, monkeypatch):
     assert len(calls) == 1
 
 
-def test_uwt_denoise_forms_each_band_taps_once(monkeypatch):
-    # the tap facts the fit needs (tap sums, the Haar magnitude) are read
-    # off the bank's tables, which its constructor forms from one outer
-    # product of each band's factors: a call forms no other tap outer product
-    y, K = rescaled_shepp_logan(32, 20.0)
-    bands = len(haar_uwt_bank(3).bands) + len(bdct8_bank().bands)
-    calls = []
-    reduce = transforms.reduce
-
-    def counting(*args):
-        calls.append(1)
-        return reduce(*args)
-
-    monkeypatch.setattr(transforms, "reduce", counting)
-    uwt_curelet_denoise(y, K, transform="mixed", J=3)
-    assert 0 < len(calls) <= bands
-
-
 # ------------------------------------------------------- pyramid denoisers
 
 
@@ -1264,6 +1246,35 @@ def test_denoisers_reject_levels_that_are_not_a_whole_positive_number(denoise, J
     # J <= 0 once returned y - K undenoised with a cure, and J = 2.5 failed in np.pad
     with pytest.raises(ValueError, match=f"J={J}"):
         denoise(noisy_uniform((16, 16), 5), 2.0, J=J)
+
+
+@pytest.mark.parametrize("J", [True, np.True_])
+def test_a_bool_is_not_a_level_count(J):
+    # True once ran as J = 1 through the level check, and haar_uwt_bank built
+    # "haar-uwt-JTrue-2d"; one rule refuses it in both places
+    with pytest.raises(ValueError, match="whole number"):
+        shrinkage._check_levels((16, 16), J)
+    with pytest.raises(ValueError, match="whole number"):
+        haar_uwt_bank(J)
+    with pytest.raises(ValueError, match="whole number"):
+        uwt_curelet_denoise(noisy_uniform((16, 16), 5), 2.0, J=J)
+
+
+def test_pyramid_lowpass_risk_is_formed_by_cure_expression(monkeypatch):
+    # the last sums' risk 4 sum(s - K_J/2) / N comes from the risk module's one
+    # expression (no residual, div = sum(s - K_J/2)), bit for bit the same value
+    calls = []
+
+    def spy(resid, div, half):
+        calls.append(resid.copy())
+        return cure_expression(resid, div, half)
+
+    monkeypatch.setattr(shrinkage, "cure_expression", spy)
+    c = sample_chi2(np.full((8, 8), 5.0), 32.0, seed=3).samples
+    (estimate, risk, per_band), = shrinkage._pyramid_levels([c.copy()], 32.0, 3, 2, None, [[(0, 0)]])
+    assert len(calls) == 1 and calls[0].shape == (c.size,) and not calls[0].any()
+    assert risk == per_band["lowpass"] == 4.0 * float((c - 16.0).sum()) / c.size
+    np.testing.assert_array_equal(estimate, c - 32.0)
 
 
 def test_uwt_takes_a_whole_float_J():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from functools import reduce
 
@@ -82,17 +83,42 @@ def test_bdct_rejects_small_image():
 
 
 def test_support_check_forms_no_band_taps():
-    # twelve levels need a 4096-wide support: walk's check reads the bank's
-    # support table, where a band's 4096x4096 taps would take 134 MB
-    bank = tr.haar_uwt_bank(12)
+    # twelve levels need a 4096-wide support: neither the bank's construction
+    # nor walk's check forms a band's taps, which at 4096x4096 would take 134 MB
+    # (building the bank from outer-product taps peaked near 286 MB)
     tracemalloc.start()
     try:
+        bank = tr.haar_uwt_bank(12)
         with pytest.raises(ValueError, match="smaller than filter support"):
             next(bank.walk(np.zeros((64, 64))))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("bank, shape", [
+    (tr.haar_uwt_bank(3), (4, 4, 4)), (tr.bdct8_bank(), (4,)), (tr.haar_uwt_bank(2, ndim=1), (2, 2)),
+], ids=["3d-field-2d-bank", "1d-field-2d-bank", "2d-field-1d-bank"])
+def test_size_check_names_a_dimensionality_mismatch_first(bank, shape):
+    # a field of the wrong dimensionality was reported as smaller than the support
+    with pytest.raises(ValueError, match="dimensionality"):
+        next(bank.walk(np.zeros(shape)))
+    with pytest.raises(ValueError, match="dimensionality"):
+        bank.kernel_spectra(shape)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_haar_bank_takes_a_whole_float_level_count(ndim):
+    # haar_uwt_bank(3.0) died in range with a TypeError
+    bank, want = tr.haar_uwt_bank(3.0, ndim=ndim), tr.haar_uwt_bank(3, ndim=ndim)
+    assert bank.name == want.name == f"haar-uwt-J3-{ndim}d"
+    assert [b.label for b in bank.bands] == [b.label for b in want.bands]
+    for table, reference in zip(bank.factor_powers, want.factor_powers):
+        np.testing.assert_array_equal(table, reference)
+    for bad in (0, 2.5, float("inf"), "3"):
+        with pytest.raises(ValueError, match="whole number"):
+            tr.haar_uwt_bank(bad, ndim=ndim)
 
 
 def test_bdct_constant_image():
@@ -291,7 +317,7 @@ def test_synthesis_rows_are_the_weighted_kernel_product(bank):
     shape = (12, 10)[: len(bank.bands[0].factors)]
     z = np.random.default_rng(17).normal(size=(3,) + shape)
     spectrum = np.fft.rfftn(z, axes=range(1, len(shape) + 1))
-    factor_spectra = tr._factor_spectra(bank.bands, shape, [1])
+    factor_spectra = tr._factor_spectra(bank, shape, [1])
     for bands in (None, [0, len(bank.bands) - 1, 0]):
         kernels = [tr._parseval_weight(shape) * (1.0 if i is None else bank.bands[i].synth_gain
                                                  * outer_spectrum(factor_spectra, i)[0])
@@ -329,14 +355,26 @@ def test_synthesis_gains_are_powers_of_two(bank):
 
 @pytest.mark.parametrize("bank", BANKS_OF_EVERY_J.values(), ids=BANKS_OF_EVERY_J.keys())
 def test_bank_tables_are_the_outer_product_taps_facts(bank):
-    # the tables a bank forms once hold, bit for bit, what the outer-product
-    # taps give: sums of taps ** 1..3, the one magnitude of each Haar band's
-    # taps (bdct8 bands have none) and the largest tap extent per axis
+    # the tables a bank forms once from its factors hold what the outer-product
+    # taps give: each factor_powers row is its zero-padded factor ** p bit for
+    # bit; each sum of taps ** 1..3 lies within 8 ulp (of sum |taps ** p|) of
+    # the correctly rounded sum, and is exactly 0 where a factor's sum of f ** p
+    # is (the Haar details' odd powers); the one magnitude of each Haar band's
+    # taps (bdct8 bands have none) and the largest tap extent per axis are exact
     reference = [taps(band) for band in bank.bands]
+    assert [t.shape for t in bank.factor_powers] == [(5, len(bank.bands), n) for n in bank.support]
+    for axis, (table, n) in enumerate(zip(bank.factor_powers, bank.support)):
+        for row, band in zip(table.swapaxes(0, 1), bank.bands):
+            f = band.factors[axis]
+            for p in range(1, 6):
+                np.testing.assert_array_equal(row[p - 1], np.concatenate([f ** p, np.zeros(n - len(f))]))
     assert bank.tap_sums.shape == (len(bank.bands), 3)
-    for row, d in zip(bank.tap_sums, reference):
+    for row, d, band in zip(bank.tap_sums, reference, bank.bands):
         for p in (1, 2, 3):
-            assert row[p - 1] == (d ** p).sum()
+            exact, scale = (math.fsum(v.ravel()) for v in (d ** p, np.abs(d ** p)))
+            assert abs(row[p - 1] - exact) <= 8 * np.spacing(scale), (band.label, p)
+            if any(math.fsum(f ** p) == 0 for f in band.factors):
+                assert row[p - 1] == 0, (band.label, p)
     if bank.name == "bdct8":
         assert bank.magnitudes is None
         assert bank.support == (8, 8)
@@ -384,7 +422,7 @@ def test_separable_tap_spectra_match_the_dense_transform(bank):
     ndim = len(bank.bands[0].factors)
     shapes = [(37,)] if ndim == 1 else [(256, 256), (12, 10), (117, 93)]
     powers = (1, 2, 3, 4, 5)
-    spectra = {shape: tr._factor_spectra(bank.bands, shape, powers) for shape in shapes}
+    spectra = {shape: tr._factor_spectra(bank, shape, powers) for shape in shapes}
     for i, band in enumerate(bank.bands):
         assert len(band.factors) == ndim and all(f.ndim == 1 for f in band.factors)
         outer = band.factors[0] if ndim == 1 else np.outer(*band.factors)
@@ -514,9 +552,9 @@ def test_walk_transforms_two_power_rows_per_haar_band(bank, monkeypatch):
     def spying(name):
         engine = getattr(tr, name)
 
-        def spy(y, bands, powers, n):
+        def spy(y, bank, powers, n):
             asked.append((name, list(powers)))
-            return engine(y, bands, powers, n)
+            return engine(y, bank, powers, n)
         return spy
 
     monkeypatch.setattr(np.fft, "irfftn", recording)
