@@ -424,8 +424,8 @@ def test_cure_filterbank_unbiased_fixed_shrinker():
         coeffs = analyze(bank, y)
         variances = analyze(bank, y, 2)
         evs = []
-        for i, (band, w, v) in enumerate(zip(bank.bands, coeffs, variances)):
-            if i == 0:
+        for b, (band, w, v) in enumerate(zip(bank.bands, coeffs, variances)):
+            if b == 0:
                 evs.append(
                     SubbandEvaluation(
                         theta=w - float(taps(band).sum()) * K, d1=1.0, d2=0.0,

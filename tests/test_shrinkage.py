@@ -2,8 +2,10 @@
 derivative checks, risk-optimality spot checks, and phantom protocols."""
 
 import gc
+import math
 import tracemalloc
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -928,6 +930,23 @@ def test_uwt_denoise_makes_one_inverse_transform(transform, monkeypatch):
     y, K = rescaled_shepp_logan(32, 20.0)
     uwt_curelet_denoise(y, K, transform=transform)
     assert len(calls) == 1
+
+
+def test_uwt_denoise_forms_each_band_taps_once(monkeypatch):
+    # the tap facts the fit needs (tap sums, the Haar magnitudes) are read
+    # off each bank's factor-power tables, whose constructor sums every
+    # band's factor powers 1..3 once per axis; no walk sums them again
+    y, K = rescaled_shepp_logan(32, 20.0)
+    bands = len(haar_uwt_bank(3).bands) + len(bdct8_bank().bands)
+    calls = []
+
+    def counting(values):
+        calls.append(1)
+        return math.fsum(values)
+
+    monkeypatch.setattr(transforms, "math", SimpleNamespace(fsum=counting, prod=math.prod))
+    uwt_curelet_denoise(y, K, transform="mixed", J=3)
+    assert len(calls) == y.ndim * 3 * bands
 
 
 # ------------------------------------------------------- pyramid denoisers
