@@ -337,16 +337,17 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
                         lambdas=LAMBDAS):
     """Risk-optimal linear expansion over undecimated-band atoms.
 
-    One walk over each bank's bands, in stacks (FilterBank.walk). A band's
-    correlations with its taps to the powers 1..5 are its coefficients, its
-    variance channel and (2..5) its divergence fields per unit synthesis gain,
-    shifted by the bank's tap_sums. The lowpass band, band 0 of each bank,
-    gets one bias atom, w - K sum(taps), which synthesizes to the unbiased
-    lowpass of x; every other band gets one keep-factor atom per
-    lambda, thetas and divergences from one fused pass per stack (_fused_atoms,
-    carrier w) in buffers every stack reuses. A stack's thetas become its rows
-    of one matrix of Parseval rows (synthesis_rows), its divergences times the
-    gains its entries of div; nothing else of it outlives it. _fit_expansion
+    One walk over each bank's bands, in stacks or a large band's row tiles
+    (FilterBank.walk). A band's correlations with its taps to the powers 1..5
+    are its coefficients, its variance channel and (2..5) its divergence fields
+    per unit synthesis gain, shifted by the bank's tap_sums. The lowpass band,
+    band 0 of each bank, gets one bias atom, w - K sum(taps), which synthesizes
+    to the unbiased lowpass of x; every other band gets one keep-factor atom per
+    lambda (eps band-wide: FilterBank.energies), from one fused pass per tile
+    (_fused_atoms, carrier w) in buffers every tile reuses: thetas straight into
+    the band's rows of one matrix, as fields that synthesis_rows turns into
+    Parseval rows in place after its last tile, and divergences summed over
+    tiles, times the gains, into div; nothing else outlives a tile. _fit_expansion
     solves the weights on those rows, one inverse transform gives the estimate
     of x, and cure_expression scores its residual. "mixed" pools the
     Haar-frame and block-DCT atoms into one joint system. per_band maps
@@ -365,30 +366,34 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
         banks.append(bdct8_bank())
     n_atoms = sum(1 + (len(bank.bands) - 1) * len(lambdas) for bank in banks)
     target = banks[0].synthesis_rows(None, y - K)
-    rows = np.empty((n_atoms, target.size))
-    div, labels, work = np.empty(n_atoms), [], {}
+    rows = np.empty((n_atoms, target.size))  # each row holds at least y.size doubles
+    div, labels, work = np.zeros(n_atoms), [], {}
     for bank in banks:
         spectra = bank.kernel_spectra(y.shape)
-        for indices, corr in bank.walk(y):
+        eps = 1e-12 * (bank.energies(y) / y.size + 1.0)  # _keep_ratio's, band-wide in each tile
+        bounds = len(labels) + np.r_[0, 1 + len(lambdas) * np.arange(len(bank.bands))]
+        labels += [f"{bank.name}/{band.label}{tag}" for i, band in enumerate(bank.bands)
+                   for tag in ([":bias"] if i == 0 else [f":l{lam:g}" for lam in lambdas])]
+        for indices, tile, corr in bank.walk(y):
             stack, sums = [bank.bands[i] for i in indices], bank.tap_sums[indices]
+            at = slice(bounds[indices[0]], bounds[indices[-1] + 1])
+            thetas = rows[at, :y.size].reshape((len(stack), -1) + y.shape)  # image-domain views
             if indices[0] == 0:  # the lowpass band, alone in its stack
-                thetas, tags = (corr[0] - sums[0, 0] * K)[:, None], [":bias"]
+                np.subtract(corr[0], sums[0, 0] * K, out=thetas[:, 0, tile])
                 divs = [[(corr[1, 0] - 0.5 * K * sums[0, 1]).sum()]]  # of_band's z1
             else:
-                ratio = _keep_ratio(corr[0], corr[1], work=work)  # before of_band shifts corr[1]
+                ratio = _keep_ratio(corr[0], corr[1], eps[indices].reshape(
+                    (-1,) + (1,) * y.ndim), work)  # before of_band shifts corr[1]
                 fields = BandDivergenceFields.of_band(
                     sums, K, corr[1:], _buffers(work, "z2", 1, corr.shape[1:])[0])
-                thetas, divs = (t[:, 0] for t in _fused_atoms(
-                    _UNIT, ratio, [(corr[0], 1.0, 0.0)], fields, work)(kappas))
-                tags = [f":l{lam:g}" for lam in lambdas]
-            divs = np.multiply(divs, [[band.synth_gain] for band in stack])
-            bad = [band.label for band, d in zip(stack, divs) if not np.isfinite(d).all()]
-            if bad:
-                raise ValueError(f"divergence of band {bank.name}/{bad[0]} is not finite")
-            labels += [f"{bank.name}/{band.label}{tag}" for band in stack for tag in tags]
-            at = slice(len(labels) - divs.size, len(labels))
-            div[at] = divs.ravel()
-            bank.synthesis_rows(indices, thetas, out=rows[at], spectra=spectra)
+                divs = _fused_atoms(_UNIT, ratio, [(corr[0], 1.0, 0.0)], fields, work)(
+                    kappas, thetas[:, None, :, tile])[1][:, 0]
+            div[at] += np.multiply(divs, [[band.synth_gain] for band in stack]).ravel()
+            if tile.stop == len(y):  # the stack's last tile: its thetas are whole
+                bank.synthesis_rows(indices, thetas, out=rows[at], spectra=spectra)  # in place
+    bad = [label for label, d in zip(labels, div) if not np.isfinite(d)]
+    if bad:
+        raise ValueError(f"divergence of band {bad[0].rsplit(':', 1)[0]} is not finite")
     (a,), (combined,) = _fit_expansion(rows[None], target[None], div[None])
     estimate = FilterBank.field_of_rows(combined, y.shape)
     cure = cure_expression(estimate - (y - K), float(a @ div), y - K / 2)

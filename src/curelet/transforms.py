@@ -24,6 +24,7 @@ Boundaries are periodic everywhere; the analysis operators are circulant.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 DIRECT_TAPS = 8  # longest factor walked directly (measured crossover): its cost grows with taps
-BAND_STACK = 1 << 15  # coefficients per stack of walk (measured: 2 bands at 128^2, 1 from 256^2)
+BAND_STACK = 1 << 15  # coefficients per walk stack or row tile (measured: 2 bands at 128^2)
 
 
 def _factor_spectra(bank, shape, powers) -> list:
@@ -81,17 +82,19 @@ class FilterBank:
 
     bands[0] is the lowpass (bias-carrying) band. Every analysis quantity is
     a per-band correlation of the image with a power of the band's taps, and
-    walk streams them in stacks of bands, each valid until the next (directly
-    for factors of at most DIRECT_TAPS taps, else by one inverse FFT per band).
+    walk streams them in stacks of bands, or of a large band's row tiles, each
+    valid until the next (directly for factors of at most DIRECT_TAPS taps, else
+    by one inverse FFT per band); energies sums each band's squares by Parseval.
     Synthesis convolves a coefficient field with ``synth_gain * taps``:
     synthesis_rows gives a stack of bands' as Parseval rows, with the bank's
     1-D kernel spectra (kernel_spectra), and field_of_rows inverts rows. A
-    bank holds only values fixed at construction, so it is safe to share:
-    read-only factors, the per-axis support, factor_powers[axis][p - 1, b] = band
-    b's factor zero-padded to the support, ** p, p = 1..5, and from it what the risk
-    needs of band b's taps: tap_sums[b, p - 1] = sum(taps ** p) = the product over
-    axes of fsum(f ** p), p = 1..3, and magnitudes[b] = |taps| (None unless each has
-    one: Haar). References for analysis and synthesis live in tests/oracles.py.
+    bank holds only values fixed at construction, so it is safe to share, and the
+    builders cache theirs: the per-axis support and, read-only, the factors,
+    factor_powers[axis][p - 1, b] = band b's factor zero-padded to the support, ** p,
+    p = 1..5, and from it what the risk needs of band b's taps: tap_sums[b, p - 1] =
+    sum(taps ** p) = the product over axes of fsum(f ** p), p = 1..3, and magnitudes[b]
+    = |taps| (None unless each has one: Haar). References for analysis and synthesis
+    live in tests/oracles.py.
     """
 
     def __init__(self, name: str, bands):
@@ -109,6 +112,8 @@ class FilterBank:
                                             t[:3].swapaxes(0, 1)]) for t in self.factor_powers)
         haar = all(np.ptp(np.abs(f)) == 0 for b in self.bands for f in b.factors)  # one |tap| each
         self.magnitudes = math.prod(abs(t[0, :, 0]) for t in self.factor_powers) if haar else None
+        for table in [*self.factor_powers, self.tap_sums] + [self.magnitudes] * haar:
+            table.flags.writeable = False  # shared by every caller of a cached bank
 
     def _check_size(self, shape) -> None:
         if len(shape) != len(self.support):
@@ -117,26 +122,37 @@ class FilterBank:
             raise ValueError(f"image shape {shape} smaller than filter support {self.support}")
 
     def walk(self, y: np.ndarray):
-        """Yield (band indices, correlations) a stack at a time: consecutive bands of at
-        most BAND_STACK coefficients, or one band, the lowpass band 0 alone. Row [k, i] of
-        the (5, len(indices), *y.shape) array is the periodic correlation out[n] = sum_m
-        taps[m] ** (k + 1) * y[(n + m) mod shape] of band indices[i], for the risk's powers
-        1..5; the caller may write in it, and the next yield may reuse it. Banks of at most
-        DIRECT_TAPS taps per factor take _direct_walk, others _fft_walk, both reading the
-        powers off factor_powers. With magnitudes c (the Haar frame), only powers 1 and 2
-        are correlated: taps^p = c^(p - b) taps^b, b = 1 (odd p) or 2."""
+        """Yield (band indices, rows, correlations) a stack at a time: consecutive bands of
+        at most BAND_STACK coefficients, or one band, the lowpass band 0 alone. Row [k, i] of
+        the (5, len(indices), *y[rows].shape) array is the periodic correlation out[n] =
+        sum_m taps[m] ** (k + 1) * y[(n + m) mod shape] of band indices[i], for the risk's
+        powers 1..5, on the slice rows of axis 0: all of it, but a 2-D band of more than
+        BAND_STACK coefficients on the direct walk comes in row tiles of near-equal height
+        and at most that many coefficients (or one row), its tiles in order. The caller may
+        write in it, and the next yield may reuse it. Banks of at most DIRECT_TAPS taps per
+        factor take _direct_walk, others _fft_walk, both reading the powers off
+        factor_powers. With magnitudes c (the Haar frame), only powers 1 and 2 are
+        correlated: taps^p = c^(p - b) taps^b, b = 1 (odd p) or 2."""
         y = np.asarray(y, dtype=np.float64)
         self._check_size(y.shape)
-        n, c = max(1, BAND_STACK // y.size), self.magnitudes
+        n, c, picked = max(1, BAND_STACK // y.size), self.magnitudes, np.empty(0)
         engine = _direct_walk if max(self.support) <= DIRECT_TAPS else _fft_walk
-        picked = None if c is None else np.empty(5 * n * y.size)
-        for indices, corr in engine(y, self, [1, 2, 3, 4, 5] if c is None else [1, 2], n):
+        for indices, rows, corr in engine(y, self, [1, 2, 3, 4, 5] if c is None else [1, 2], n):
             if c is not None:  # into picked's head: a smaller stack touches no more of it
+                picked = picked if picked.size >= 5 * corr[0].size else np.empty(5 * corr[0].size)
                 head = picked[:5 * corr[0].size].reshape((5,) + corr.shape[1:])
                 corr = np.take(corr, [0, 1, 0, 1, 0], 0, head, "clip")
                 scale = c[indices] ** [[0], [0], [2], [2], [4]]  # c^(p - b), per power and band
                 corr *= scale.reshape(scale.shape + (1,) * y.ndim)
-            yield indices, corr
+            yield indices, rows, corr
+
+    def energies(self, y: np.ndarray) -> np.ndarray:
+        """Every band's sum of its squared coefficients (walk's power 1) over y, by Parseval:
+        y's power spectrum (synthesis_rows' Parseval weights) times the squared spectra of
+        the band's 1-D factors, contracted one axis at a time."""
+        power = np.abs(self.synthesis_rows(None, y).view(np.complex128)) ** 2
+        *lead, last = (np.abs(s[0]) ** 2 for s in _factor_spectra(self, np.shape(y), [1]))
+        return ((lead[0] @ power.reshape(len(y), -1) if lead else power) * last).sum(-1)
 
     def kernel_spectra(self, shape) -> list:
         """Per axis of shape, every band's 1-D synthesis kernel spectrum, stacked over bands:
@@ -181,8 +197,8 @@ def _stacks(indices, n):
 
 
 def _fft_walk(y, bank, powers, n):
-    """FilterBank.walk by FFT: one transform of y and the bank's 1-D factor spectra, then
-    one inverse per band into its stack, of y's times their outer product's conjugate."""
+    """FilterBank.walk by FFT, untiled: one transform of y and the bank's 1-D factor spectra,
+    then one inverse per band into its stack, of y's times their outer product's conjugate."""
     y_fft, out = np.fft.rfftn(y), np.empty((len(powers), n) + y.shape)
     spectra = [np.expand_dims(s, [2 + a for a in range(y.ndim) if a != axis])
                for axis, s in enumerate(_factor_spectra(bank, y.shape, powers))]
@@ -190,40 +206,52 @@ def _fft_walk(y, bank, powers, n):
         for k, i in enumerate(stack):
             kernel = math.prod(s[:, i] for s in spectra)  # the rfftn of band i's taps ** powers
             np.fft.irfftn(y_fft * np.conj(kernel), s=y.shape, axes=range(-y.ndim, 0), out=out[:, k])
-        yield stack, out[:, :len(stack)]
+        yield stack, slice(0, len(y)), out[:, :len(stack)]
 
 
-def _correlate(taps, field, axis, shifted, out) -> None:
-    """out = taps @ shifted, row m the field rolled by -m along axis, in cache-sized blocks."""
-    along = field.swapaxes(0, axis)
+def _correlate(taps, field, axis, shifted, out, start=0) -> None:
+    """out = taps @ shifted, row m as many of the field's slices along axis as out holds from
+    start + m on, wrapped (all: the field rolled by -start - m), in cache-sized blocks."""
+    along, shifted, shape = field.swapaxes(0, axis), shifted[:, :out.shape[-1]], list(field.shape)
+    shape[axis] = n = out.shape[-1] * len(along) // field.size
     for m in range(taps.shape[-1]):
-        rolled, rest = shifted[m].reshape(field.shape).swapaxes(0, axis), len(along) - m
-        rolled[:rest], rolled[rest:] = along[m:], along[:m]
-    for a in range(0, field.size, 8192):
+        rolled, at = shifted[m].reshape(shape).swapaxes(0, axis), (start + m) % len(along)
+        first = min(n, len(along) - at)
+        rolled[:first], rolled[first:] = along[at:at + first], along[:n - first]
+    for a in range(0, out.shape[-1], 8192):
         np.matmul(taps, shifted[:taps.shape[-1], a:a + 8192], out=out[..., a:a + 8192])
 
 
 def _direct_walk(y, bank, powers, n):
     """FilterBank.walk on a 1-D or 2-D field: per group (run of bands with equal leading
-    factors), one matmul of that factor's powers over row-shifted copies of y, then per
+    factors) and row tile, one matmul of that factor's powers over row-shifted copies of
+    the tile's rows of y (their halo: the support - 1 rows after them, wrapped), then per
     power one (bands x taps) @ (taps x pixels) matmul over column-shifted copies of that,
     whose output the group's stacks view; both tap matrices slice the bank's factor_powers.
-    Buffer rows lie 64 doubles apart, so rows read together share no cache set."""
+    Buffer rows hold one tile and lie 64 doubles apart, so rows read together share no
+    cache set."""
     bands, p, field = bank.bands, len(powers), y.reshape(-1, y.shape[-1])
     groups = [[*g] for _, g in groupby(range(len(bands)),
                                        lambda i: [f.tobytes() for f in bands[i].factors[:-1]])]
     *lead, last = (t[np.subtract(powers, 1)] for t in bank.factor_powers)
     lead = lead[0] if lead else np.ones((p, len(bands), 1))  # a 1-D bank leads with 1
-    shifted, led, out = (np.empty(shape + (y.size + 64,))[..., :y.size]
+    tiles = -(-len(field) // max(1, BAND_STACK // field.shape[1]))  # 1 up to BAND_STACK
+    cuts = [len(field) * t // tiles for t in range(tiles + 1)]
+    size = -(-len(field) // tiles) * field.shape[1]
+    shifted, led, out = (np.empty(shape + (size + 64,))[..., :size]
                          for shape in [(max(bank.support),), (p,), (p, max(map(len, groups)))])
     for group in groups:
-        _correlate(lead[:, group[0], :len(bands[group[0]].factors[0])], field, 0, shifted, led)
         taps = last[:, group[0]:group[-1] + 1, :max(len(bands[i].factors[-1]) for i in group)]
-        for k in range(p):
-            _correlate(taps[k], led[k].reshape(field.shape), 1, shifted, out[k, :len(group)])
-        for stack in _stacks(group, n):
-            at = slice(stack[0] - group[0], stack[-1] + 1 - group[0])
-            yield stack, out[:, at].reshape((p, -1) + y.shape)
+        for r0, r1 in zip(cuts, cuts[1:]):
+            h, rows = (r1 - r0) * field.shape[1], slice(r0, r1 if y.ndim > 1 else len(y))
+            _correlate(lead[:, group[0], :len(bands[group[0]].factors[0])], field, 0, shifted,
+                       led[:, :h], r0)
+            for k in range(p):
+                _correlate(taps[k], led[k, :h].reshape(r1 - r0, -1), 1, shifted,
+                           out[k, :len(group), :h])
+            for stack in _stacks(group, n):
+                at = slice(stack[0] - group[0], stack[-1] + 1 - group[0])
+                yield stack, rows, out[:, at, :h].reshape((p, -1) + y[rows].shape)
 
 
 def _level_count(J) -> int:
@@ -233,6 +261,7 @@ def _level_count(J) -> int:
     return int(J)
 
 
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True is refused, not taken for 1
 def haar_uwt_bank(levels: int, ndim: int = 2) -> FilterBank:
     """Shift-invariant Haar wavelet frame with J levels.
 
@@ -254,6 +283,7 @@ def haar_uwt_bank(levels: int, ndim: int = 2) -> FilterBank:
     return FilterBank(f"haar-uwt-J{levels}-{ndim}d", bands)
 
 
+@functools.cache
 def bdct8_bank() -> FilterBank:
     """Fully overlapping 8x8 block DCT: 64 unit-norm bands, redundancy 64.
 

@@ -398,8 +398,11 @@ def mse_oracle(f, x) -> float:
 def analyze(bank, y, power=1) -> list[np.ndarray]:
     """Per-band correlations of y with taps ** power, 1 <= power <= 5: the
     coefficients w_b for power 1, the variance channel wbar_b for power 2
-    (for chi-square data, Var(w) = 4 (E[wbar] - K/2))."""
-    return [w.copy() for _, corr in bank.walk(y) for w in corr[power - 1]]
+    (for chi-square data, Var(w) = 4 (E[wbar] - K/2)), each whole from walk's tiles."""
+    out = np.empty((len(bank.bands),) + np.shape(y))
+    for indices, rows, corr in bank.walk(y):
+        out[indices, rows] = corr[power - 1]
+    return list(out)
 
 
 def synthesize(bank, coeffs) -> np.ndarray:
@@ -427,13 +430,12 @@ def band_divergence_fields(y, K: float, bank) -> list[BandDivergenceFields]:
     """Divergence correlation fields of every band of the bank, scaled by its
     synthesis gain g (of_band's, per unit gain, times g), so that a band's
     divergence is atom_divergence of its own fields."""
-    out = []
-    for indices, corr in bank.walk(y):
+    out = np.empty((len(bank.bands), 5) + np.shape(y))  # per band, its fields whole
+    for indices, rows, corr in bank.walk(y):
         fields = BandDivergenceFields.of_band(bank.tap_sums[indices], K, corr[1:])
-        out += [BandDivergenceFields(**{name: bank.bands[i].synth_gain * z[k]
-                                        for name, z in vars(fields).items()})
-                for k, i in enumerate(indices)]
-    return out
+        for f, z in enumerate(vars(fields).values()):
+            out[indices, f, rows] = z
+    return [BandDivergenceFields(*(band.synth_gain * out[i])) for i, band in enumerate(bank.bands)]
 
 
 def cure_filterbank_divergence(y, K: float, evs, bank) -> float:

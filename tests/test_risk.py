@@ -268,7 +268,7 @@ def test_of_band_fields_are_the_walk_rows(make_bank):
     # place, and z2 alone lands in out; the fields carry no synthesis gain
     bank, K = make_bank(), 2.0
     y = rng_of(9).uniform(0.1, 10.0, size=(16, 16))
-    for indices, walked in bank.walk(y):
+    for indices, _, walked in bank.walk(y):
         corr = walked[1:]  # the taps^2..5 rows
         rows, out = corr.copy(), np.empty(corr.shape[1:])
         fields = BandDivergenceFields.of_band(bank.tap_sums[indices], K, corr, out)

@@ -79,3 +79,47 @@ def test_risk_bias_writes_every_cell_of_its_protocol(tmp_path, capsys):
                                                 "mse_mean", "psnr_mean"))
         assert c["bias_se"] == c["bias"] / c["se"]
     assert len(capsys.readouterr().out.splitlines()) == 1 + len(keys)
+
+
+CELL_KEYS = {"method", "shape", "reps", "seconds", "rss_mb", "xmse", "cure"}
+
+
+def test_method_matrix_writes_every_cell_of_its_protocol(tmp_path, capsys):
+    # schema only: two 64^2 cells of one rep, each in a process of its own
+    out = tmp_path / "sizes.json"
+    main = runpy.run_path(str(SCRIPTS / "method_matrix.py"))["main"]
+    assert main(["--methods", "haar-cs1", "uwt", "--shapes", "64x64", "--reps", "1",
+                 "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert set(result) == {"protocol", "env", "cells"}
+    assert set(result["env"]) == {"python", "numpy", "commit", "curelet"}
+    protocol = result["protocol"]
+    assert protocol == {"phantom": "shepp-logan", "sigma": 20.0, "seed": 0, "reps": 1,
+                        "methods": ["haar-cs1", "uwt"], "shapes": [[64, 64]]}
+    assert [(c["method"], c["shape"]) for c in result["cells"]] == [("haar-cs1", [64, 64]),
+                                                                     ("uwt", [64, 64])]
+    for c in result["cells"]:
+        assert set(c) == CELL_KEYS and c["reps"] == 1
+        assert all(np.isfinite(c[k]) and c[k] > 0 for k in ("seconds", "rss_mb", "xmse", "cure"))
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2
+
+
+def test_method_matrix_pairs_two_checkouts(tmp_path, capsys):
+    # schema only: this checkout as its own parent, one pair of one 64^2 cell;
+    # the quality columns of the same code agree
+    out = tmp_path / "pairs.json"
+    main = runpy.run_path(str(SCRIPTS / "method_matrix.py"))["main"]
+    assert main(["--methods", "uwt", "--shapes", "64x64", "--reps", "1", "--pairs", "1",
+                 "--parent", str(SCRIPTS.parent), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert set(result["env"]) == {"parent", "change"}
+    assert result["protocol"]["pairs"] == 1
+    (cell,) = result["cells"]
+    assert set(cell) == {"method", "shape", "seconds", "rss_mb", "parent", "change"}
+    for key in ("seconds", "rss_mb"):
+        assert set(cell[key]) == {"parent", "change", "won", "gap_gt_iqr"}
+        assert len(cell[key]["parent"]) == len(cell[key]["change"]) == 3
+    (parent,), (change,) = cell["parent"], cell["change"]
+    assert set(parent) == set(change) == CELL_KEYS
+    assert (parent["xmse"], parent["cure"]) == (change["xmse"], change["cure"])
+    assert capsys.readouterr().out.splitlines()[0].split()[:3] == ["method", "shape", "metric"]

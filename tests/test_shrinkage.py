@@ -297,7 +297,7 @@ def fused_and_reference_atoms(source, y, K, lambdas):
     exactly 0."""
     if isinstance(source, FilterBank):
         scaled = band_divergence_fields(y, K, source)
-        for indices, corr in source.walk(y):
+        for indices, _, corr in source.walk(y):
             for k, i in enumerate(indices):
                 band = source.bands[i]
                 if i == 0:  # the lowpass band
@@ -815,6 +815,51 @@ def test_uwt_mixed_keeps_only_the_row_matrix():
     assert peak <= 2 * n_atoms * y.size * 8
 
 
+def test_uwt_mixed_holds_one_tile_of_band_buffers():
+    # at 256^2 each band is walked and fitted in row tiles of BAND_STACK
+    # coefficients, and the thetas go straight into the row matrix: the traced
+    # peak stays within that matrix and 100 tile-sized fields (a walk and LET
+    # of whole bands held 39 MiB above it)
+    y, K = rescaled_shepp_logan(256, 20.0)
+    n_atoms = 1 + 2 * 9 + 1 + 2 * 63
+    tracemalloc.start()
+    try:
+        uwt_curelet_denoise(y, K, transform="mixed")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = n_atoms * y.shape[0] * 2 * (y.shape[1] // 2 + 1) * 8
+    assert peak <= rows + 100 * transforms.BAND_STACK * 8
+
+
+def shepp_logan_512_crop(rows, cols):
+    y, K = rescaled_shepp_logan(512, 20.0)
+    return y[:rows, :cols].copy(), K
+
+
+@pytest.mark.parametrize("transform", ["haar-uwt", "mixed"])
+@pytest.mark.parametrize("data", [partial(rescaled_shepp_logan, 256, 20.0),
+                                  partial(shepp_logan_512_crop, 300, 260),
+                                  partial(shepp_logan_512_crop, 511, 383)],
+                         ids=["256x256", "300x260", "511x383"])
+def test_uwt_row_tiles_match_one_tile(transform, data, monkeypatch):
+    # bands above BAND_STACK coefficients are walked and fitted in row tiles
+    # (2, 3 and 7 here), their divergence dots summed over the tiles and
+    # their thetas written into the row matrix; a budget of one band's
+    # coefficients walks each band whole. Only summation order may differ
+    y, K = data()
+    est, report = uwt_curelet_denoise(y, K, transform=transform)
+    assert y.size > transforms.BAND_STACK
+    monkeypatch.setattr(transforms, "BAND_STACK", y.size)
+    whole, whole_report = uwt_curelet_denoise(y, K, transform=transform)
+    np.testing.assert_allclose(est, whole, rtol=0.0, atol=1e-12 * float(np.abs(whole).max()))
+    assert report.cure == pytest.approx(whole_report.cure, rel=1e-12, abs=0.0)
+    assert list(report.per_band) == list(whole_report.per_band)
+    weights, whole_weights = (np.array(list(r.per_band.values())) for r in (report, whole_report))
+    np.testing.assert_allclose(weights, whole_weights, rtol=0.0,
+                               atol=1e-10 * float(np.abs(whole_weights).max()))
+
+
 def image_domain_fit(banks, y, K):
     """The risk minimizer fitted in the image domain: every atom of
     uwt_curelet_denoise's expansion, built by the reference atom and
@@ -888,11 +933,12 @@ def test_uwt_fit_is_the_image_domain_risk_minimizer(transform, data):
 def test_uwt_band_stacks_match_one_band_per_stack(transform, data, J, monkeypatch):
     # every step of a stack is per item, and the divergence is formed per
     # unit synthesis gain, a power of two, so stacking bands moves no bit:
-    # the direct walk (J = 3) and the FFT walk with the Haar pick (J = 4)
+    # the direct walk (J = 3) and the FFT walk with the Haar pick (J = 4).
+    # A budget of one band's coefficients gives one band per stack, untiled
     y, K = data()
     est, report = uwt_curelet_denoise(y, K, transform=transform, J=J)
     assert transforms.BAND_STACK // y.size >= 2  # some stack holds two bands or more
-    monkeypatch.setattr(transforms, "BAND_STACK", 1)
+    monkeypatch.setattr(transforms, "BAND_STACK", y.size)
     alone, alone_report = uwt_curelet_denoise(y, K, transform=transform, J=J)
     np.testing.assert_array_equal(est, alone)
     assert report.cure == alone_report.cure
@@ -935,7 +981,8 @@ def test_uwt_denoise_makes_one_inverse_transform(transform, monkeypatch):
 def test_uwt_denoise_forms_each_band_taps_once(monkeypatch):
     # the tap facts the fit needs (tap sums, the Haar magnitudes) are read
     # off each bank's factor-power tables, whose constructor sums every
-    # band's factor powers 1..3 once per axis; no walk sums them again
+    # band's factor powers 1..3 once per axis; no walk sums them again, and
+    # the builders cache their banks, so a second call builds none
     y, K = rescaled_shepp_logan(32, 20.0)
     bands = len(haar_uwt_bank(3).bands) + len(bdct8_bank().bands)
     calls = []
@@ -945,8 +992,12 @@ def test_uwt_denoise_forms_each_band_taps_once(monkeypatch):
         return math.fsum(values)
 
     monkeypatch.setattr(transforms, "math", SimpleNamespace(fsum=counting, prod=math.prod))
+    haar_uwt_bank.cache_clear()
+    bdct8_bank.cache_clear()
     uwt_curelet_denoise(y, K, transform="mixed", J=3)
-    assert len(calls) == y.ndim * 3 * bands
+    assert len(calls) == y.ndim * 3 * bands == 444
+    uwt_curelet_denoise(y, K, transform="mixed", J=3)
+    assert len(calls) == 444
 
 
 # ------------------------------------------------------- pyramid denoisers

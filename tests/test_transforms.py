@@ -387,6 +387,25 @@ def test_bank_tables_are_the_outer_product_taps_facts(bank):
     assert bank.support == tuple(np.max([d.shape for d in reference], axis=0).tolist())
 
 
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_banks_are_built_once_and_read_only(ndim):
+    # the builders cache their banks, so every caller shares one: none may
+    # write a table; True is no level count, cached or not
+    bank = tr.haar_uwt_bank(3, ndim=ndim)
+    assert tr.haar_uwt_bank(3, ndim=ndim) is bank
+    assert tr.bdct8_bank() is tr.bdct8_bank()
+    tr.haar_uwt_bank(1, ndim=ndim)
+    with pytest.raises(ValueError, match="whole number"):
+        tr.haar_uwt_bank(True, ndim=ndim)
+    for b in (bank, tr.bdct8_bank()):
+        tables = [*b.factor_powers, b.tap_sums] + ([b.magnitudes] if b.magnitudes is not None
+                                                   else [])
+        assert len(tables) == len(b.support) + 1 + (b is bank)
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 1.0
+
+
 def test_empty_bank_is_refused():
     with pytest.raises(ValueError, match="filter bank 'empty' has no bands"):
         tr.FilterBank("empty", [])
@@ -450,8 +469,8 @@ WALKED_BANKS = SEPARABLE_BANKS | {f"haar-J4-{nd}d": tr.haar_uwt_bank(4, ndim=nd)
 def walked(bank, y):
     """Per band, in bank order, a copy of its (5, *y.shape) rows of walk's stacks."""
     bands = []
-    for indices, corr in bank.walk(y):
-        assert corr.shape == (5, len(indices)) + y.shape
+    for indices, rows, corr in bank.walk(y):
+        assert rows == slice(0, len(y)) and corr.shape == (5, len(indices)) + y.shape
         bands += [(i, corr[:, k].copy()) for k, i in enumerate(indices)]
     assert [i for i, _ in bands] == list(range(len(bank.bands)))
     return [rows for _, rows in bands]
@@ -511,9 +530,9 @@ def test_walk_shares_leading_axis_inverse_transforms(bank, groups, monkeypatch):
 
     correlate = tr._correlate
 
-    def correlating(taps, field, axis, shifted, out):
+    def correlating(taps, field, axis, shifted, out, start=0):
         calls["axis-0"] += axis == 0
-        correlate(taps, field, axis, shifted, out)
+        correlate(taps, field, axis, shifted, out, start)
 
     for name in ("irfftn", "ifftn", "irfft"):
         monkeypatch.setattr(np.fft, name, counting(name))
@@ -522,7 +541,7 @@ def test_walk_shares_leading_axis_inverse_transforms(bank, groups, monkeypatch):
 
     def walked():
         calls.update(dict.fromkeys(calls, 0))
-        assert sum(len(indices) for indices, _ in bank.walk(y)) == len(bank.bands)
+        assert sum(len(indices) for indices, _, _ in bank.walk(y)) == len(bank.bands)
         return dict(calls)
 
     fft = {"irfftn": len(bank.bands), "ifftn": 0, "irfft": 0, "axis-0": 0}
@@ -563,7 +582,7 @@ def test_walk_transforms_two_power_rows_per_haar_band(bank, monkeypatch):
     shape = (64, 64)[: len(bank.bands[0].factors)]
     y = np.random.default_rng(5).normal(size=shape)
     assert all(corr.shape == (5, len(indices)) + shape
-               for indices, corr in bank.walk(y))
+               for indices, _, corr in bank.walk(y))
     fft = max(len(f) for band in bank.bands for f in band.factors) > tr.DIRECT_TAPS
     assert asked == [("_fft_walk" if fft else "_direct_walk", [1, 2])]
     assert rows == [2] * len(bank.bands) * fft
@@ -571,7 +590,7 @@ def test_walk_transforms_two_power_rows_per_haar_band(bank, monkeypatch):
 
 @pytest.mark.parametrize("bank, shape, stacks", [
     (tr.bdct8_bank(), (64, 64), 9), (tr.bdct8_bank(), (128, 128), 33),
-    (tr.bdct8_bank(), (256, 256), 64), (tr.bdct8_bank(), (117, 93), 25),
+    (tr.bdct8_bank(), (256, 256), 128), (tr.bdct8_bank(), (117, 93), 25),
     (tr.haar_uwt_bank(3), (64, 64), 10), (tr.haar_uwt_bank(4), (64, 64), 3),
     (tr.haar_uwt_bank(4), (128, 128), 7), (tr.haar_uwt_bank(4, ndim=1), (37,), 2),
 ], ids=["bdct8-64", "bdct8-128", "bdct8-256", "bdct8-117x93", "haar-J3-64", "haar-J4-64",
@@ -581,7 +600,8 @@ def test_walk_stacks_fill_the_coefficient_budget(bank, shape, stacks):
     # BAND_STACK coefficients unless it is one band, and is cut only after
     # band 0 or where (direct walk: factors of at most DIRECT_TAPS taps) the leading factor
     # changes or the budget is full; direct stacks of a bank without the
-    # Haar pick view one buffer
+    # Haar pick view one buffer. A stack's later row tiles (bdct8 at 256^2:
+    # two per band) repeat its indices
     y = np.random.default_rng(7).normal(size=shape)
     n = max(1, tr.BAND_STACK // y.size)
     direct = max(len(f) for band in bank.bands for f in band.factors) <= tr.DIRECT_TAPS
@@ -592,16 +612,52 @@ def test_walk_stacks_fill_the_coefficient_budget(bank, shape, stacks):
 
     walk, previous, first = list(enumerate(bank.walk(y))), None, None
     assert len(walk) == stacks
-    for k, (indices, corr) in walk:
+    for k, (indices, rows, corr) in walk:
         assert 1 <= len(indices) <= n
         assert len({i == 0 for i in indices}) == len({lead(i) for i in indices}) == 1
-        if previous is not None:
-            assert indices[0] == previous[-1] + 1
-            lowpass = {i == 0 for i in (previous[-1], indices[0])}
-            assert len(previous) == n or len(lowpass) == 2 or lead(previous[-1]) != lead(indices[0])
         while corr.base is not None:
             corr = corr.base
         if direct and not picked:
             first = corr if first is None else first
             assert corr is first
+        if rows.start:
+            continue
+        if previous is not None:
+            assert indices[0] == previous[-1] + 1
+            lowpass = {i == 0 for i in (previous[-1], indices[0])}
+            assert len(previous) == n or len(lowpass) == 2 or lead(previous[-1]) != lead(indices[0])
         previous = indices
+
+
+@pytest.mark.parametrize("bank", [tr.bdct8_bank(), tr.haar_uwt_bank(3)], ids=["bdct8", "haar-J3"])
+@pytest.mark.parametrize("shape, budget, tiles", [
+    ((256, 256), None, 2), ((300, 260), None, 3), ((511, 383), None, 7), ((20, 30), 100, 7),
+    ((16, 120), 100, 16)], ids=["256", "300x260", "511x383", "tiles-below-support", "row-above"])
+def test_walk_tiles_cover_each_band_once_within_the_budget(bank, shape, budget, tiles,
+                                                           monkeypatch):
+    # above BAND_STACK coefficients a band comes in row tiles of near-equal
+    # height and at most BAND_STACK coefficients (one row if a row holds
+    # more), each band's in order and covering its rows once; the tiles'
+    # correlations, halo rows wrapped even past tiles lower than the taps,
+    # are the whole band's, walked with a one-band budget, and energies gives
+    # their sums of squares by Parseval
+    if budget is not None:
+        monkeypatch.setattr(tr, "BAND_STACK", budget)
+    y = np.random.default_rng(11).normal(size=shape)
+    seen = {i: [] for i in range(len(bank.bands))}
+    tiled = analyze(bank, y)
+    for indices, rows, corr in bank.walk(y):
+        assert len(indices) == 1
+        assert corr.shape == (5, 1) + y[rows].shape
+        assert corr[0].size <= max(tr.BAND_STACK, shape[1])
+        seen[indices[0]].append((rows.start, rows.stop))
+    for i, cuts in seen.items():
+        starts, stops = zip(*cuts)
+        assert len(cuts) == tiles
+        assert starts[0] == 0 and stops[-1] == shape[0] and starts[1:] == stops[:-1], i
+        assert np.ptp(np.subtract(stops, starts)) <= 1
+    np.testing.assert_allclose(bank.energies(y), [(a ** 2).sum() for a in tiled], rtol=1e-12)
+    monkeypatch.setattr(tr, "BAND_STACK", y.size)
+    for band, a, b in zip(bank.bands, tiled, analyze(bank, y)):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13 * float(np.abs(b).max()),
+                                   err_msg=band.label)
