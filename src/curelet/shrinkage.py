@@ -113,9 +113,10 @@ def _smooth_pos3(u, beta: float, out=None):
 
 
 def _inverse_energy(e, eps=None, out=None):
-    """1 / (e + eps) of a stack of energy fields e; eps defaults to 1e-12 (mean(e) + 1) per item."""
-    mean = np.mean(e, axis=tuple(range(1, e.ndim)), keepdims=True)
-    out = np.add(e, 1e-12 * (mean + 1.0) if eps is None else eps, out=out)
+    """1 / (e + eps) of a stack of energy fields e, eps per item, 1e-12 (mean(e) + 1) by default."""
+    if eps is None:
+        eps = 1e-12 * (np.mean(e, axis=tuple(range(1, e.ndim))) + 1.0)
+    out = np.add(e, np.reshape(eps, (-1,) + (1,) * (e.ndim - 1)), out=out)
     return np.divide(1.0, out, out=out)
 
 
@@ -382,8 +383,7 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
                 np.subtract(corr[0], sums[0, 0] * K, out=thetas[:, 0, tile])
                 divs = [[(corr[1, 0] - 0.5 * K * sums[0, 1]).sum()]]  # of_band's z1
             else:
-                ratio = _keep_ratio(corr[0], corr[1], eps[indices].reshape(
-                    (-1,) + (1,) * y.ndim), work)  # before of_band shifts corr[1]
+                ratio = _keep_ratio(*corr[:2], eps[indices], work)  # before of_band shifts corr[1]
                 fields = BandDivergenceFields.of_band(
                     sums, K, corr[1:], _buffers(work, "z2", 1, corr.shape[1:])[0])
                 divs = _fused_atoms(_UNIT, ratio, [(corr[0], 1.0, 0.0)], fields, work)(
