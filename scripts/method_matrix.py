@@ -8,17 +8,19 @@ The protocol is fixed: Shepp-Logan at sigma 20, seed 0, cropped from the
 phantom of the shape's larger side, with OMP_NUM_THREADS=1. Each (method,
 shape) cell runs in a fresh process of this script (--cell), which times
 --reps calls of denoise_mr and reports the best wall time, its own peak RSS
-(ru_maxrss) and, as quality columns that a perf change must not move, the
-x-domain MSE against (mu / sigma)^2 and the reported cure. The child imports
+(ru_maxrss) and minor page faults (ru_minflt), both whole-process, and, as
+quality columns that a perf change must not move, the x-domain MSE against
+(mu / sigma)^2 and the reported cure. The child imports
 curelet from the measured checkout's src/ (this script's own by default).
 With --out it writes JSON with the environment: Python, numpy, the commit
 and the curelet package imported.
 
 With --parent PATH, every pair runs each cell of PATH's src/ and of this
 checkout's, the parent first in even pairs and the change first in odd ones,
-and per cell reports each side's median and quartiles of the time and the
-RSS, how many pairs the change won (ties win nothing) and whether the gap of
-the medians exceeds the parent's interquartile range, then every run.
+and per cell reports each side's median and quartiles of the time, the RSS
+and the minor faults, how many pairs the change won (ties win nothing) and
+whether the gap of the medians exceeds the parent's interquartile range, then
+every run.
 """
 
 import argparse
@@ -58,7 +60,7 @@ def shape_of(text: str) -> tuple:
 
 
 def measure(method: str, shape: tuple, reps: int) -> dict:
-    """One cell, in this process: best-of-reps seconds, peak RSS, x-MSE and cure."""
+    """One cell, in this process: best-of-reps seconds, peak RSS, minor faults, x-MSE and cure."""
     mu = make_phantom("shepp-logan", max(shape))[:shape[0], :shape[1]]
     m = sample_rician(mu, SIGMA, SEED)
     seconds = []
@@ -66,8 +68,9 @@ def measure(method: str, shape: tuple, reps: int) -> dict:
         start = time.perf_counter()
         result = denoise_mr(m, sigma=SIGMA, method=method)
         seconds.append(time.perf_counter() - start)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     return {"method": method, "shape": list(shape), "reps": reps, "seconds": min(seconds),
-            "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "rss_mb": usage.ru_maxrss / 1024.0, "minflt": usage.ru_minflt,
             "xmse": float(((result.xhat - (mu / SIGMA) ** 2) ** 2).mean()),
             "cure": float(result.cure)}
 
@@ -84,9 +87,9 @@ def run_cell(src: Path, method: str, shape: str, reps: int) -> dict:
 
 
 def compare(parent: list, change: list) -> dict:
-    """Medians, quartiles and change wins of the time and RSS, both lower-is-better."""
+    """Medians, quartiles and change wins of the time, RSS and minor faults; lower wins."""
     out = {}
-    for key in ("seconds", "rss_mb"):
+    for key in ("seconds", "rss_mb", "minflt"):
         p, c = (np.array([r[key] for r in runs]) for runs in (parent, change))
         (p25, p50, p75), (c25, c50, c75) = (np.percentile(v, [25, 50, 75]) for v in (p, c))
         out[key] = {"parent": [p25, p50, p75], "change": [c25, c50, c75],
@@ -112,14 +115,14 @@ def main(argv=None) -> int:
     protocol = {"phantom": "shepp-logan", "sigma": SIGMA, "seed": SEED, "reps": args.reps,
                 "methods": args.methods, "shapes": [list(shape_of(s)) for s in args.shapes]}
     if args.parent is None:
-        print(f"{'method':<10s} {'shape':>9s} {'seconds':>9s} {'rss_mb':>8s} {'xmse':>12s} "
-              f"{'cure':>12s}")
+        print(f"{'method':<10s} {'shape':>9s} {'seconds':>9s} {'rss_mb':>8s} {'minflt':>8s} "
+              f"{'xmse':>12s} {'cure':>12s}")
         results = []
         for method, shape in cells:
             r = run_cell(SRC, method, shape, args.reps)
             results.append(r)
             print(f"{method:<10s} {shape:>9s} {r['seconds']:9.4f} {r['rss_mb']:8.1f} "
-                  f"{r['xmse']:12.6g} {r['cure']:12.6g}", flush=True)
+                  f"{r['minflt']:8d} {r['xmse']:12.6g} {r['cure']:12.6g}", flush=True)
         record = {"protocol": protocol, "env": environment(SRC), "cells": results}
     else:
         sides = {"parent": args.parent.resolve() / "src", "change": SRC}
@@ -142,7 +145,7 @@ def main(argv=None) -> int:
                       .ljust(59) + f"  {c50:10.4g} [{c25:.4g}, {c75:.4g}]".ljust(30)
                       + f"  {s['won']:2d}/{args.pairs:<2d}  {'yes' if s['gap_gt_iqr'] else 'no'}")
         for (method, shape), both in runs.items():
-            for key in ("seconds", "rss_mb", "xmse", "cure"):
+            for key in ("seconds", "rss_mb", "minflt", "xmse", "cure"):
                 for side, values in both.items():
                     print(f"values {method} {shape} {key} {side} "
                           + " ".join(f"{r[key]:.6g}" for r in values))

@@ -399,29 +399,19 @@ def monte_carlo_experiment(protocol: ExperimentProtocol) -> list[dict]:
         futures = {job: pool.submit(_mc_single, mu, protocol, *job) for job in jobs}
         outcomes = {job: fut.result() for job, fut in futures.items()}
 
-    def cell(values):
-        arr = np.asarray(values, dtype=np.float64)
-        se = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
-        return float(arr.mean()), float(se)
-
     rows = []
     for method in protocol.methods:
         for sig in protocol.sigmas:
             runs = [outcomes[(method, float(sig), seed)] for seed in protocol.seeds]
-            pm, ps = cell([r["psnr"] for r in runs])
-            cm, cs = cell([r["cipsnr"] for r in runs])
-            sm, ss = cell([r["ssim"] for r in runs])
-            rows.append({
-                "method": method,
-                "sigma": float(sig),
-                "seed_count": len(protocol.seeds),
-                "psnr_mean": pm, "psnr_se": ps,
-                "cipsnr_mean": cm, "cipsnr_se": cs,
-                "ssim_mean": sm, "ssim_se": ss,
-                "cure_mean": float(np.mean([r["cure"] for r in runs])),
-                "mse_mean": float(np.mean([r["mse"] for r in runs])),
-                "runtime_s": float(np.mean([r["runtime"] for r in runs])),
-            })
+            row = {"method": method, "sigma": float(sig), "seed_count": len(protocol.seeds)}
+            for key in ("psnr", "cipsnr", "ssim"):
+                arr = np.asarray([r[key] for r in runs], dtype=np.float64)
+                se = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
+                row[f"{key}_mean"], row[f"{key}_se"] = float(arr.mean()), float(se)
+            for key, column in (("cure", "cure_mean"), ("mse", "mse_mean"),
+                                ("runtime", "runtime_s")):
+                row[column] = float(np.mean([r[key] for r in runs]))
+            rows.append(row)
     return rows
 
 

@@ -642,7 +642,7 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
     for a shape that is not a multiple of 2^J) and per_band the per-key
     mean; neither is the risk of the averaged, cropped estimate.
     """
-    if spins not in SPIN_COUNTS:
+    if type(spins) is bool or spins not in SPIN_COUNTS:
         raise ValueError(f"spins must be one of {SPIN_COUNTS}, got {spins!r}")
     lambdas = _checked_lambdas(lambdas)
     g1, work, kappas = gamma_kernel(ndim=1), {}, [4.0 * lam for lam in lambdas]

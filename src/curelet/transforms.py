@@ -336,16 +336,11 @@ def parent_field(s: np.ndarray, orientation: str) -> np.ndarray:
     along columns (axis 1), "lh" along rows (axis 0), "hh" along the
     diagonal, "w" is the 1-D case. Periodic boundaries.
     """
+    axes = {"w": (0,), "lh": (0,), "hl": (1,), "hh": (0, 1)}.get(orientation)
+    if axes is None:
+        raise ValueError(f"unknown orientation {orientation!r}")
     s = np.asarray(s, dtype=np.float64)
-    if orientation == "w":
-        return np.roll(s, -1) - np.roll(s, 1)
-    if orientation == "hl":
-        return np.roll(s, -1, axis=1) - np.roll(s, 1, axis=1)
-    if orientation == "lh":
-        return np.roll(s, -1, axis=0) - np.roll(s, 1, axis=0)
-    if orientation == "hh":
-        return np.roll(s, (-1, -1), axis=(0, 1)) - np.roll(s, (1, 1), axis=(0, 1))
-    raise ValueError(f"unknown orientation {orientation!r}")
+    return np.roll(s, (-1,) * len(axes), axis=axes) - np.roll(s, (1,) * len(axes), axis=axes)
 
 
 # Deterministic cycle-spin shift schedule: the four diagonal shifts, then

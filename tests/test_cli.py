@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from curelet import cli
 from curelet.chi2model import sample_rician
 from curelet.cli import build_parser, main, read_pgm, write_pgm
 from curelet.pipeline import make_phantom, psnr
@@ -398,3 +399,48 @@ def test_out_of_range_flags_are_config_errors_naming_the_flag(argv, flags, tmp_p
     assert "config error" in err
     for flag in flags:
         assert flag in err
+
+
+# ------------------------------------------------------- exit codes of main
+
+
+@pytest.mark.parametrize("error", [RuntimeError, FloatingPointError])
+def test_numerical_failures_exit_three(error, phantom_files, tmp_path, monkeypatch,
+                                       capsys):
+    def fail(*args, **kwargs):
+        raise error("diverged")
+
+    monkeypatch.setattr(cli, "denoise_mr", fail)
+    code = run("denoise", "--in", phantom_files["noisy"],
+               "--out", str(tmp_path / "o.pgm"), "--sigma", "20")
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, call, argv", [
+    ("denoise", "denoise_mr", ["--in", "{noisy}", "--out", "{tmp}/o.pgm", "--sigma", "20"]),
+    ("simulate", "make_phantom", ["--phantom", "constant", "--sigma", "20",
+                                  "--out", "{tmp}/o.pgm"]),
+    ("evaluate", "quality_report", ["--est", "{noisy}", "--ref", "{clean}"]),
+    ("benchmark", "monte_carlo_experiment", ["--seeds", "1", "--out", "{tmp}/b.csv"]),
+    ("estimate-sigma", "estimate_sigma_background", ["--in", "{noisy}", "--mask", "{mask}"]),
+])
+def test_library_value_errors_exit_one(command, call, argv, phantom_files, tmp_path,
+                                       monkeypatch, capsys):
+    # main, not the handler, maps a library ValueError to a config error
+    def fail(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, call, fail)
+    code = run(command, *[a.format(tmp=tmp_path, **phantom_files) for a in argv])
+    assert code == 1
+    assert "config error: boom" in capsys.readouterr().err
+
+
+def test_denoise_config_line_echoes_every_flag(phantom_files, tmp_path, capsys):
+    dump = str(tmp_path / "x.raw")
+    assert run("denoise", "--in", phantom_files["noisy"], "--out", str(tmp_path / "o.pgm"),
+               "--sigma", "20", "--method", "haar-cs1", "--dump-x", dump) == 0
+    (config,) = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("config: ")]
+    assert f"dump_path={dump}" in config.split()

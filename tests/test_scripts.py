@@ -81,7 +81,7 @@ def test_risk_bias_writes_every_cell_of_its_protocol(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1 + len(keys)
 
 
-CELL_KEYS = {"method", "shape", "reps", "seconds", "rss_mb", "xmse", "cure"}
+CELL_KEYS = {"method", "shape", "reps", "seconds", "rss_mb", "minflt", "xmse", "cure"}
 
 
 def test_method_matrix_writes_every_cell_of_its_protocol(tmp_path, capsys):
@@ -100,7 +100,8 @@ def test_method_matrix_writes_every_cell_of_its_protocol(tmp_path, capsys):
                                                                      ("uwt", [64, 64])]
     for c in result["cells"]:
         assert set(c) == CELL_KEYS and c["reps"] == 1
-        assert all(np.isfinite(c[k]) and c[k] > 0 for k in ("seconds", "rss_mb", "xmse", "cure"))
+        assert all(np.isfinite(c[k]) and c[k] > 0
+                   for k in ("seconds", "rss_mb", "minflt", "xmse", "cure"))
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2
 
 
@@ -115,8 +116,8 @@ def test_method_matrix_pairs_two_checkouts(tmp_path, capsys):
     assert set(result["env"]) == {"parent", "change"}
     assert result["protocol"]["pairs"] == 1
     (cell,) = result["cells"]
-    assert set(cell) == {"method", "shape", "seconds", "rss_mb", "parent", "change"}
-    for key in ("seconds", "rss_mb"):
+    assert set(cell) == {"method", "shape", "seconds", "rss_mb", "minflt", "parent", "change"}
+    for key in ("seconds", "rss_mb", "minflt"):
         assert set(cell[key]) == {"parent", "change", "won", "gap_gt_iqr"}
         assert len(cell[key]["parent"]) == len(cell[key]["change"]) == 3
     (parent,), (change,) = cell["parent"], cell["change"]

@@ -1379,8 +1379,10 @@ def test_pyramid_denoisers_leave_no_reference_cycle(denoise):
 
 
 def test_haar_spins_must_prefix_the_shift_schedule():
-    with pytest.raises(ValueError, match="spins"):
-        haar_curelet_denoise(np.ones((8, 8)), 2.0, J=1, spins=3)
+    # True == 1, but a bool is no spin count
+    for spins in (3, True):
+        with pytest.raises(ValueError, match="spins"):
+            haar_curelet_denoise(np.ones((8, 8)), 2.0, J=1, spins=spins)
 
 
 def test_haar_denoise_report_structure():

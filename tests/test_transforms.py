@@ -256,6 +256,17 @@ def test_parent_field_orientations():
     assert p_hl[0, 1] == pytest.approx(2.0)
     assert p_lh[1, 0] == pytest.approx(8.0)
     assert p_hh[1, 1] == pytest.approx(10.0)
+    # bit for bit the per-orientation rolls: w in 1-D, the rest in 2-D
+    rng = np.random.default_rng(3)
+    v, a = rng.standard_normal(7), rng.standard_normal((5, 6))
+    expected = {
+        "w": (v, np.roll(v, -1) - np.roll(v, 1)),
+        "hl": (a, np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)),
+        "lh": (a, np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0)),
+        "hh": (a, np.roll(a, (-1, -1), axis=(0, 1)) - np.roll(a, (1, 1), axis=(0, 1))),
+    }
+    for key, (x, want) in expected.items():
+        assert np.array_equal(tr.parent_field(x, key), want)
     with pytest.raises(ValueError):
         tr.parent_field(s, "xx")
 
