@@ -31,6 +31,7 @@ import math
 
 import numpy as np
 
+from . import transforms
 from .risk import BandDivergenceFields, RiskReport, cure_expression
 from .transforms import (
     SPIN_COUNTS,
@@ -67,8 +68,6 @@ GRID_TOL = 1e-3
 # gamma_kernel: truncation radius and width of the Gaussian weights
 GAMMA_RADIUS = 4
 GAMMA_SIGMA = 1.0
-# haar_curelet_denoise: coefficients per stacked level fit, at least one level-1 subband
-STACK_COEFFICIENTS = 1 << 14
 
 
 # ------------------------------------------------------------ smooth atoms
@@ -338,10 +337,11 @@ def uwt_curelet_denoise(y, K: float, transform: str = "haar-uwt", J: int = 3,
                         lambdas=LAMBDAS):
     """Risk-optimal linear expansion over undecimated-band atoms.
 
-    One walk over each bank's bands, in stacks or a large band's row tiles
-    (FilterBank.walk). A band's correlations with its taps to the powers 1..5
-    are its coefficients, its variance channel and (2..5) its divergence fields
-    per unit synthesis gain, shifted by the bank's tap_sums. The lowpass band,
+    One walk over each bank's bands, in stacks or a large band's row tiles of
+    at most transforms.TILE coefficients, on either engine (FilterBank.walk). A
+    band's correlations with its taps to the powers 1..5 are its coefficients,
+    its variance channel and (2..5) its divergence fields per unit synthesis
+    gain, shifted by the bank's tap_sums. The lowpass band,
     band 0 of each bank, gets one bias atom, w - K sum(taps), which synthesizes
     to the unbiased lowpass of x; every other band gets one keep-factor atom per
     lambda (eps band-wide: FilterBank.energies), from one fused pass per tile
@@ -625,7 +625,7 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
     without derivatives, by _local_magnitude), each carried by w and by
     the parent p (parent_field). A level's subbands, across shift residues
     and orientations, are fitted in stacks of at most the larger of
-    STACK_COEFFICIENTS and one level-1 subband's coefficients (the
+    transforms.TILE and one level-1 subband's coefficients (the
     workspace), gamma(s) once per level step:
     per stack, _fused_atoms writes the thetas into one (items, atoms,
     pixels) rows buffer for _fit_expansion. The risk has the subband field
@@ -650,7 +650,7 @@ def haar_curelet_denoise(y, K: float, J: int = 3, lambdas=LAMBDAS, spins: int = 
     def fit_level(sums, details, kj, j):
         shape, risks, shared = sums[0].shape, [{} for _ in sums], (None,)
         items = [(t, o) for t, step in enumerate(details) for o in step]
-        most = max(2 ** (len(shape) * (j - 1)), STACK_COEFFICIENTS // math.prod(shape))
+        most = max(2 ** (len(shape) * (j - 1)), transforms.TILE // math.prod(shape))
         for stack in (items[k:k + most] for k in range(0, len(items), most)):
             w, s, p, *gamma_s = gathered = _buffers(work, "stack", 6, (n := len(stack),) + shape)
             for i, (t, o) in enumerate(stack):

@@ -46,7 +46,8 @@ __all__ = [
 ]
 
 DIRECT_TAPS = 8  # longest factor walked directly (measured crossover): its cost grows with taps
-BAND_STACK = 1 << 15  # coefficients per walk stack or row tile (measured: 2 bands at 128^2)
+BAND_STACK = 1 << 15  # coefficients per walk stack of whole bands (measured: 2 bands at 128^2)
+TILE = 1 << 14  # coefficients per LET working unit, a band's row tile or a Haar level stack (L2)
 
 
 def _factor_spectra(bank, shape, powers) -> list:
@@ -82,12 +83,12 @@ class FilterBank:
 
     bands[0] is the lowpass (bias-carrying) band. Every analysis quantity is
     a per-band correlation of the image with a power of the band's taps, and
-    walk streams them in stacks of bands, or of a large band's row tiles, each
-    valid until the next (directly for factors of at most DIRECT_TAPS taps, else
-    by one inverse FFT per band); energies sums each band's squares by Parseval.
-    Synthesis convolves a coefficient field with ``synth_gain * taps``:
-    synthesis_rows gives a stack of bands' as Parseval rows, with the bank's
-    1-D kernel spectra (kernel_spectra), and field_of_rows inverts rows. A
+    walk streams them in stacks of bands, or a large band's row tiles of at most
+    TILE coefficients, each valid until the next (directly for factors of at most
+    DIRECT_TAPS taps, else by one inverse FFT per band); energies sums each band's
+    squares by Parseval. Synthesis convolves a coefficient field with
+    ``synth_gain * taps``: synthesis_rows gives a stack of bands' as Parseval rows, with
+    the bank's 1-D kernel spectra (kernel_spectra), and field_of_rows inverts rows. A
     bank holds only values fixed at construction, so it is safe to share, and the
     builders cache theirs: the per-axis support and, read-only, the factors,
     factor_powers[axis][p - 1, b] = band b's factor zero-padded to the support, ** p,
@@ -127,8 +128,8 @@ class FilterBank:
         the (5, len(indices), *y[rows].shape) array is the periodic correlation out[n] =
         sum_m taps[m] ** (k + 1) * y[(n + m) mod shape] of band indices[i], for the risk's
         powers 1..5, on the slice rows of axis 0: all of it, but a 2-D band of more than
-        BAND_STACK coefficients on the direct walk comes in row tiles of near-equal height
-        and at most that many coefficients (or one row), its tiles in order. The caller may
+        TILE coefficients comes in row tiles of near-equal height and at most TILE
+        coefficients (or one row), its tiles in order, on either engine. The caller may
         write in it, and the next yield may reuse it. Banks of at most DIRECT_TAPS taps per
         factor take _direct_walk, others _fft_walk, both reading the powers off
         factor_powers. With magnitudes c (the Haar frame), only powers 1 and 2 are
@@ -196,17 +197,26 @@ def _stacks(indices, n):
     return [run[k:k + n] for run in runs for k in range(0, len(run), n)]
 
 
+def _row_cuts(field) -> list:
+    """Row cuts of a 2-D field into near-equal tiles of at most TILE coefficients, or one row."""
+    tiles = -(-len(field) // max(1, TILE // field.shape[1]))  # 1 up to TILE
+    return [len(field) * t // tiles for t in range(tiles + 1)]
+
+
 def _fft_walk(y, bank, powers, n):
-    """FilterBank.walk by FFT, untiled: one transform of y and the bank's 1-D factor spectra,
-    then one inverse per band into its stack, of y's times their outer product's conjugate."""
+    """FilterBank.walk by FFT: one transform of y and the bank's 1-D factor spectra, then one
+    inverse per band into its stack, of y's times their outer product's conjugate, yielded
+    as _row_cuts' tiles of the stack's whole output."""
     y_fft, out = np.fft.rfftn(y), np.empty((len(powers), n) + y.shape)
+    cuts = _row_cuts(y.reshape(-1, y.shape[-1])) if y.ndim > 1 else [0, len(y)]
     spectra = [np.expand_dims(s, [2 + a for a in range(y.ndim) if a != axis])
                for axis, s in enumerate(_factor_spectra(bank, y.shape, powers))]
     for stack in _stacks(range(len(bank.bands)), n):
         for k, i in enumerate(stack):
             kernel = math.prod(s[:, i] for s in spectra)  # the rfftn of band i's taps ** powers
             np.fft.irfftn(y_fft * np.conj(kernel), s=y.shape, axes=range(-y.ndim, 0), out=out[:, k])
-        yield stack, slice(0, len(y)), out[:, :len(stack)]
+        for r0, r1 in zip(cuts, cuts[1:]):
+            yield stack, slice(r0, r1), out[:, :len(stack), r0:r1]
 
 
 def _correlate(taps, field, axis, shifted, out, start=0) -> None:
@@ -224,10 +234,11 @@ def _correlate(taps, field, axis, shifted, out, start=0) -> None:
 
 def _direct_walk(y, bank, powers, n):
     """FilterBank.walk on a 1-D or 2-D field: per group (run of bands with equal leading
-    factors) and row tile, one matmul of that factor's powers over row-shifted copies of
-    the tile's rows of y (their halo: the support - 1 rows after them, wrapped), then per
-    power one (bands x taps) @ (taps x pixels) matmul over column-shifted copies of that,
-    whose output the group's stacks view; both tap matrices slice the bank's factor_powers.
+    factors) and row tile (_row_cuts; a 1-D field is one row), one matmul of that factor's
+    powers over row-shifted copies of the tile's rows of y (their halo: the support - 1 rows
+    after them, wrapped), then per power one (bands x taps) @ (taps x pixels) matmul over
+    column-shifted copies of that, whose output the group's stacks view; both tap matrices
+    slice the bank's factor_powers.
     Buffer rows hold one tile and lie 64 doubles apart, so rows read together share no
     cache set."""
     bands, p, field = bank.bands, len(powers), y.reshape(-1, y.shape[-1])
@@ -235,9 +246,8 @@ def _direct_walk(y, bank, powers, n):
                                        lambda i: [f.tobytes() for f in bands[i].factors[:-1]])]
     *lead, last = (t[np.subtract(powers, 1)] for t in bank.factor_powers)
     lead = lead[0] if lead else np.ones((p, len(bands), 1))  # a 1-D bank leads with 1
-    tiles = -(-len(field) // max(1, BAND_STACK // field.shape[1]))  # 1 up to BAND_STACK
-    cuts = [len(field) * t // tiles for t in range(tiles + 1)]
-    size = -(-len(field) // tiles) * field.shape[1]
+    cuts = _row_cuts(field)
+    size = -(-len(field) // (len(cuts) - 1)) * field.shape[1]
     shifted, led, out = (np.empty(shape + (size + 64,))[..., :size]
                          for shape in [(max(bank.support),), (p,), (p, max(map(len, groups)))])
     for group in groups:

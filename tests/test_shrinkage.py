@@ -837,21 +837,38 @@ def shepp_logan_512_crop(rows, cols):
     return y[:rows, :cols].copy(), K
 
 
-@pytest.mark.parametrize("transform", ["haar-uwt", "mixed"])
-@pytest.mark.parametrize("data", [partial(rescaled_shepp_logan, 256, 20.0),
-                                  partial(shepp_logan_512_crop, 300, 260),
-                                  partial(shepp_logan_512_crop, 511, 383)],
-                         ids=["256x256", "300x260", "511x383"])
-def test_uwt_row_tiles_match_one_tile(transform, data, monkeypatch):
-    # bands above BAND_STACK coefficients are walked and fitted in row tiles
-    # (2, 3 and 7 here), their divergence dots summed over the tiles and
-    # their thetas written into the row matrix; a budget of one band's
-    # coefficients walks each band whole. Only summation order may differ
+TILED = {"256x256": partial(rescaled_shepp_logan, 256, 20.0),
+         "300x260": partial(shepp_logan_512_crop, 300, 260),
+         "511x383": partial(shepp_logan_512_crop, 511, 383)}
+
+
+@pytest.mark.parametrize("data, transform, J", [
+    (data, transform, 3) for data in TILED.values() for transform in ("haar-uwt", "mixed")]
+    + [(TILED["256x256"], "haar-uwt", 4)],
+    ids=[f"{shape}-{transform}" for shape in TILED for transform in ("haar-uwt", "mixed")]
+    + ["256x256-haar-uwt-J4"])
+def test_uwt_row_tiles_match_one_tile(data, transform, J, monkeypatch):
+    # bands above transforms.TILE coefficients are walked and fitted in row
+    # tiles (4, 5 and 13 here), on the direct walk (J = 3) and the FFT walk
+    # (J = 4) alike, their divergence dots summed over the tiles and their
+    # thetas written into the row matrix; a budget of one band's
+    # coefficients walks each band whole, one yield per band. Only summation
+    # order may differ
     y, K = data()
-    est, report = uwt_curelet_denoise(y, K, transform=transform)
-    assert y.size > transforms.BAND_STACK
-    monkeypatch.setattr(transforms, "BAND_STACK", y.size)
-    whole, whole_report = uwt_curelet_denoise(y, K, transform=transform)
+    est, report = uwt_curelet_denoise(y, K, transform=transform, J=J)
+    assert y.size > transforms.TILE
+    walk, yields = FilterBank.walk, []
+
+    def counting(bank, y):
+        for stack in walk(bank, y):
+            yields.append(stack[0])
+            yield stack
+
+    monkeypatch.setattr(FilterBank, "walk", counting)
+    monkeypatch.setattr(transforms, "TILE", y.size)
+    whole, whole_report = uwt_curelet_denoise(y, K, transform=transform, J=J)
+    assert yields == [[i] for i in range(1 + 3 * J)] + [[i] for i in range(64)] * (
+        transform == "mixed")
     np.testing.assert_allclose(est, whole, rtol=0.0, atol=1e-12 * float(np.abs(whole).max()))
     assert report.cure == pytest.approx(whole_report.cure, rel=1e-12, abs=0.0)
     assert list(report.per_band) == list(whole_report.per_band)
@@ -1249,7 +1266,7 @@ def test_haar_forms_gamma_derivatives_of_the_sums_alone(monkeypatch):
 
 
 def test_haar_solves_each_stack_with_one_batched_eigh(monkeypatch):
-    # a stack holds at most the larger of STACK_COEFFICIENTS and one level-1
+    # a stack holds at most the larger of transforms.TILE and one level-1
     # subband's coefficients: at 32x32 each level's subbands in one stack;
     # at 256x256 (a level-1 subband of 2^14) the twelve 128x128 subbands
     # one at a time, the 48 64x64 ones four at a time and the 48 32x32 ones
@@ -1273,10 +1290,10 @@ def test_haar_solves_each_stack_with_one_batched_eigh(monkeypatch):
 @pytest.mark.parametrize("spins", [1, 16])
 def test_haar_stack_size_leaves_the_outputs_unchanged(monkeypatch, shape, spins):
     # every kernel of a stacked fit works per item, so a stack of one
-    # subband per fit (STACK_COEFFICIENTS = 1) gives the same bits
+    # subband per fit (transforms.TILE = 1) gives the same bits
     y = noisy_uniform(shape, 5)
     estimate, report = haar_curelet_denoise(y, 2.0, J=3, spins=spins)
-    monkeypatch.setattr(shrinkage, "STACK_COEFFICIENTS", 1)
+    monkeypatch.setattr(transforms, "TILE", 1)
     single, single_report = haar_curelet_denoise(y, 2.0, J=3, spins=spins)
     assert np.array_equal(estimate, single)
     assert report.cure == single_report.cure

@@ -601,7 +601,7 @@ def test_walk_transforms_two_power_rows_per_haar_band(bank, monkeypatch):
 
 @pytest.mark.parametrize("bank, shape, stacks", [
     (tr.bdct8_bank(), (64, 64), 9), (tr.bdct8_bank(), (128, 128), 33),
-    (tr.bdct8_bank(), (256, 256), 128), (tr.bdct8_bank(), (117, 93), 25),
+    (tr.bdct8_bank(), (256, 256), 256), (tr.bdct8_bank(), (117, 93), 25),
     (tr.haar_uwt_bank(3), (64, 64), 10), (tr.haar_uwt_bank(4), (64, 64), 3),
     (tr.haar_uwt_bank(4), (128, 128), 7), (tr.haar_uwt_bank(4, ndim=1), (37,), 2),
 ], ids=["bdct8-64", "bdct8-128", "bdct8-256", "bdct8-117x93", "haar-J3-64", "haar-J4-64",
@@ -612,7 +612,7 @@ def test_walk_stacks_fill_the_coefficient_budget(bank, shape, stacks):
     # band 0 or where (direct walk: factors of at most DIRECT_TAPS taps) the leading factor
     # changes or the budget is full; direct stacks of a bank without the
     # Haar pick view one buffer. A stack's later row tiles (bdct8 at 256^2:
-    # two per band) repeat its indices
+    # four per band) repeat its indices
     y = np.random.default_rng(7).normal(size=shape)
     n = max(1, tr.BAND_STACK // y.size)
     direct = max(len(f) for band in bank.bands for f in band.factors) <= tr.DIRECT_TAPS
@@ -640,19 +640,23 @@ def test_walk_stacks_fill_the_coefficient_budget(bank, shape, stacks):
         previous = indices
 
 
-@pytest.mark.parametrize("bank", [tr.bdct8_bank(), tr.haar_uwt_bank(3)], ids=["bdct8", "haar-J3"])
+@pytest.mark.parametrize("bank", [tr.bdct8_bank(), tr.haar_uwt_bank(3), tr.haar_uwt_bank(4)],
+                         ids=["bdct8", "haar-J3", "haar-J4"])
 @pytest.mark.parametrize("shape, budget, tiles", [
-    ((256, 256), None, 2), ((300, 260), None, 3), ((511, 383), None, 7), ((20, 30), 100, 7),
+    ((256, 256), None, 4), ((300, 260), None, 5), ((511, 383), None, 13), ((20, 30), 100, 7),
     ((16, 120), 100, 16)], ids=["256", "300x260", "511x383", "tiles-below-support", "row-above"])
 def test_walk_tiles_cover_each_band_once_within_the_budget(bank, shape, budget, tiles,
                                                            monkeypatch):
-    # above BAND_STACK coefficients a band comes in row tiles of near-equal
-    # height and at most BAND_STACK coefficients (one row if a row holds
-    # more), each band's in order and covering its rows once; the tiles'
+    # above TILE coefficients a band comes in row tiles of near-equal height
+    # and at most TILE coefficients (one row if a row holds more), on the
+    # direct walk (bdct8, Haar J = 3) and the FFT walk (Haar J = 4) alike,
+    # each band's in order and covering its rows once; the tiles'
     # correlations, halo rows wrapped even past tiles lower than the taps,
     # are the whole band's, walked with a one-band budget, and energies gives
-    # their sums of squares by Parseval
+    # their sums of squares by Parseval. A small budget caps the stacks too,
+    # so that each holds one band
     if budget is not None:
+        monkeypatch.setattr(tr, "TILE", budget)
         monkeypatch.setattr(tr, "BAND_STACK", budget)
     y = np.random.default_rng(11).normal(size=shape)
     seen = {i: [] for i in range(len(bank.bands))}
@@ -660,7 +664,7 @@ def test_walk_tiles_cover_each_band_once_within_the_budget(bank, shape, budget, 
     for indices, rows, corr in bank.walk(y):
         assert len(indices) == 1
         assert corr.shape == (5, 1) + y[rows].shape
-        assert corr[0].size <= max(tr.BAND_STACK, shape[1])
+        assert corr[0].size <= max(tr.TILE, shape[1])
         seen[indices[0]].append((rows.start, rows.stop))
     for i, cuts in seen.items():
         starts, stops = zip(*cuts)
@@ -668,7 +672,8 @@ def test_walk_tiles_cover_each_band_once_within_the_budget(bank, shape, budget, 
         assert starts[0] == 0 and stops[-1] == shape[0] and starts[1:] == stops[:-1], i
         assert np.ptp(np.subtract(stops, starts)) <= 1
     np.testing.assert_allclose(bank.energies(y), [(a ** 2).sum() for a in tiled], rtol=1e-12)
-    monkeypatch.setattr(tr, "BAND_STACK", y.size)
+    monkeypatch.setattr(tr, "TILE", y.size)
+    assert [indices for indices, _, _ in bank.walk(y)] == [[i] for i in range(len(bank.bands))]
     for band, a, b in zip(bank.bands, tiled, analyze(bank, y)):
         np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13 * float(np.abs(b).max()),
                                    err_msg=band.label)
