@@ -264,10 +264,9 @@ def solve_weights(M, c) -> np.ndarray:
         RIDGE * np.trace(M, axis1=-2, axis2=-1) / c.shape[-1])
     M, lams = M + ridge[..., None, None] * np.eye(c.shape[-1]), lams + ridge[..., None]
     keep = lams > RCOND * np.maximum(lams.max(axis=-1, keepdims=True), 0.0)
-    a = np.zeros(c.shape)
-    for i in np.ndindex(c.shape[:-1]):  # the kept modes of each system
-        V = Vs[i][:, keep[i]]
-        a[i] = V @ ((V.T @ c[i]) / lams[i][keep[i]])
+    coef = np.divide((np.swapaxes(Vs, -1, -2) @ c[..., None])[..., 0], lams,
+                     out=np.zeros(c.shape), where=keep)  # the kept modes, the others 0
+    a = (Vs @ coef[..., None])[..., 0]
     residual = (np.swapaxes(Vs, -1, -2) @ (M @ a[..., None] - c[..., None]))[..., 0]
     residual = np.linalg.norm(keep * residual, axis=-1)
     if (residual > 1e-8 * (np.linalg.norm(c, axis=-1) + 1.0)).any():
