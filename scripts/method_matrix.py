@@ -3,9 +3,11 @@
     python scripts/method_matrix.py --out SIZES.json
     python scripts/method_matrix.py --parent ../parent --pairs 10 --methods uwt-bdct \
         --shapes 512x512 1024x1024
+    python scripts/method_matrix.py --methods uwt --levels 5 --shapes 512x512
 
 The protocol is fixed: Shepp-Logan at sigma 20, seed 0, cropped from the
-phantom of the shape's larger side, with OMP_NUM_THREADS=1. Each (method,
+phantom of the shape's larger side, with OMP_NUM_THREADS=1; --levels sets
+the level count J of every method (3 by default). Each (method,
 shape) cell runs in a fresh process of this script (--cell), which times
 --reps calls of denoise_mr and reports the best wall time, its own peak RSS
 (ru_maxrss) and minor page faults (ru_minflt), both whole-process, and, as
@@ -59,27 +61,45 @@ def shape_of(text: str) -> tuple:
     return rows, cols
 
 
-def measure(method: str, shape: tuple, reps: int) -> dict:
-    """One cell, in this process: best-of-reps seconds, peak RSS, minor faults, x-MSE and cure."""
+def data(shape: tuple) -> tuple:
+    """The protocol's clean magnitude mu and its noisy magnitude m at shape."""
     mu = make_phantom("shepp-logan", max(shape))[:shape[0], :shape[1]]
-    m = sample_rician(mu, SIGMA, SEED)
+    return mu, sample_rician(mu, SIGMA, SEED)
+
+
+def xmse(xhat, mu) -> float:
+    """The x-domain MSE of xhat against (mu / sigma)^2."""
+    return float(((xhat - (mu / SIGMA) ** 2) ** 2).mean())
+
+
+def quartiles(values) -> list:
+    return [float(q) for q in np.percentile(values, [25, 50, 75])]
+
+
+def wins(parent, change) -> int:
+    """Pairs the change won, lower winning; ties win nothing."""
+    return int(np.sum(np.asarray(change) < np.asarray(parent)))
+
+
+def measure(method: str, shape: tuple, reps: int, levels: int) -> dict:
+    """One cell, in this process: best-of-reps seconds, peak RSS, minor faults, x-MSE and cure."""
+    mu, m = data(shape)
     seconds = []
     for _ in range(reps):
         start = time.perf_counter()
-        result = denoise_mr(m, sigma=SIGMA, method=method)
+        result = denoise_mr(m, sigma=SIGMA, method=method, J=levels)
         seconds.append(time.perf_counter() - start)
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return {"method": method, "shape": list(shape), "reps": reps, "seconds": min(seconds),
             "rss_mb": usage.ru_maxrss / 1024.0, "minflt": usage.ru_minflt,
-            "xmse": float(((result.xhat - (mu / SIGMA) ** 2) ** 2).mean()),
-            "cure": float(result.cure)}
+            "xmse": xmse(result.xhat, mu), "cure": float(result.cure)}
 
 
-def run_cell(src: Path, method: str, shape: str, reps: int) -> dict:
+def run_cell(src: Path, method: str, shape: str, reps: int, levels: int) -> dict:
     """measure() in a fresh process that imports curelet from src."""
     env = dict(os.environ, OMP_NUM_THREADS="1", PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, __file__, "--cell", method, shape, "--reps", str(reps)],
-                          env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, __file__, "--cell", method, shape, "--reps", str(reps),
+                           "--levels", str(levels)], env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{src}: cell {method} {shape} exited with {proc.returncode}")
@@ -90,10 +110,10 @@ def compare(parent: list, change: list) -> dict:
     """Medians, quartiles and change wins of the time, RSS and minor faults; lower wins."""
     out = {}
     for key in ("seconds", "rss_mb", "minflt"):
-        p, c = (np.array([r[key] for r in runs]) for runs in (parent, change))
-        (p25, p50, p75), (c25, c50, c75) = (np.percentile(v, [25, 50, 75]) for v in (p, c))
+        p, c = ([r[key] for r in runs] for runs in (parent, change))
+        (p25, p50, p75), (c25, c50, c75) = quartiles(p), quartiles(c)
         out[key] = {"parent": [p25, p50, p75], "change": [c25, c50, c75],
-                    "won": int(np.sum(c < p)), "gap_gt_iqr": bool(abs(c50 - p50) > p75 - p25)}
+                    "won": wins(p, c), "gap_gt_iqr": bool(abs(c50 - p50) > p75 - p25)}
     return out
 
 
@@ -102,24 +122,25 @@ def main(argv=None) -> int:
     parser.add_argument("--methods", nargs="+", default=list(METHODS), choices=METHODS)
     parser.add_argument("--shapes", nargs="+", default=list(SHAPES), help="ROWSxCOLS each")
     parser.add_argument("--reps", type=int, default=3, help="calls per cell, the best one counts")
+    parser.add_argument("--levels", type=int, default=3, help="level count J of every method")
     parser.add_argument("--parent", type=Path, help="checkout measured as the baseline")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, help="write the cells as JSON here")
     parser.add_argument("--cell", nargs=2, metavar=("METHOD", "SHAPE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.cell:
-        print(json.dumps(measure(args.cell[0], shape_of(args.cell[1]), args.reps)))
+        print(json.dumps(measure(args.cell[0], shape_of(args.cell[1]), args.reps, args.levels)))
         return 0
 
     cells = [(method, shape) for shape in args.shapes for method in args.methods]
     protocol = {"phantom": "shepp-logan", "sigma": SIGMA, "seed": SEED, "reps": args.reps,
-                "methods": args.methods, "shapes": [list(shape_of(s)) for s in args.shapes]}
+                "levels": args.levels, "methods": args.methods, "shapes": [list(shape_of(s)) for s in args.shapes]}
     if args.parent is None:
         print(f"{'method':<10s} {'shape':>9s} {'seconds':>9s} {'rss_mb':>8s} {'minflt':>8s} "
               f"{'xmse':>12s} {'cure':>12s}")
         results = []
         for method, shape in cells:
-            r = run_cell(SRC, method, shape, args.reps)
+            r = run_cell(SRC, method, shape, args.reps, args.levels)
             results.append(r)
             print(f"{method:<10s} {shape:>9s} {r['seconds']:9.4f} {r['rss_mb']:8.1f} "
                   f"{r['minflt']:8d} {r['xmse']:12.6g} {r['cure']:12.6g}", flush=True)
@@ -131,7 +152,7 @@ def main(argv=None) -> int:
             for side in ["parent", "change"] if k % 2 == 0 else ["change", "parent"]:
                 for method, shape in cells:
                     runs[method, shape][side].append(
-                        run_cell(sides[side], method, shape, args.reps))
+                        run_cell(sides[side], method, shape, args.reps, args.levels))
             print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr, flush=True)
         print(f"{'method':<10s} {'shape':>9s} {'metric':<8s} {'parent p50 [p25, p75]':>28s}  "
               f"{'change p50 [p25, p75]':>28s}  {'won':>5s}  gap>IQR")

@@ -95,7 +95,7 @@ def test_method_matrix_writes_every_cell_of_its_protocol(tmp_path, capsys):
     assert set(result["env"]) == {"python", "numpy", "commit", "curelet"}
     protocol = result["protocol"]
     assert protocol == {"phantom": "shepp-logan", "sigma": 20.0, "seed": 0, "reps": 1,
-                        "methods": ["haar-cs1", "uwt"], "shapes": [[64, 64]]}
+                        "levels": 3, "methods": ["haar-cs1", "uwt"], "shapes": [[64, 64]]}
     assert [(c["method"], c["shape"]) for c in result["cells"]] == [("haar-cs1", [64, 64]),
                                                                      ("uwt", [64, 64])]
     for c in result["cells"]:
@@ -106,15 +106,15 @@ def test_method_matrix_writes_every_cell_of_its_protocol(tmp_path, capsys):
 
 
 def test_method_matrix_pairs_two_checkouts(tmp_path, capsys):
-    # schema only: this checkout as its own parent, one pair of one 64^2 cell;
-    # the quality columns of the same code agree
+    # schema only: this checkout as its own parent, one pair of one 64^2 cell
+    # at J = 4; the quality columns of the same code agree
     out = tmp_path / "pairs.json"
     main = runpy.run_path(str(SCRIPTS / "method_matrix.py"))["main"]
     assert main(["--methods", "uwt", "--shapes", "64x64", "--reps", "1", "--pairs", "1",
-                 "--parent", str(SCRIPTS.parent), "--out", str(out)]) == 0
+                 "--levels", "4", "--parent", str(SCRIPTS.parent), "--out", str(out)]) == 0
     result = json.loads(out.read_text())
     assert set(result["env"]) == {"parent", "change"}
-    assert result["protocol"]["pairs"] == 1
+    assert (result["protocol"]["pairs"], result["protocol"]["levels"]) == (1, 4)
     (cell,) = result["cells"]
     assert set(cell) == {"method", "shape", "seconds", "rss_mb", "minflt", "parent", "change"}
     for key in ("seconds", "rss_mb", "minflt"):
@@ -124,3 +124,29 @@ def test_method_matrix_pairs_two_checkouts(tmp_path, capsys):
     assert set(parent) == set(change) == CELL_KEYS
     assert (parent["xmse"], parent["cure"]) == (change["xmse"], change["cure"])
     assert capsys.readouterr().out.splitlines()[0].split()[:3] == ["method", "shape", "metric"]
+
+
+def test_ab_pairs_times_two_checkouts_in_one_process(tmp_path, capsys):
+    # schema only: this checkout as its own parent, imported under a second
+    # package name, one pair of one 64^2 cell; the same code gives equal outputs
+    out = tmp_path / "ab.json"
+    main = runpy.run_path(str(SCRIPTS / "ab_pairs.py"))["main"]
+    assert main([str(SCRIPTS.parent), "--methods", "uwt", "--shapes", "64x64", "--pairs", "1",
+                 "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert set(result) == {"protocol", "env", "cells"}
+    assert set(result["env"]) == {"parent", "change"}
+    assert all(set(env) == {"python", "numpy", "commit", "curelet"}
+               for env in result["env"].values())
+    assert result["env"]["parent"]["commit"] == result["env"]["change"]["commit"]
+    assert {k: result["protocol"][k] for k in ("levels", "pairs", "methods", "shapes")} == {
+        "levels": 3, "pairs": 1, "methods": ["uwt"], "shapes": [[64, 64]]}
+    (cell,) = result["cells"]
+    assert set(cell) == {"method", "shape", "xhat_difference", "cure_difference", "xmse",
+                         "ratio", "interval", "won", "ratios", "seconds"}
+    assert (cell["xhat_difference"], cell["cure_difference"]) == (0.0, 0.0)
+    assert cell["xmse"]["parent"] == cell["xmse"]["change"]
+    assert len(cell["ratio"]) == 3 and len(cell["interval"]) == 2 and len(cell["ratios"]) == 1
+    assert cell["won"] in (0, 1)
+    assert all(len(v) == 1 and v[0] > 0 for v in cell["seconds"].values())
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 1
