@@ -208,7 +208,7 @@ def _fft_walk(y, bank, powers, n):
     inverse per band into its stack, of y's times their outer product's conjugate, yielded
     as _row_cuts' tiles of the stack's whole output."""
     y_fft, out = np.fft.rfftn(y), np.empty((len(powers), n) + y.shape)
-    cuts = _row_cuts(y.reshape(-1, y.shape[-1])) if y.ndim > 1 else [0, len(y)]
+    cuts = _row_cuts(y) if y.ndim > 1 else [0, len(y)]
     spectra = [np.expand_dims(s, [2 + a for a in range(y.ndim) if a != axis])
                for axis, s in enumerate(_factor_spectra(bank, y.shape, powers))]
     for stack in _stacks(range(len(bank.bands)), n):
